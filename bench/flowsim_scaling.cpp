@@ -1,19 +1,23 @@
-// Flow-solver throughput bench: indexed max-min engine vs the seed
-// reference engine (single thread), plus batch scaling through
-// FlowSim::solve_batch at 1..8 threads.
+// Flow-solver throughput bench: the adaptive default and the forced
+// indexed max-min core vs the seed reference core (single thread), plus
+// batch scaling through FlowSim::solve_batch at 1..8 threads.
 //
 //   ./flowsim_scaling [--quick] [--threads n] [--reps n] [--seed n]
 //
-// Check mode is built in: every indexed-engine rate vector and
-// FlowSolveRecord is verified bitwise against the reference engine, and
+// Check mode is built in: every indexed and adaptive rate vector and
+// FlowSolveRecord is verified bitwise against the reference core, and
 // every parallel batch against the 1-thread batch; any mismatch exits
 // non-zero, so CI runs this binary as a correctness gate as well as a
-// perf probe.  Results (freeze events/sec, old-vs-new speedup, batch
-// speedups) are recorded in BENCH_flowsim.json (committed, tracking the
-// perf trajectory per PR).
+// perf probe.  Results (freeze events/sec per core, indexed-vs-reference
+// speedup, adaptive time against the faster pure core, batch speedups)
+// are recorded in BENCH_flowsim.json (committed, tracking the perf
+// trajectory per PR).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,102 +49,129 @@ bool records_equal(const obs::FlowSolveRecord& a,
 }
 
 struct EngineTiming {
-  double seconds = 0.0;
+  double seconds = std::numeric_limits<double>::infinity();
   double freezes_per_sec = 0.0;
   std::int64_t levels = 0;
   std::vector<std::vector<double>> rates;  // one vector per set
 };
 
-/// Times `reps` warm passes over all `sets` on one engine through the
+/// Times `reps` warm passes over all `sets` on each engine through the
 /// solve_active fault-stage path (caller scratch, exactly as the
-/// resilience campaign drives it); rates of the last pass are kept for
-/// the identity check.
-EngineTiming time_engine(const topo::Topology& topo,
-                         sim::FlowSim::SolverEngine engine,
-                         const std::vector<std::vector<sim::Flow>>& sets,
-                         std::int32_t reps) {
-  const sim::FlowSim solver(topo, {}, engine);
-  sim::FlowSim::SolveScratch scratch;
-  EngineTiming t;
-  std::int64_t freezes = 0;
-  t.rates.resize(sets.size());
+/// resilience campaign drives it).  The engines take turns pass by pass,
+/// and each keeps its fastest pass: light sets solve in well under a
+/// millisecond, where a burst of host noise would otherwise land on
+/// whichever engine happened to be running.  Rates of the last pass are
+/// kept for the identity check.
+std::vector<EngineTiming> time_engines(
+    const topo::Topology& topo,
+    std::span<const sim::FlowSim::SolverEngine> engines,
+    const std::vector<std::vector<sim::Flow>>& sets, std::int32_t reps) {
+  std::vector<sim::FlowSim> solvers;
+  for (const sim::FlowSim::SolverEngine engine : engines)
+    solvers.emplace_back(topo, sim::LinkModel{}, engine);
+  std::vector<sim::FlowSim::SolveScratch> scratch(engines.size());
+  std::vector<EngineTiming> t(engines.size());
   std::vector<std::vector<char>> active(sets.size());
+  std::int64_t freezes = 0;
   for (std::size_t i = 0; i < sets.size(); ++i) {
     active[i].assign(sets[i].size(), 1);
-    t.rates[i].assign(sets[i].size(), 0.0);
-    solver.solve_active(sets[i], active[i], t.rates[i], scratch);  // warm-up
     freezes += static_cast<std::int64_t>(sets[i].size());
   }
-  bench::PhaseClock clock;
-  for (std::int32_t r = 0; r < reps; ++r)
+  const auto pass = [&](std::size_t e) {
     for (std::size_t i = 0; i < sets.size(); ++i)
-      solver.solve_active(sets[i], active[i], t.rates[i], scratch);
-  t.seconds = clock.lap() / reps;
-  if (t.seconds > 0.0)
-    t.freezes_per_sec = static_cast<double>(freezes) / t.seconds;
-
-  // Untimed traced solve per set: the record is part of the contract.
-  obs::FlowSolveTrace trace;
-  for (std::size_t i = 0; i < sets.size(); ++i)
-    (void)solver.fair_rates(sets[i], &trace);
-  for (const auto& solve : trace.solves)
-    t.levels += static_cast<std::int64_t>(solve.levels.size());
+      solvers[e].solve_active(sets[i], active[i], t[e].rates[i], scratch[e]);
+  };
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    t[e].rates.resize(sets.size());
+    for (std::size_t i = 0; i < sets.size(); ++i)
+      t[e].rates[i].assign(sets[i].size(), 0.0);
+    pass(e);  // warm-up
+  }
+  for (std::int32_t r = 0; r < reps; ++r) {
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      bench::PhaseClock clock;
+      pass(e);
+      t[e].seconds = std::min(t[e].seconds, clock.lap());
+    }
+  }
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    if (t[e].seconds > 0.0)
+      t[e].freezes_per_sec = static_cast<double>(freezes) / t[e].seconds;
+    // Untimed traced solve per set: the record is part of the contract.
+    obs::FlowSolveTrace trace;
+    for (std::size_t i = 0; i < sets.size(); ++i)
+      (void)solvers[e].fair_rates(sets[i], &trace);
+    for (const auto& solve : trace.solves)
+      t[e].levels += static_cast<std::int64_t>(solve.levels.size());
+  }
   return t;
 }
 
-/// Old-vs-new single-thread comparison on one workload; exits non-zero on
-/// any rate or record divergence.
+/// Single-thread comparison of the three cores on one workload; exits
+/// non-zero on any rate or record divergence from the reference.
 void compare_engines(const char* phase, const topo::Topology& topo,
                      const std::vector<std::vector<sim::Flow>>& sets,
                      std::int32_t reps, obs::BenchJson& json) {
-  const EngineTiming ref = time_engine(
-      topo, sim::FlowSim::SolverEngine::kReference, sets, reps);
-  const EngineTiming idx =
-      time_engine(topo, sim::FlowSim::SolverEngine::kIndexed, sets, reps);
+  using Engine = sim::FlowSim::SolverEngine;
+  const Engine engines[] = {Engine::kReference, Engine::kIndexed,
+                            Engine::kAdaptive};
+  const std::vector<EngineTiming> timings =
+      time_engines(topo, engines, sets, reps);
+  const EngineTiming& ref = timings[0];
+  const EngineTiming& idx = timings[1];
+  const EngineTiming& ada = timings[2];
   std::int64_t flows = 0;
   for (std::size_t i = 0; i < sets.size(); ++i) {
     flows += static_cast<std::int64_t>(sets[i].size());
-    if (!rates_equal(ref.rates[i], idx.rates[i])) {
-      std::fprintf(stderr, "%s: indexed engine differs from reference "
+    if (!rates_equal(ref.rates[i], idx.rates[i]) ||
+        !rates_equal(ref.rates[i], ada.rates[i])) {
+      std::fprintf(stderr, "%s: a core differs from the reference "
                    "(set %zu)!\n", phase, i);
       std::exit(1);
     }
   }
-  // Traced records: re-solve set 0 on both engines and compare fields.
+  // Traced records: re-solve set 0 on every core and compare fields.
   {
-    const sim::FlowSim reference(topo, {},
-                                 sim::FlowSim::SolverEngine::kReference);
-    const sim::FlowSim indexed(topo, {}, sim::FlowSim::SolverEngine::kIndexed);
+    const sim::FlowSim reference(topo, {}, Engine::kReference);
     obs::FlowSolveTrace rt;
-    obs::FlowSolveTrace it;
     (void)reference.fair_rates(sets[0], &rt);
-    (void)indexed.fair_rates(sets[0], &it);
-    if (!records_equal(rt.solves.at(0), it.solves.at(0))) {
-      std::fprintf(stderr, "%s: FlowSolveRecord differs between engines!\n",
-                   phase);
-      std::exit(1);
+    for (const Engine engine : {Engine::kIndexed, Engine::kAdaptive}) {
+      const sim::FlowSim other(topo, {}, engine);
+      obs::FlowSolveTrace ot;
+      (void)other.fair_rates(sets[0], &ot);
+      if (!records_equal(rt.solves.at(0), ot.solves.at(0))) {
+        std::fprintf(stderr, "%s: FlowSolveRecord differs between cores!\n",
+                     phase);
+        std::exit(1);
+      }
     }
   }
   const double speedup = idx.seconds > 0.0 ? ref.seconds / idx.seconds : 0.0;
+  // > 1: adaptive is slower than the faster pure core by that factor.
+  const double adaptive_vs_best =
+      ada.seconds / std::min(ref.seconds, idx.seconds);
   std::printf(
       "%-24s flows=%-7lld levels=%-5lld old %8.2f Mfz/s | new %8.2f Mfz/s | "
-      "speedup %.2fx\n",
+      "speedup %.2fx | adaptive %8.2f Mfz/s, %.2fx best\n",
       phase, static_cast<long long>(flows),
       static_cast<long long>(idx.levels), ref.freezes_per_sec / 1e6,
-      idx.freezes_per_sec / 1e6, speedup);
+      idx.freezes_per_sec / 1e6, speedup, ada.freezes_per_sec / 1e6,
+      adaptive_vs_best);
   json.add(phase,
            {{"flows", static_cast<double>(flows)},
             {"levels", static_cast<double>(idx.levels)},
             {"old_freezes_per_sec", ref.freezes_per_sec},
             {"new_freezes_per_sec", idx.freezes_per_sec},
-            {"speedup", speedup}});
+            {"speedup", speedup},
+            {"adaptive_freezes_per_sec", ada.freezes_per_sec},
+            {"adaptive_time_vs_best", adaptive_vs_best}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
-  const std::int32_t reps = args.quick ? 2 : std::max(args.reps, 3);
+  const std::int32_t reps = args.quick ? 2 : std::max(args.reps, 50);
   obs::BenchJson json("flowsim");
   json.add("machine", {{"hardware_threads",
                         static_cast<double>(exec::hardware_threads())}});
@@ -228,6 +259,8 @@ int main(int argc, char** argv) {
   }
 
   json.write(".");
-  std::printf("OK: indexed engine bit-identical to reference on all phases\n");
+  std::printf(
+      "OK: indexed and adaptive cores bit-identical to reference on all "
+      "phases\n");
   return 0;
 }

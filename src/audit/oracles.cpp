@@ -841,6 +841,7 @@ OracleResult oracle_flowsim_engine_identity(const Scenario& s) {
                                sim::FlowSim::SolverEngine::kReference);
   const sim::FlowSim indexed(f.topo(), {},
                              sim::FlowSim::SolverEngine::kIndexed);
+  const sim::FlowSim adaptive(f.topo());
 
   const auto solve_and_compare =
       [&](const routing::RouteResult& route, std::uint64_t seed,
@@ -867,13 +868,20 @@ OracleResult oracle_flowsim_engine_identity(const Scenario& s) {
 
     obs::FlowSolveTrace reference_trace;
     obs::FlowSolveTrace indexed_trace;
+    obs::FlowSolveTrace adaptive_trace;
     const std::vector<double> reference_rates =
         reference.fair_rates(flows, &reference_trace);
     const std::vector<double> indexed_rates =
         indexed.fair_rates(flows, &indexed_trace);
+    const std::vector<double> adaptive_rates =
+        adaptive.fair_rates(flows, &adaptive_trace);
     OracleResult check = check_flowsim_engines_identical(
         reference_rates, indexed_rates, reference_trace.solves.at(0),
         indexed_trace.solves.at(0));
+    if (check.pass)
+      check = check_flowsim_engines_identical(
+          reference_rates, adaptive_rates, reference_trace.solves.at(0),
+          adaptive_trace.solves.at(0));
     if (check.pass)
       check = check_flow_levels_monotone(indexed_trace.solves.at(0));
     if (!check.pass) check.detail = label + ": " + check.detail;

@@ -28,8 +28,9 @@
 //      flow_invariants   max-min feasibility (sum rates <= capacity) and
 //                        bottleneck optimality for every unfrozen flow
 //      flowsim_engine_identity
-//                        kIndexed vs kReference max-min core: rates and
-//                        FlowSolveRecord bit for bit, levels monotone,
+//                        kIndexed and kAdaptive vs kReference max-min
+//                        core: rates and FlowSolveRecord bit for bit,
+//                        levels monotone,
 //                        pristine and faulted fabrics alike
 //
 // Oracles treat a *deterministic* engine refusal (e.g. DFSSSP exhausting
@@ -125,9 +126,10 @@ struct TableExpectations {
     const sim::FlowSim& fs, std::span<const sim::Flow> flows,
     std::span<const double> rates);
 
-/// Indexed-vs-reference flow-solver identity: rates bitwise equal and
-/// every FlowSolveRecord field (active_flows, levels, freezes_per_level,
-/// saturated order) identical -- the standing SolverEngine contract.
+/// Flow-solver core identity (indexed or adaptive vs reference): rates
+/// bitwise equal and every FlowSolveRecord field (active_flows, levels,
+/// freezes_per_level, saturated order) identical -- the standing
+/// SolverEngine contract.
 [[nodiscard]] OracleResult check_flowsim_engines_identical(
     std::span<const double> reference_rates,
     std::span<const double> indexed_rates,

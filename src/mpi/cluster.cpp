@@ -1,8 +1,9 @@
 #include "mpi/cluster.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "core/lid_choice.hpp"
 #include "core/quadrant.hpp"
@@ -24,24 +25,26 @@ Cluster::Cluster(const topo::Topology& topo, routing::LidSpace lids,
                     lids_.lmc() == core::kParxLmc;
 }
 
-routing::Lid Cluster::select_dlid(topo::NodeId src, topo::NodeId dst,
-                                  std::int64_t bytes, stats::Rng& rng) const {
-  auto reachable = [&](routing::Lid lid) {
-    return route_.tables.reachable(*topo_, lids_, src, lid);
-  };
+namespace {
 
-  if (!parx_selection_) {
-    const routing::Lid base = lids_.base_lid(dst);
-    if (reachable(base)) return base;
-    for (std::int32_t x = 1; x < lids_.lids_per_terminal(); ++x)
-      if (reachable(lids_.lid(dst, x))) return lids_.lid(dst, x);
+/// The destination-LID candidate order of Cluster::select_dlid, shared by
+/// its fused path variant: returns the first candidate `try_lid` accepts.
+template <typename TryLid>
+routing::Lid pick_lid(const routing::LidSpace& lids, bool parx_selection,
+                      topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
+                      stats::Rng& rng, TryLid&& try_lid) {
+  if (!parx_selection) {
+    const routing::Lid base = lids.base_lid(dst);
+    if (try_lid(base)) return base;
+    for (std::int32_t x = 1; x < lids.lids_per_terminal(); ++x)
+      if (try_lid(lids.lid(dst, x))) return lids.lid(dst, x);
     return routing::kInvalidLid;
   }
 
   // The bfo layer recovers quadrants from LID values (paper footnote 9:
   // q = lid / 1000) and applies Table 1.
-  const std::int32_t src_q = lids_.group_of_lid(lids_.base_lid(src));
-  const std::int32_t dst_q = lids_.group_of_lid(lids_.base_lid(dst));
+  const std::int32_t src_q = lids.group_of_lid(lids.base_lid(src));
+  const std::int32_t dst_q = lids.group_of_lid(lids.base_lid(dst));
   const core::MsgClass cls = core::classify_message(bytes);
   const core::LidChoice choice = core::parx_lid_options(src_q, dst_q, cls);
 
@@ -51,14 +54,34 @@ routing::Lid Cluster::select_dlid(topo::NodeId src, topo::NodeId dst,
       choice.count == 2
           ? choice.options[static_cast<std::size_t>(rng.next_below(2))]
           : choice.options[0];
-  if (reachable(lids_.lid(dst, first))) return lids_.lid(dst, first);
+  if (try_lid(lids.lid(dst, first))) return lids.lid(dst, first);
   for (std::int8_t i = 0; i < choice.count; ++i) {
     const std::int8_t x = choice.options[static_cast<std::size_t>(i)];
-    if (x != first && reachable(lids_.lid(dst, x))) return lids_.lid(dst, x);
+    if (x != first && try_lid(lids.lid(dst, x))) return lids.lid(dst, x);
   }
-  for (std::int32_t x = 0; x < lids_.lids_per_terminal(); ++x)
-    if (reachable(lids_.lid(dst, x))) return lids_.lid(dst, x);
+  for (std::int32_t x = 0; x < lids.lids_per_terminal(); ++x)
+    if (try_lid(lids.lid(dst, x))) return lids.lid(dst, x);
   return routing::kInvalidLid;
+}
+
+}  // namespace
+
+routing::Lid Cluster::select_dlid(topo::NodeId src, topo::NodeId dst,
+                                  std::int64_t bytes, stats::Rng& rng) const {
+  return pick_lid(lids_, parx_selection_, src, dst, bytes, rng,
+                  [&](routing::Lid lid) {
+                    return route_.tables.reachable(*topo_, lids_, src, lid);
+                  });
+}
+
+routing::Lid Cluster::select_path(topo::NodeId src, topo::NodeId dst,
+                                  std::int64_t bytes, stats::Rng& rng,
+                                  std::vector<topo::ChannelId>& path) const {
+  return pick_lid(lids_, parx_selection_, src, dst, bytes, rng,
+                  [&](routing::Lid lid) {
+                    return route_.tables.path_into(*topo_, lids_, src, lid,
+                                                   path);
+                  });
 }
 
 std::optional<sim::NetMessage> Cluster::route_message(topo::NodeId src,
@@ -71,12 +94,8 @@ std::optional<sim::NetMessage> Cluster::route_message(topo::NodeId src,
   msg.bytes = bytes;
   if (src == dst) return msg;  // loopback: no fabric involvement
 
-  const routing::Lid dlid = select_dlid(src, dst, bytes, rng);
+  const routing::Lid dlid = select_path(src, dst, bytes, rng, msg.path);
   if (dlid == routing::kInvalidLid) return std::nullopt;
-  routing::ForwardingTables::Path path =
-      route_.tables.path(*topo_, lids_, src, dlid);
-  if (!path.ok) return std::nullopt;
-  msg.path = std::move(path.channels);
   msg.vl = route_.vls.vl(topo_->attach_switch(src), dlid);
   return msg;
 }
@@ -86,48 +105,79 @@ Transport::Transport(const Cluster& cluster, Placement placement,
     : cluster_(&cluster),
       placement_(std::move(placement)),
       rng_(seed),
-      flows_(cluster.topo(), cluster.link()) {}
+      solver_(cluster.topo(), cluster.link()),
+      src_count_(static_cast<std::size_t>(placement_.num_ranks()), 0),
+      dst_count_(static_cast<std::size_t>(placement_.num_ranks()), 0) {}
 
 double Transport::round_time(const Round& round) {
   const PmlConfig& pml = cluster_->pml();
   const sim::LinkModel& link = cluster_->link();
+  const std::size_t n = round.size();
 
-  // Route all messages; count per-endpoint concurrency for the software
-  // serialization offsets.
-  std::vector<sim::NetMessage> msgs;
-  msgs.reserve(round.size());
-  std::vector<double> offset(round.size(), 0.0);
-  std::unordered_map<std::int32_t, std::int32_t> src_count;
-  std::unordered_map<std::int32_t, std::int32_t> dst_count;
-  for (std::size_t i = 0; i < round.size(); ++i) {
+  const std::int32_t ranks = placement_.num_ranks();
+  for (std::size_t i = 0; i < n; ++i) {
     const RankMsg& rm = round[i];
+    if (rm.src_rank < 0 || rm.src_rank >= ranks || rm.dst_rank < 0 ||
+        rm.dst_rank >= ranks)
+      throw std::out_of_range(
+          "Transport: message " + std::to_string(i) + " of the round (" +
+          std::to_string(rm.src_rank) + " -> " + std::to_string(rm.dst_rank) +
+          ") names a rank outside [0, " + std::to_string(ranks) + ")");
+  }
+  // The flow buffer only grows: a round uses its first n slots, and each
+  // slot's channel vector keeps its capacity from round to round.
+  if (flows_.size() < n) {
+    flows_.resize(n);
+    active_.resize(n, 1);
+  }
+  rates_.resize(n);
+  offsets_.resize(n);
+
+  // Per-endpoint concurrency for the software serialization offsets.  The
+  // rank-indexed counters are zero between rounds: the round's own
+  // messages reset what they counted.
+  for (std::size_t i = 0; i < n; ++i) {
+    const RankMsg& rm = round[i];
+    const std::int32_t si = src_count_[static_cast<std::size_t>(rm.src_rank)]++;
+    const std::int32_t di = dst_count_[static_cast<std::size_t>(rm.dst_rank)]++;
+    offsets_[i] = static_cast<double>(std::max(si, di)) *
+                  pml.per_message_overhead;
+  }
+  for (const RankMsg& rm : round) {
+    src_count_[static_cast<std::size_t>(rm.src_rank)] = 0;
+    dst_count_[static_cast<std::size_t>(rm.dst_rank)] = 0;
+  }
+
+  // Route in message order (the RNG draw order), one LFT walk per
+  // candidate LID, straight into the flow buffer.
+  for (std::size_t i = 0; i < n; ++i) {
+    const RankMsg& rm = round[i];
+    sim::Flow& flow = flows_[i];
+    flow.bytes = rm.bytes;
     const topo::NodeId sn = placement_.node_of(rm.src_rank);
     const topo::NodeId dn = placement_.node_of(rm.dst_rank);
-    auto routed = cluster_->route_message(sn, dn, rm.bytes, rng_);
-    if (!routed)
+    if (sn == dn) {
+      flow.channels.clear();  // loopback: no fabric involvement
+      continue;
+    }
+    if (cluster_->select_path(sn, dn, rm.bytes, rng_, flow.channels) ==
+        routing::kInvalidLid)
       throw std::runtime_error("Transport: unroutable message in round");
-    const std::int32_t si = src_count[rm.src_rank]++;
-    const std::int32_t di = dst_count[rm.dst_rank]++;
-    offset[i] = static_cast<double>(std::max(si, di)) *
-                pml.per_message_overhead;
-    msgs.push_back(std::move(*routed));
   }
 
   // Fixed-rate network share for this round.
-  std::vector<sim::Flow> flows;
-  flows.reserve(msgs.size());
-  for (const sim::NetMessage& m : msgs)
-    flows.push_back(sim::Flow{m.path, m.bytes});
-  const std::vector<double> rate = flows_.fair_rates(flows);
+  solver_.solve_active(std::span<const sim::Flow>(flows_.data(), n),
+                       std::span<const char>(active_.data(), n), rates_,
+                       scratch_);
 
   double time = 0.0;
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    const sim::NetMessage& m = msgs[i];
-    double t = offset[i] + pml.per_message_overhead +
-               static_cast<double>(m.bytes) * pml.per_byte_overhead;
-    t += static_cast<double>(m.path.size()) * link.hop_latency;
-    if (m.bytes > 0 && !m.path.empty())
-      t += static_cast<double>(m.bytes) / rate[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::Flow& flow = flows_[i];
+    double t = offsets_[i] + pml.per_message_overhead +
+               static_cast<double>(flow.bytes) * pml.per_byte_overhead;
+    t += static_cast<double>(flow.channels.size()) * link.hop_latency;
+    if (flow.bytes > 0 && !flow.channels.empty())
+      t += static_cast<double>(flow.bytes) / rates_[i];
     time = std::max(time, t);
   }
   return time;

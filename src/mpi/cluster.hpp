@@ -9,9 +9,16 @@
 //  - per-message software cost: PML overhead, serialized per endpoint (the
 //    k-th concurrent message of a rank starts k overheads late);
 //  - network cost: max-min fair share of the routed path's channels
-//    (fixed-rate round model) plus per-hop latency;
+//    (fixed-rate round model, FlowSim's default adaptive core) plus
+//    per-hop latency;
 //  - PARX/bfo picks the destination LID per Table 1 and message size, with
-//    reachability fallback across the four LIDs (faulty fabrics).
+//    reachability fallback across the four LIDs (faulty fabrics); the LFT
+//    walk that proves a candidate reachable is also the message's path
+//    (select_path), so each candidate is walked once.
+//
+// A round routes into transport-owned buffers and solves through
+// FlowSim::solve_active on transport-owned scratch: once the transport has
+// seen its largest round, rounds allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +73,16 @@ class Cluster {
                                          std::int64_t bytes,
                                          stats::Rng& rng) const;
 
+  /// select_dlid() and the LFT walk of its pick in one: each candidate LID
+  /// is walked once, in select_dlid's order and with its RNG draws, and
+  /// the walk that succeeds is left in `path` (cleared first; empty when
+  /// no LID routes).  Returns the chosen LID, kInvalidLid if none routes.
+  [[nodiscard]] routing::Lid select_path(
+      topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
+      stats::Rng& rng, std::vector<topo::ChannelId>& path) const;
+
   /// Fully routed network message (empty path for src == dst);
-  /// std::nullopt when unroutable.
+  /// std::nullopt when unroutable.  Built on select_path().
   [[nodiscard]] std::optional<sim::NetMessage> route_message(
       topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
       stats::Rng& rng) const;
@@ -91,10 +106,13 @@ class Transport {
   }
 
   /// Executes the schedule; returns total time [s].
-  /// Throws std::runtime_error if any message is unroutable.
+  /// Throws std::runtime_error if any message is unroutable and
+  /// std::out_of_range if a message names a rank outside the placement.
   [[nodiscard]] double execute(const Schedule& schedule);
 
-  /// Per-round completion times (diagnostics / tests).
+  /// Per-round completion times (diagnostics / tests).  Once the transport
+  /// has seen its largest round, a round allocates nothing: paths, rates
+  /// and the solver scratch live in buffers the transport owns.
   [[nodiscard]] std::vector<double> execute_rounds(const Schedule& schedule);
 
   /// Records the schedule's rank-pair byte counts (the IB-profiler stand-in;
@@ -107,7 +125,16 @@ class Transport {
   const Cluster* cluster_;
   Placement placement_;
   stats::Rng rng_;
-  sim::FlowSim flows_;
+  sim::FlowSim solver_;
+
+  // Round state reused from round to round.
+  std::vector<sim::Flow> flows_;  // grows to the largest round
+  std::vector<char> active_;      // all 1, same length as flows_
+  std::vector<double> rates_;
+  std::vector<double> offsets_;
+  std::vector<std::int32_t> src_count_;  // per rank; zero between rounds
+  std::vector<std::int32_t> dst_count_;
+  sim::FlowSim::SolveScratch scratch_;
 };
 
 }  // namespace hxsim::mpi

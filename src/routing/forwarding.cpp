@@ -19,8 +19,8 @@ void ForwardingTables::set(topo::SwitchId sw, Lid dlid, topo::ChannelId out) {
 
 namespace {
 
-/// Shared walker for path() and reachable().  Invokes `on_channel` per hop;
-/// returns success.
+/// Shared walker for path_into() and reachable().  Invokes `on_channel`
+/// per hop; returns success.
 template <typename OnChannel>
 bool walk(const topo::Topology& topo, const ForwardingTables& lft,
           const LidSpace& lids, topo::NodeId src, Lid dlid,
@@ -54,10 +54,20 @@ ForwardingTables::Path ForwardingTables::path(const topo::Topology& topo,
                                               topo::NodeId src,
                                               Lid dlid) const {
   Path p;
-  p.ok = walk(topo, *this, lids, src, dlid,
-              [&p](topo::ChannelId ch) { p.channels.push_back(ch); });
-  if (!p.ok) p.channels.clear();
+  p.ok = path_into(topo, lids, src, dlid, p.channels);
   return p;
+}
+
+bool ForwardingTables::path_into(const topo::Topology& topo,
+                                 const LidSpace& lids, topo::NodeId src,
+                                 Lid dlid,
+                                 std::vector<topo::ChannelId>& channels) const {
+  channels.clear();
+  const bool ok =
+      walk(topo, *this, lids, src, dlid,
+           [&channels](topo::ChannelId ch) { channels.push_back(ch); });
+  if (!ok) channels.clear();
+  return ok;
 }
 
 bool ForwardingTables::reachable(const topo::Topology& topo,

@@ -50,6 +50,15 @@ class ForwardingTables {
   [[nodiscard]] Path path(const topo::Topology& topo, const LidSpace& lids,
                           topo::NodeId src, Lid dlid) const;
 
+  /// path() into a caller-owned buffer: `channels` is cleared, then holds
+  /// the walked channels on success and is left empty on failure.  A
+  /// reused buffer makes repeated walks allocation-free once it has grown
+  /// to the longest path.
+  [[nodiscard]] bool path_into(const topo::Topology& topo,
+                               const LidSpace& lids, topo::NodeId src,
+                               Lid dlid,
+                               std::vector<topo::ChannelId>& channels) const;
+
   /// True if path() would succeed (cheaper: no vector is built).
   [[nodiscard]] bool reachable(const topo::Topology& topo,
                                const LidSpace& lids, topo::NodeId src,

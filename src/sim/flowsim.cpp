@@ -10,8 +10,33 @@
 namespace hxsim::sim {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The adaptive core's handoff rule: rescan rounds run until they have
+/// rescanned this many times the solve's flow-hops, then the indexed loop
+/// finishes the solve.  Light sets (a handful of filling levels, where
+/// the rescan's linear scans win) never reach it; congested sets with
+/// hundreds of levels cross it after a few rounds.
+constexpr std::size_t kHandoffRescans = 10;
+
+/// Heap tags pack (local channel, version): the version makes stale
+/// entries detectable after a lazy re-key, and the whole tag doubles as
+/// the deterministic tie-break among equal quotients.
+[[nodiscard]] constexpr std::uint64_t quotient_tag(std::int32_t channel,
+                                                   std::uint32_t version) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(channel))
+          << 32) |
+         version;
 }
+[[nodiscard]] constexpr std::int32_t tag_channel(std::uint64_t tag) {
+  return static_cast<std::int32_t>(tag >> 32);
+}
+[[nodiscard]] constexpr std::uint32_t tag_version(std::uint64_t tag) {
+  return static_cast<std::uint32_t>(tag);
+}
+
+}  // namespace
 
 FlowSim::FlowSim(const topo::Topology& topo, LinkModel link,
                  SolverEngine engine)
@@ -21,25 +46,15 @@ FlowSim::FlowSim(const topo::Topology& topo, LinkModel link,
                 link.bandwidth),
       engine_(engine) {}
 
-void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
-                    std::span<double> rate, SolveScratch& scratch,
-                    obs::FlowSolveRecord* record) const {
-  if (engine_ == SolverEngine::kReference)
-    solve_reference(flows, active, rate, scratch, record);
-  else
-    solve_indexed(flows, active, rate, scratch, record);
-}
-
 void FlowSim::set_capacity(topo::ChannelId ch, double bytes_per_s) {
   if (bytes_per_s <= 0.0)
     throw std::invalid_argument("FlowSim::set_capacity: non-positive");
   capacity_.at(static_cast<std::size_t>(ch)) = bytes_per_s;
 }
 
-void FlowSim::solve_reference(std::span<const Flow> flows,
-                              std::span<const char> active,
-                              std::span<double> rate, SolveScratch& scratch,
-                              obs::FlowSolveRecord* record) const {
+void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
+                    std::span<double> rate, SolveScratch& scratch,
+                    obs::FlowSolveRecord* record) const {
   // Progressive filling: all unfrozen flows share one common rate level
   // that rises until some channel saturates; flows crossing a saturated
   // channel freeze at the level, and the level keeps rising for the rest.
@@ -57,6 +72,7 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
   frozen.assign(flows.size(), 0);
 
   std::size_t remaining = 0;
+  std::size_t total_hops = 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     if (!active[f]) continue;
     if (flows[f].channels.empty()) {
@@ -64,6 +80,7 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
       continue;
     }
     ++remaining;
+    total_hops += flows[f].channels.size();
     for (topo::ChannelId ch : flows[f].channels) {
       auto& idx = local_of[static_cast<std::size_t>(ch)];
       if (idx < 0) {
@@ -76,24 +93,56 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
   const std::size_t nused = used.size();
   auto& frozen_load = scratch.frozen_load;
   auto& unfrozen_count = scratch.unfrozen_count;
-  auto& saturated = scratch.saturated;
   frozen_load.assign(nused, 0.0);
   unfrozen_count.assign(nused, 0);
-  saturated.assign(nused, 0);
   // Solver-metric recording is off the hot path: `ever_saturated` lives in
   // the scratch and is only (re)sized when this solve actually traces, so
   // traced solves are allocation-free after warm-up too.
-  auto& ever_saturated = scratch.ever_saturated;
   if (record != nullptr) {
     record->active_flows = static_cast<std::int32_t>(remaining);
-    ever_saturated.assign(nused, 0);
+    scratch.ever_saturated.assign(nused, 0);
   }
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active[f] || flows[f].channels.empty()) continue;
+    if (!active[f]) continue;
     for (topo::ChannelId ch : flows[f].channels)
       ++unfrozen_count[static_cast<std::size_t>(
           local_of[static_cast<std::size_t>(ch)])];
   }
+
+  if (engine_ == SolverEngine::kIndexed) {
+    fill_indexed(flows, active, rate, scratch, record, remaining);
+  } else {
+    const std::size_t budget = engine_ == SolverEngine::kReference
+                                   ? std::numeric_limits<std::size_t>::max()
+                                   : kHandoffRescans * total_hops;
+    remaining = fill_rescan(flows, active, rate, scratch, record, remaining,
+                            total_hops, budget);
+    if (remaining > 0) {
+      ++scratch.handoffs;
+      fill_indexed(flows, active, rate, scratch, record, remaining);
+    }
+  }
+
+  // Un-dirty the persistent channel map for the next solve on this scratch.
+  for (topo::ChannelId ch : used) local_of[static_cast<std::size_t>(ch)] = -1;
+}
+
+std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
+                                 std::span<const char> active,
+                                 std::span<double> rate,
+                                 SolveScratch& scratch,
+                                 obs::FlowSolveRecord* record,
+                                 std::size_t remaining, std::size_t hops,
+                                 std::size_t budget) const {
+  const auto& local_of = scratch.local_of;
+  const auto& used = scratch.used;
+  auto& frozen = scratch.frozen;
+  auto& frozen_load = scratch.frozen_load;
+  auto& unfrozen_count = scratch.unfrozen_count;
+  auto& saturated = scratch.saturated;
+  auto& ever_saturated = scratch.ever_saturated;
+  const std::size_t nused = used.size();
+  saturated.assign(nused, 0);
   // Worklist of channels still carrying unfrozen flows.  Every used
   // channel starts with unfrozen_count >= 1 (it got into `used` via an
   // active flow's path); the list is compacted after each level so the
@@ -106,7 +155,11 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
   worklist.clear();
   for (std::size_t c = 0; c < nused; ++c)
     worklist.push_back(static_cast<std::int32_t>(c));
+  // Flow-hops the freeze scan walks: `hops` counts those of the flows
+  // still unfrozen, `rescanned` their running total over the rounds.
+  std::size_t rescanned = 0;
   while (remaining > 0) {
+    rescanned += hops;
     // The common level can rise to min over loaded channels of
     // (capacity - frozen_load) / unfrozen_count.
     double level = kInf;
@@ -126,8 +179,7 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
         frozen[f] = 1;
         rate[f] = 0.0;
       }
-      remaining = 0;
-      break;
+      return 0;
     }
 
     // Freeze every unfrozen flow that crosses a (now) saturated channel.
@@ -173,6 +225,7 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
       ++froze_count;
       rate[f] = level;
       --remaining;
+      hops -= flows[f].channels.size();
       for (topo::ChannelId ch : flows[f].channels) {
         const auto c = static_cast<std::size_t>(
             local_of[static_cast<std::size_t>(ch)]);
@@ -205,6 +258,7 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
         }
       }
     }
+    if (rescanned > budget) break;
     worklist.erase(
         std::remove_if(worklist.begin(), worklist.end(),
                        [&](std::int32_t ci) {
@@ -213,100 +267,59 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
                        }),
         worklist.end());
   }
-
-  // Un-dirty the persistent channel map for the next solve on this scratch.
-  for (topo::ChannelId ch : used) local_of[static_cast<std::size_t>(ch)] = -1;
+  return remaining;
 }
 
-namespace {
-
-/// Heap tags pack (local channel, version): the version makes stale
-/// entries detectable after a lazy re-key, and the whole tag doubles as
-/// the deterministic tie-break among equal quotients.
-[[nodiscard]] constexpr std::uint64_t quotient_tag(std::int32_t channel,
-                                                   std::uint32_t version) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(channel))
-          << 32) |
-         version;
-}
-[[nodiscard]] constexpr std::int32_t tag_channel(std::uint64_t tag) {
-  return static_cast<std::int32_t>(tag >> 32);
-}
-[[nodiscard]] constexpr std::uint32_t tag_version(std::uint64_t tag) {
-  return static_cast<std::uint32_t>(tag);
-}
-
-}  // namespace
-
-void FlowSim::solve_indexed(std::span<const Flow> flows,
-                            std::span<const char> active,
-                            std::span<double> rate, SolveScratch& scratch,
-                            obs::FlowSolveRecord* record) const {
-  // Same progressive filling as solve_reference, restructured so a round
-  // costs O(saturated-incident work) instead of O(flows x path):
+void FlowSim::fill_indexed(std::span<const Flow> flows,
+                           std::span<const char> active,
+                           std::span<double> rate, SolveScratch& scratch,
+                           obs::FlowSolveRecord* record,
+                           std::size_t remaining) const {
+  // The rescan's filling, restructured so a round costs O(saturated-
+  // incident work) instead of O(flows x path):
   //
   //  - CSR incidence both ways (flow -> local channel in path order,
-  //    channel -> flow in ascending flow order) is built once per solve;
+  //    channel -> flow in ascending flow order) is built once, over the
+  //    flows still unfrozen when the loop starts;
   //  - every live channel keeps its current fill quotient
   //    (capacity - frozen_load) / unfrozen_count in a keyed lazy min-heap
   //    (FlatKeyHeap: the FlatEventHeap 4-ary layout, no clock).  A
   //    quotient change bumps the channel's version and pushes a fresh
   //    entry; entries whose tag version is stale are discarded at pop, so
   //    every live entry's key is the channel's *current* quotient;
-  //  - a round pops the heap minimum (the reference's level -- min over
+  //  - a round pops the heap minimum (the rescan's level -- min over
   //    live channels of the identical division), then keeps popping live
   //    entries while key <= level * (1 + 1e-12), which is exactly the set
-  //    the reference's saturation rescan marks;
+  //    the rescan's saturation test marks;
   //  - only flows incident to those newly saturated channels are visited.
   //
-  // Bit-identity with the reference is by construction, not accident:
+  // Bit-identity with the rescan is by construction, not accident:
   // quotients are computed by the same expression on the same operands,
   // min over doubles is order-independent, the saturation test compares
   // the same two values, and the freeze loop visits hit flows in
   // ascending flow index (the candidate list is sorted) walking each
   // path in order -- so frozen_load accumulates through the identical
   // sequence of additions and every level/rate/record field matches the
-  // reference bit for bit.  tests/flowsim_golden_test.cpp and the
-  // flowsim_engine_identity fuzz oracle hold both engines to that.
-  auto& local_of = scratch.local_of;
-  auto& used = scratch.used;
+  // rescan bit for bit.  The loop depends on nothing but frozen,
+  // frozen_load and unfrozen_count, so it may equally start on a fresh
+  // solve or take over from rescan rounds mid-solve (the adaptive core).
+  // tests/flowsim_golden_test.cpp and the flowsim_engine_identity fuzz
+  // oracle hold every core to that.
+  const auto& used = scratch.used;
+  const auto& local_of = scratch.local_of;
   auto& frozen = scratch.frozen;
-  if (local_of.size() != capacity_.size()) local_of.assign(capacity_.size(), -1);
-  used.clear();
-  frozen.assign(flows.size(), 0);
-
-  std::size_t remaining = 0;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active[f]) continue;
-    if (flows[f].channels.empty()) {
-      rate[f] = kInf;  // self-send: no network resource consumed
-      continue;
-    }
-    ++remaining;
-    for (topo::ChannelId ch : flows[f].channels) {
-      auto& idx = local_of[static_cast<std::size_t>(ch)];
-      if (idx < 0) {
-        idx = static_cast<std::int32_t>(used.size());
-        used.push_back(ch);
-      }
-    }
-  }
-
-  const std::size_t nused = used.size();
   auto& frozen_load = scratch.frozen_load;
   auto& unfrozen_count = scratch.unfrozen_count;
-  frozen_load.assign(nused, 0.0);
-  unfrozen_count.assign(nused, 0);
   auto& ever_saturated = scratch.ever_saturated;
-  if (record != nullptr) {
-    record->active_flows = static_cast<std::int32_t>(remaining);
-    ever_saturated.assign(nused, 0);
-  }
+  const std::size_t nused = used.size();
+  const auto live = [&](std::size_t f) {
+    return active[f] && !frozen[f] && !flows[f].channels.empty();
+  };
 
   // CSR incidence.  flow_ch carries local channel indices in path order
-  // (multiplicity preserved -- the reference counts a repeated channel
-  // once per occurrence); chan_flow is filled by an ascending flow scan,
-  // so each channel's flow list comes out sorted.
+  // (multiplicity preserved -- the rescan counts a repeated channel once
+  // per occurrence); chan_flow is filled by an ascending flow scan, so
+  // each channel's flow list comes out sorted.
   auto& flow_off = scratch.flow_off;
   auto& flow_ch = scratch.flow_ch;
   auto& chan_off = scratch.chan_off;
@@ -315,22 +328,20 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
   flow_off.assign(flows.size() + 1, 0);
   std::size_t total_hops = 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (active[f] && !flows[f].channels.empty())
-      total_hops += flows[f].channels.size();
+    if (live(f)) total_hops += flows[f].channels.size();
     flow_off[f + 1] = static_cast<std::int32_t>(total_hops);
   }
   flow_ch.resize(total_hops);
+  chan_off.assign(nused + 1, 0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active[f] || flows[f].channels.empty()) continue;
+    if (!live(f)) continue;
     std::int32_t* out = flow_ch.data() + flow_off[f];
     for (topo::ChannelId ch : flows[f].channels) {
       const auto c = local_of[static_cast<std::size_t>(ch)];
-      ++unfrozen_count[static_cast<std::size_t>(c)];
+      ++chan_off[static_cast<std::size_t>(c) + 1];
       *out++ = c;
     }
   }
-  chan_off.assign(nused + 1, 0);
-  for (const std::int32_t c : flow_ch) ++chan_off[static_cast<std::size_t>(c) + 1];
   for (std::size_t c = 0; c < nused; ++c) chan_off[c + 1] += chan_off[c];
   chan_flow.resize(total_hops);
   chan_cursor.assign(chan_off.begin(), chan_off.end());
@@ -341,8 +352,9 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
               i)])]++)] = static_cast<std::int32_t>(f);
   }
 
-  // Seed the quotient heap: one live entry per used channel.  The key is
-  // the reference's exact level expression on the same operands.
+  // Seed the quotient heap: one live entry per channel still carrying
+  // unfrozen flows.  The key is the rescan's exact level expression on the
+  // same operands.
   auto& version = scratch.version;
   auto& quotients = scratch.quotients;
   version.assign(nused, 0);
@@ -353,7 +365,9 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     return cap / unfrozen_count[c];
   };
   for (std::size_t c = 0; c < nused; ++c)
-    quotients.push(quotient_of(c), quotient_tag(static_cast<std::int32_t>(c), 0));
+    if (unfrozen_count[c] > 0)
+      quotients.push(quotient_of(c),
+                     quotient_tag(static_cast<std::int32_t>(c), 0));
 
   auto& dirty = scratch.dirty;
   auto& dirty_mark = scratch.dirty_mark;
@@ -380,20 +394,19 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     }
     if (level == kInf) {
       // Defensive: no loaded channel left although flows remain unfrozen
-      // (same branch, same ascending sweep as the reference).
+      // (same branch, same ascending sweep as the rescan).
       for (std::size_t f = 0; f < flows.size(); ++f) {
-        if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
+        if (!live(f)) continue;
         frozen[f] = 1;
         rate[f] = 0.0;
       }
-      remaining = 0;
-      break;
+      return;
     }
 
     // Saturated set: every live channel whose current quotient is within
-    // the reference's (1 + 1e-12) relative slack of the level.  Live keys
+    // the rescan's (1 + 1e-12) relative slack of the level.  Live keys
     // are current quotients, so popping while key <= threshold collects
-    // exactly the channels the reference's rescan marks.  A saturated
+    // exactly the channels the rescan's test marks.  A saturated
     // channel's unfrozen flows all freeze this round, so it leaves the
     // live set: retire its version here, no re-push later.
     const double threshold = level * (1.0 + 1e-12);
@@ -405,14 +418,14 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
       ++version[c];
       sat_chans.push_back(static_cast<std::int32_t>(c));
     }
-    // Ascending local index = the reference's worklist order (its
-    // compaction preserves the initial ascending layout), so the record's
+    // Ascending local index = the rescan's worklist order (its compaction
+    // preserves the initial ascending layout), so the record's
     // first-saturation stream matches.
     std::sort(sat_chans.begin(), sat_chans.end());
 
     // Flows incident to the newly saturated channels -- the only flows
     // this round can freeze.  Sorted ascending so freezes (and the
-    // frozen_load additions below) replay the reference's flow order.
+    // frozen_load additions below) replay the rescan's flow order.
     candidates.clear();
     for (const std::int32_t ci : sat_chans) {
       const auto c = static_cast<std::size_t>(ci);
@@ -448,10 +461,10 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     }
     if (froze_count == 0) {
       // Numerical guard: freeze everything at the current level (the
-      // reference's ascending sweep; unreachable in practice -- the
+      // rescan's ascending sweep; unreachable in practice -- the
       // minimising channel always saturates).
       for (std::size_t f = 0; f < flows.size(); ++f) {
-        if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
+        if (!live(f)) continue;
         frozen[f] = 1;
         ++froze_count;
         rate[f] = level;
@@ -477,14 +490,10 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
       dirty_mark[c] = 0;
       ++version[c];
       if (unfrozen_count[c] > 0)
-        quotients.push(quotient_of(c),
-                       quotient_tag(ci, version[c]));
+        quotients.push(quotient_of(c), quotient_tag(ci, version[c]));
     }
     dirty.clear();
   }
-
-  // Un-dirty the persistent channel map for the next solve on this scratch.
-  for (topo::ChannelId ch : used) local_of[static_cast<std::size_t>(ch)] = -1;
 }
 
 void FlowSim::validate(std::span<const Flow> flows) const {

@@ -35,19 +35,25 @@ struct Flow {
 
 class FlowSim {
  public:
-  /// Max-min core selection.  kIndexed (default) propagates saturation
-  /// through CSR flow<->channel incidence and a keyed lazy min-heap of
-  /// channel fill quotients, touching only flows incident to newly
-  /// saturated channels per filling round; kReference is the original
-  /// full-rescan progressive filler, kept verbatim as the always-verified
-  /// oracle.  The two are *bitwise* identical -- rates and FlowSolveRecord
+  /// Max-min core selection.  All three cores run the same progressive
+  /// filling and are *bitwise* identical -- rates and FlowSolveRecord
   /// output alike -- a contract pinned by tests/flowsim_golden_test.cpp,
   /// the fuzz-audit flowsim_engine_identity oracle, and the
   /// bench/flowsim_scaling check mode.
-  enum class SolverEngine : std::int8_t { kIndexed, kReference };
+  ///  - kAdaptive (default): rescan rounds while the solve is light, handed
+  ///    over mid-solve to the indexed loop once the rounds have rescanned
+  ///    a fixed multiple of the set's flow-hops (see "Flow-solver
+  ///    internals" in ARCHITECTURE.md).
+  ///  - kIndexed: the indexed loop from the first round -- CSR
+  ///    flow<->channel incidence and a keyed lazy min-heap of channel fill
+  ///    quotients, touching only flows incident to newly saturated
+  ///    channels per round.  Forced oracle.
+  ///  - kReference: the seed full-rescan progressive filler for every
+  ///    round.  Forced oracle.
+  enum class SolverEngine : std::int8_t { kAdaptive, kIndexed, kReference };
 
   explicit FlowSim(const topo::Topology& topo, LinkModel link = {},
-                   SolverEngine engine = SolverEngine::kIndexed);
+                   SolverEngine engine = SolverEngine::kAdaptive);
 
   /// Override one channel's capacity [bytes/s].
   void set_capacity(topo::ChannelId ch, double bytes_per_s);
@@ -55,13 +61,13 @@ class FlowSim {
   [[nodiscard]] const LinkModel& link() const noexcept { return link_; }
 
   [[nodiscard]] SolverEngine engine() const noexcept { return engine_; }
-  void set_engine(SolverEngine engine) noexcept { engine_ = engine; }
 
   /// Reusable progressive-filling state.  One per worker thread; passing
   /// the same scratch to repeated solves removes every per-call heap
-  /// allocation: a warm kIndexed solve through solve_active performs ZERO
-  /// heap allocations (enforced by tests/flowsim_alloc_test.cpp with a
-  /// counting global operator new).
+  /// allocation: a warm solve through solve_active performs ZERO heap
+  /// allocations on every core, and on both sides of the adaptive handoff
+  /// (enforced by tests/flowsim_alloc_test.cpp with a counting global
+  /// operator new).
   struct SolveScratch {
     std::vector<std::int32_t> local_of;
     std::vector<topo::ChannelId> used;
@@ -71,15 +77,19 @@ class FlowSim {
     std::vector<char> saturated;
     /// Local indices of channels still carrying unfrozen flows; compacted
     /// after each filling level so late levels scan only live channels
-    /// (kReference only; kIndexed tracks liveness through the heap).
+    /// (rescan rounds only; the indexed loop tracks liveness through the
+    /// heap).
     std::vector<std::int32_t> worklist;
     /// First-saturation marks for trace recording (sized only when a solve
     /// actually traces, but persistent so traced solves stay
     /// allocation-free too).
     std::vector<char> ever_saturated;
     std::vector<char> active;  // used by the batch driver
+    /// Adaptive solves on this scratch that crossed from rescan rounds to
+    /// the indexed loop (diagnostics and tests).
+    std::int64_t handoffs = 0;
 
-    // --- kIndexed state (see "Flow-solver internals" in ARCHITECTURE.md).
+    // --- indexed-loop state (see "Flow-solver internals" in ARCHITECTURE.md).
     /// CSR flow -> local-channel incidence: flow f's channels (as local
     /// indices, in path order) live in flow_ch[flow_off[f]..flow_off[f+1]).
     std::vector<std::int32_t> flow_off;
@@ -176,31 +186,40 @@ class FlowSim {
 
   /// Max-min over a subset of flows (active[i] selects), writing rates.
   /// `record`, when non-null, captures the solve's convergence trace.
-  /// Dispatches on engine(); both paths produce bit-identical output.
+  /// Sets up the filling state shared by every core, then runs engine()'s
+  /// rounds; all cores produce bit-identical output.
   void solve(std::span<const Flow> flows, std::span<const char> active,
              std::span<double> rate, SolveScratch& scratch,
              obs::FlowSolveRecord* record = nullptr) const;
 
-  /// The seed progressive filler: every filling round rescans all flows
-  /// (and every hop of each flow) -- O(rounds x flows x path).  Oracle.
-  void solve_reference(std::span<const Flow> flows,
-                       std::span<const char> active, std::span<double> rate,
-                       SolveScratch& scratch,
-                       obs::FlowSolveRecord* record) const;
+  /// The seed progressive filler's rounds: each rescans every unfrozen
+  /// flow x hop -- O(rounds x flows x path).  `hops` is the flow-hops of
+  /// the `remaining` unfrozen flows.  Stops after the round in which the
+  /// rescanned flow-hops exceed `budget`, or when every flow froze;
+  /// returns the number of flows left unfrozen.
+  [[nodiscard]] std::size_t fill_rescan(std::span<const Flow> flows,
+                                        std::span<const char> active,
+                                        std::span<double> rate,
+                                        SolveScratch& scratch,
+                                        obs::FlowSolveRecord* record,
+                                        std::size_t remaining,
+                                        std::size_t hops,
+                                        std::size_t budget) const;
 
-  /// The indexed engine: saturation propagated through CSR incidence, fill
-  /// quotients in a keyed lazy min-heap, per round touching only flows
-  /// incident to newly saturated channels.  Bit-identical to the
-  /// reference; see the .cpp for the FP-order argument.
-  void solve_indexed(std::span<const Flow> flows,
-                     std::span<const char> active, std::span<double> rate,
-                     SolveScratch& scratch,
-                     obs::FlowSolveRecord* record) const;
+  /// The indexed rounds, from whatever frozen state the scratch holds:
+  /// saturation propagated through CSR incidence, fill quotients in a
+  /// keyed lazy min-heap, per round touching only flows incident to newly
+  /// saturated channels.  Bit-identical to the rescan rounds; see the .cpp
+  /// for the FP-order argument.
+  void fill_indexed(std::span<const Flow> flows, std::span<const char> active,
+                    std::span<double> rate, SolveScratch& scratch,
+                    obs::FlowSolveRecord* record,
+                    std::size_t remaining) const;
 
   const topo::Topology* topo_;
   LinkModel link_;
   std::vector<double> capacity_;
-  SolverEngine engine_ = SolverEngine::kIndexed;
+  SolverEngine engine_ = SolverEngine::kAdaptive;
   /// Warm scratch backing the serial convenience entry points
   /// (fair_rates / completion_times / channel_utilisation); persists
   /// across calls so sweep loops stop re-warming every iteration.

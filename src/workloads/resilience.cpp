@@ -229,7 +229,7 @@ obs::DegradationSeries run_resilience_campaign(
   states.reserve(num_engines);
   for (const ResilienceEngine& re : engines) states.emplace_back(*re.engine);
 
-  const sim::FlowSim flowsim(topo, options.link, options.solver);
+  const sim::FlowSim flowsim(topo, options.link);
   exec::ThreadPool pool(options.threads);
   exec::ScratchArena<sim::FlowSim::SolveScratch> arena(pool);
   std::vector<char> chan_down(static_cast<std::size_t>(topo.num_channels()),

@@ -55,10 +55,6 @@ struct ResilienceOptions {
   std::uint64_t traffic_seed = 1;
   std::int32_t threads = 0;  // 0: exec::default_threads()
   sim::LinkModel link = {};
-  /// Max-min core behind the per-stage warm-start solves (solve_active on
-  /// persistent flow sets).  Both engines are bit-identical, so this only
-  /// trades solve time; kReference is the oracle arm.
-  sim::FlowSim::SolverEngine solver = sim::FlowSim::SolverEngine::kIndexed;
 };
 
 /// Plans `options.schedule` on `topo`, appends `extra_stages` (e.g. plane

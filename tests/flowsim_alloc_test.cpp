@@ -1,12 +1,16 @@
-// Steady-state allocation audit of the indexed max-min flow solver.
+// Steady-state allocation audit of the max-min flow solver and of the MPI
+// transport round that drives it.
 //
-// The kIndexed contract: after a first (cold) solve sizes the
-// SolveScratch -- CSR incidence arrays, version/dirty marks, the quotient
-// heap -- a warm solve through solve_active performs ZERO heap
-// allocations, traced or untraced alike (the record's vectors are
-// caller-reused).  Asserted with a counting global operator new; also
-// pinned: the warm count stays zero when the flow set quadruples, i.e.
-// nothing allocates per flow, per channel or per filling round once warm.
+// The solver contract: after a first (cold) solve sizes the SolveScratch
+// -- CSR incidence arrays, version/dirty marks, the quotient heap -- a
+// warm solve through solve_active performs ZERO heap allocations, traced
+// or untraced alike (the record's vectors are caller-reused), on the
+// forced indexed core and on both sides of the adaptive core's handoff.
+// Asserted with a counting global operator new; also pinned: the warm
+// count stays zero when the flow set quadruples, i.e. nothing allocates
+// per flow, per channel or per filling round once warm.  The transport
+// contract: a warm Transport::execute_rounds allocates only the vector it
+// returns.
 //
 // This test lives in its own binary because the operator new/delete
 // replacement is global to the process.
@@ -17,8 +21,14 @@
 #include <new>
 #include <vector>
 
+#include "core/parx.hpp"
+#include "mpi/cluster.hpp"
+#include "mpi/collectives.hpp"
 #include "obs/flow_trace.hpp"
+#include "routing/dfsssp.hpp"
 #include "sim/flowsim.hpp"
+#include "stats/rng.hpp"
+#include "topo/hyperx.hpp"
 #include "topo/topology.hpp"
 
 namespace {
@@ -38,14 +48,23 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+// Out of line: inlined into a caller, GCC pairs the free() with the
+// operator new call it cannot see through and warns
+// (-Wmismatched-new-delete), although both sides use malloc/free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -174,6 +193,111 @@ TEST(FlowSimAllocations, DeactivationStagesStayAllocationFreeWhenWarm) {
     const long long warm = allocs_during(
         [&] { sim.solve_active(flows, active, rates, scratch); });
     EXPECT_EQ(warm, 0) << "stage " << stage;
+  }
+}
+
+TEST(FlowSimAllocations, WarmAdaptiveSolveIsAllocationFreeAcrossTheHandoff) {
+  // A 6x4 HyperX under DFSSSP: one permutation is a light set (a few
+  // filling levels, solved in rescan rounds); eight overlaid permutations
+  // take ~100 levels and hand over to the indexed loop mid-solve.
+  topo::HyperXParams params = topo::small_hyperx_params();
+  params.dims = {6, 4};
+  params.terminals_per_switch = 4;
+  const topo::HyperX hx(params);
+  const auto lids =
+      routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
+  const routing::RouteResult route =
+      routing::DfssspEngine().compute(hx.topo(), lids);
+  stats::Rng rng(0x3e7du);
+  const auto permutations = [&](std::int32_t k) {
+    std::vector<Flow> flows;
+    for (std::int32_t i = 0; i < k; ++i) {
+      const auto perm = rng.permutation(hx.topo().num_terminals());
+      for (NodeId src = 0; src < hx.topo().num_terminals(); ++src) {
+        const auto dst =
+            static_cast<NodeId>(perm[static_cast<std::size_t>(src)]);
+        if (dst == src) continue;
+        flows.push_back(Flow{
+            route.tables.path(hx.topo(), lids, src, lids.base_lid(dst))
+                .channels,
+            1 << 20});
+      }
+    }
+    return flows;
+  };
+  const std::vector<Flow> light = permutations(1);
+  const std::vector<Flow> heavy = permutations(8);
+  const std::vector<char> light_active(light.size(), 1);
+  const std::vector<char> heavy_active(heavy.size(), 1);
+  std::vector<double> light_rates(light.size());
+  std::vector<double> heavy_rates(heavy.size());
+
+  const FlowSim sim(hx.topo());
+  FlowSim::SolveScratch scratch;
+  obs::FlowSolveRecord record;
+  const auto reset = [&record] {
+    record.levels.clear();
+    record.freezes_per_level.clear();
+    record.saturated.clear();
+  };
+  // Cold solves size the scratch and the record.
+  sim.solve_active(heavy, heavy_active, heavy_rates, scratch, &record);
+  reset();
+  sim.solve_active(light, light_active, light_rates, scratch, &record);
+
+  const std::int64_t before = scratch.handoffs;
+  const long long warm_light = allocs_during([&] {
+    reset();
+    sim.solve_active(light, light_active, light_rates, scratch, &record);
+  });
+  EXPECT_EQ(scratch.handoffs, before) << "the light set handed over";
+  const long long warm_heavy = allocs_during([&] {
+    reset();
+    sim.solve_active(heavy, heavy_active, heavy_rates, scratch, &record);
+  });
+  EXPECT_EQ(scratch.handoffs, before + 1) << "the heavy set stayed on rescan";
+  const long long warm_untraced = allocs_during(
+      [&] { sim.solve_active(heavy, heavy_active, heavy_rates, scratch); });
+  EXPECT_EQ(warm_light, 0);
+  EXPECT_EQ(warm_heavy, 0);
+  EXPECT_EQ(warm_untraced, 0);
+}
+
+TEST(TransportAllocations, WarmRoundsAllocateOnlyTheReturnedVector) {
+  // Rounds of several sizes (so the reused buffers see a prefix shrink
+  // and regrow) on both PML flavours: ob1 over DFSSSP, and bfo with
+  // Table-1 LID selection over PARX.
+  const topo::HyperX hx(topo::small_hyperx_params());
+  const std::int32_t n = hx.topo().num_terminals();
+  routing::LidSpace dfsssp_lids = routing::LidSpace::consecutive(n, 0);
+  routing::RouteResult dfsssp_route =
+      routing::DfssspEngine().compute(hx.topo(), dfsssp_lids);
+  const mpi::Cluster ob1(hx.topo(), std::move(dfsssp_lids),
+                         std::move(dfsssp_route), mpi::make_ob1());
+  routing::LidSpace parx_lids = core::make_parx_lid_space(hx);
+  routing::RouteResult parx_route =
+      core::ParxEngine(hx).compute(hx.topo(), parx_lids);
+  const mpi::Cluster bfo(hx.topo(), std::move(parx_lids),
+                         std::move(parx_route), mpi::make_bfo());
+
+  namespace col = mpi::collectives;
+  mpi::Schedule schedule = col::alltoall_pairwise(n, 64 << 10);
+  for (mpi::Round& round : col::allreduce_recursive_doubling(n, 256))
+    schedule.push_back(std::move(round));
+  for (mpi::Round& round : col::bcast_binomial(n, 1 << 20))
+    schedule.push_back(std::move(round));
+
+  for (const mpi::Cluster* cluster : {&ob1, &bfo}) {
+    mpi::Transport transport(
+        *cluster, mpi::Placement::linear(n, mpi::Placement::whole_machine(n)),
+        1);
+    (void)transport.execute_rounds(schedule);  // cold: sizes the buffers
+    (void)transport.execute_rounds(schedule);
+    std::vector<double> times;
+    const long long warm =
+        allocs_during([&] { times = transport.execute_rounds(schedule); });
+    EXPECT_EQ(warm, 1) << cluster->pml().name();  // the returned vector
+    EXPECT_EQ(times.size(), schedule.size());
   }
 }
 

@@ -3,6 +3,8 @@
 // cluster, transport timing, and communication profiles.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "core/lid_choice.hpp"
@@ -14,6 +16,7 @@
 #include "routing/dfsssp.hpp"
 #include "routing/sssp.hpp"
 #include "topo/hyperx.hpp"
+#include "workloads/paper_system.hpp"
 
 namespace hxsim::mpi {
 namespace {
@@ -420,6 +423,207 @@ TEST(Transport, UnroutableMessageThrows) {
                       Placement::linear(4, Placement::whole_machine(4)), 1);
   EXPECT_THROW((void)transport.execute(col::bcast_binomial(4, 8)),
                std::runtime_error);
+}
+
+TEST(Transport, RejectsOutOfRangeRanks) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  const Placement placement =
+      Placement::linear(4, Placement::whole_machine(32));
+  const Schedule good = col::allreduce_recursive_doubling(4, 4096);
+  Transport fresh(cluster, placement, 1);
+  const std::vector<double> want = fresh.execute_rounds(good);
+
+  Transport transport(cluster, placement, 1);
+  for (const RankMsg bad : {RankMsg{0, -1, 8}, RankMsg{-1, 0, 8},
+                            RankMsg{0, 4, 8}, RankMsg{4, 0, 8}}) {
+    // The bad message is the round's second: the error names index 1.
+    const Schedule schedule{{RankMsg{0, 1, 8}, bad}};
+    try {
+      (void)transport.execute(schedule);
+      ADD_FAILURE() << "rank " << bad.src_rank << " -> " << bad.dst_rank
+                    << " accepted";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("message 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A rejected round leaves no trace: the transport still times rounds as
+  // a fresh one does (same RNG state, per-rank counters back at zero).
+  const std::vector<double> got = transport.execute_rounds(good);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+// --- the fused LFT walk ----------------------------------------------------------
+
+/// select_path() against the two-step route it replaces -- select_dlid()
+/// then ForwardingTables::path() -- over every (src, dst) pair and both
+/// sides of the 512-byte Table-1 threshold: same LID, same channels, and
+/// the same RNG draws.  Counts the pairs that fell back past Table 1's
+/// listed LIDs and those with no routable LID at all.
+void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
+                               std::int64_t& past_table1,
+                               std::int64_t& unroutable) {
+  const std::int32_t n = cluster.num_nodes();
+  stats::Rng two_step_rng(17);
+  stats::Rng fused_rng(17);
+  std::vector<topo::ChannelId> path;
+  for (NodeId src = 0; src < n; ++src) {
+    for (NodeId dst = 0; dst < n; ++dst) {
+      for (const std::int64_t bytes : {8LL, 512LL, 513LL, 128LL << 10}) {
+        const routing::Lid want =
+            cluster.select_dlid(src, dst, bytes, two_step_rng);
+        const routing::Lid got =
+            cluster.select_path(src, dst, bytes, fused_rng, path);
+        ASSERT_EQ(got, want) << name << " " << src << " -> " << dst << " "
+                             << bytes << " B";
+        if (want == routing::kInvalidLid) {
+          EXPECT_TRUE(path.empty()) << name;
+          ++unroutable;
+          continue;
+        }
+        const routing::ForwardingTables::Path walked =
+            cluster.route().tables.path(cluster.topo(), cluster.lids(), src,
+                                        want);
+        ASSERT_TRUE(walked.ok) << name;
+        ASSERT_EQ(path, walked.channels)
+            << name << " " << src << " -> " << dst << " " << bytes << " B";
+        if (cluster.lids().group_stride() > 0 && src != dst) {
+          const auto group = [&](NodeId node) {
+            return cluster.lids().group_of_lid(cluster.lids().base_lid(node));
+          };
+          const core::LidChoice choice = core::parx_lid_options(
+              group(src), group(dst), core::classify_message(bytes));
+          if (!choice.contains(static_cast<std::int8_t>(
+                  cluster.lids().owner(want).index)))
+            ++past_table1;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(two_step_rng.next(), fused_rng.next()) << name << ": RNG state";
+}
+
+TEST(Cluster, FusedWalkMatchesSelectDlidThenPath) {
+  workloads::SystemOptions options;
+  options.small_scale = true;  // with the paper's missing cables
+  const workloads::PaperSystem system(options);
+  for (const auto& [name, cluster] :
+       {std::pair<std::string, const Cluster*>{"ft/ftree", &system.ft_ftree()},
+        {"ft/sssp", &system.ft_sssp()},
+        {"hx/dfsssp", &system.hx_dfsssp()},
+        {"hx/parx", &system.hx_parx()}}) {
+    std::int64_t past_table1 = 0;
+    std::int64_t unroutable = 0;
+    expect_fused_walk_matches(*cluster, name, past_table1, unroutable);
+  }
+}
+
+TEST(Cluster, FusedWalkMatchesOnFallbackBranches) {
+  // The PARX plane with LFT entries torn out: destination d loses every
+  // LID index x whose bit is set in d % 16, at every switch.  Table 1's
+  // random pick is then often unreachable, so both fallbacks run (the
+  // other listed LID, then any LID), and d % 16 == 15 leaves no LID.
+  workloads::SystemOptions options;
+  options.small_scale = true;
+  const workloads::PaperSystem system(options);
+  const Cluster& parx = system.hx_parx();
+  routing::RouteResult route = parx.route();
+  const routing::LidSpace& lids = parx.lids();
+  for (NodeId dst = 0; dst < parx.num_nodes(); ++dst)
+    for (std::int32_t x = 0; x < lids.lids_per_terminal(); ++x)
+      if ((dst % 16) & (1 << x))
+        for (topo::SwitchId sw = 0; sw < parx.topo().num_switches(); ++sw)
+          route.tables.set(sw, lids.lid(dst, x), topo::kInvalidChannel);
+  const Cluster broken(parx.topo(), lids, std::move(route), parx.pml(),
+                       parx.link());
+  std::int64_t past_table1 = 0;
+  std::int64_t unroutable = 0;
+  expect_fused_walk_matches(broken, "hx/parx, torn LFT", past_table1,
+                            unroutable);
+  EXPECT_GT(past_table1, 0);
+  EXPECT_GT(unroutable, 0);
+}
+
+/// Transport::execute_rounds as the seed wrote it: route_message per
+/// message, per-rank counts in maps, a fresh Flow vector per round solved
+/// by fair_rates on the reference filler.
+std::vector<double> seed_execute_rounds(const Cluster& cluster,
+                                        const Placement& placement,
+                                        std::uint64_t seed,
+                                        const Schedule& schedule) {
+  const PmlConfig& pml = cluster.pml();
+  const sim::LinkModel& link = cluster.link();
+  stats::Rng rng(seed);
+  const sim::FlowSim solver(cluster.topo(), link,
+                            sim::FlowSim::SolverEngine::kReference);
+  std::vector<double> times;
+  for (const Round& round : schedule) {
+    if (round.empty()) {
+      times.push_back(0.0);
+      continue;
+    }
+    std::vector<sim::NetMessage> msgs;
+    std::vector<double> offset;
+    std::map<std::int32_t, std::int32_t> src_count;
+    std::map<std::int32_t, std::int32_t> dst_count;
+    for (const RankMsg& rm : round) {
+      auto routed = cluster.route_message(placement.node_of(rm.src_rank),
+                                          placement.node_of(rm.dst_rank),
+                                          rm.bytes, rng);
+      if (!routed) throw std::runtime_error("unroutable");
+      const std::int32_t si = src_count[rm.src_rank]++;
+      const std::int32_t di = dst_count[rm.dst_rank]++;
+      offset.push_back(static_cast<double>(std::max(si, di)) *
+                       pml.per_message_overhead);
+      msgs.push_back(std::move(*routed));
+    }
+    std::vector<sim::Flow> flows;
+    for (const sim::NetMessage& m : msgs)
+      flows.push_back(sim::Flow{m.path, m.bytes});
+    const std::vector<double> rate = solver.fair_rates(flows);
+    double time = 0.0;
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const sim::NetMessage& m = msgs[i];
+      double t = offset[i] + pml.per_message_overhead +
+                 static_cast<double>(m.bytes) * pml.per_byte_overhead;
+      t += static_cast<double>(m.path.size()) * link.hop_latency;
+      if (m.bytes > 0 && !m.path.empty())
+        t += static_cast<double>(m.bytes) / rate[i];
+      time = std::max(time, t);
+    }
+    times.push_back(time);
+  }
+  return times;
+}
+
+TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
+  workloads::SystemOptions options;
+  options.small_scale = true;
+  const workloads::PaperSystem system(options);
+  const auto pool = Placement::whole_machine(system.num_nodes());
+  const std::int32_t n = 48;
+  const std::vector<std::pair<std::string, Schedule>> schedules = {
+      {"allreduce_ring 1 MiB", col::allreduce_ring(n, 1 << 20)},
+      {"alltoall 64 B", col::alltoall_pairwise(n, 64)},
+      {"alltoall 64 KiB", col::alltoall_pairwise(n, 64 << 10)}};
+  for (const auto& config : system.configs()) {
+    stats::Rng placement_rng(5);
+    const Placement placement =
+        Placement::make(config.placement, n, pool, placement_rng);
+    for (const auto& [label, schedule] : schedules) {
+      const std::vector<double> want =
+          seed_execute_rounds(*config.cluster, placement, 9, schedule);
+      Transport transport(*config.cluster, placement, 9);
+      const std::vector<double> got = transport.execute_rounds(schedule);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << config.name << ": " << label;
+    }
+  }
 }
 
 // --- profiles -------------------------------------------------------------------
