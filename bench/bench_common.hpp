@@ -1,6 +1,6 @@
-// Shared helpers for the figure/table bench binaries.
+// Shared helpers for the bench binaries and the experiment registry.
 //
-// Every bench accepts:
+// BenchArgs is the option surface every experiment reads:
 //   --quick          scaled-down system and trimmed sweeps (CI-friendly)
 //   --csv <path>     additionally dump machine-readable CSV
 //   --trace <path>   export observability metrics (counters, solver
@@ -10,11 +10,17 @@
 //   --reps <n>       repetitions for configurations with randomness
 //   --threads <n>    worker threads for the exec/ layer (default: all
 //                    hardware threads); results are identical at any count
-// and prints the paper's rows/series to stdout.
+// repro_pipeline fills it from its own flags; the standalone binaries
+// (exec_scaling, resilience_campaign) parse it with BenchArgs::parse.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +35,36 @@
 
 namespace hxsim::bench {
 
+/// Checked value of an integer flag: all of `text` must be a decimal
+/// integer in [lo, hi].  Anything else -- empty, trailing characters, a
+/// sign on an unsigned flag, out of range -- prints a message naming
+/// `flag` to stderr, then `usage()`, and exits 2.  The one numeric parser
+/// of every bench CLI, so a malformed flag never ends in a std::stoi
+/// abort or a silent 0.
+template <std::integral T, typename Usage>
+[[nodiscard]] T parse_flag(const char* flag, const char* text, T lo, T hi,
+                           const Usage& usage) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc{} || stop != end || text == end || value < lo ||
+      value > hi) {
+    std::fprintf(stderr,
+                 "invalid value '%s' for %s (expected an integer in "
+                 "[%s, %s])\n",
+                 text, flag, std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str());
+    usage();
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Upper bounds of the shared numeric flags (--seed spans all uint64).
+inline constexpr std::int32_t kMaxReps =
+    std::numeric_limits<std::int32_t>::max();
+inline constexpr std::int32_t kMaxThreads = 1024;
+
 struct BenchArgs {
   bool quick = false;
   std::optional<std::string> csv_path;
@@ -37,11 +73,19 @@ struct BenchArgs {
   std::int32_t reps = 3;
   std::int32_t threads = 0;  // 0: hardware_concurrency
 
+  static void print_usage(std::FILE* out, const char* argv0) {
+    std::fprintf(out,
+                 "usage: %s [--quick] [--csv file] [--trace file] "
+                 "[--seed n] [--reps n] [--threads n]\n",
+                 argv0);
+  }
+
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
+    const auto usage = [&] { print_usage(stderr, argv[0]); };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto next = [&]() -> std::string {
+      auto next = [&]() -> const char* {
         if (i + 1 >= argc) {
           std::fprintf(stderr, "missing value for %s\n", arg.c_str());
           std::exit(2);
@@ -55,16 +99,17 @@ struct BenchArgs {
       } else if (arg == "--trace") {
         args.trace_path = next();
       } else if (arg == "--seed") {
-        args.seed = std::stoull(next());
+        args.seed = parse_flag<std::uint64_t>(
+            "--seed", next(), 0, std::numeric_limits<std::uint64_t>::max(),
+            usage);
       } else if (arg == "--reps") {
-        args.reps = std::stoi(next());
+        args.reps = parse_flag<std::int32_t>("--reps", next(), 1, kMaxReps,
+                                             usage);
       } else if (arg == "--threads") {
-        args.threads = std::stoi(next());
+        args.threads = parse_flag<std::int32_t>("--threads", next(), 0,
+                                                kMaxThreads, usage);
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "usage: %s [--quick] [--csv file] [--trace file] [--seed n] "
-            "[--reps n] [--threads n]\n",
-            argv[0]);
+        print_usage(stdout, argv[0]);
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

@@ -1,5 +1,3 @@
-#include <cstdio>
-#include <exception>
 #include <optional>
 
 #include "experiments/experiments.hpp"
@@ -16,17 +14,6 @@ BenchArgs to_bench_args(const report::Options& options) {
   args.trace_path = options.trace_path;
   exec::set_default_threads(args.threads);
   return args;
-}
-
-report::Options to_options(const BenchArgs& args) {
-  report::Options options;
-  options.quick = args.quick;
-  options.seed = args.seed;
-  options.reps = args.reps;
-  options.threads = args.threads;
-  options.csv_path = args.csv_path;
-  options.trace_path = args.trace_path;
-  return options;
 }
 
 const workloads::PaperSystem& shared_system(bool small_scale) {
@@ -71,22 +58,6 @@ report::Registry& global_registry() {
     return r;
   }();
   return registry;
-}
-
-int run_experiment_main(const char* id, int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv);
-  const report::Experiment* experiment = global_registry().find(id);
-  if (experiment == nullptr) {
-    std::fprintf(stderr, "experiment '%s' is not registered\n", id);
-    return 2;
-  }
-  try {
-    (void)global_registry().run(*experiment, to_options(args));
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "%s failed: %s\n", id, ex.what());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace hxsim::bench

@@ -1,11 +1,23 @@
-// Repo-level experiment: the online fault layer, as claims.  One timed
-// cable-fault stage on the HyperX/DFSSSP fabric, the repaired tables
-// installed per switch after each sweep delay; the metrics the committed
-// claims bind to are the off-switch bit-identity (an inert PktOnlineConfig
-// changes nothing) and the retry retention gain (end-host retransmission
-// never loses delivered goodput against the same transient).
+// Repo-level experiment: the online fault layer.  Cables die mid-run on
+// the HyperX/DFSSSP fabric, the repaired LFTs install per switch after
+// each sweep delay, and the packet engine measures what the transient
+// costs -- delivered goodput by drop cause, end-host retries and recovery
+// time -- against the no-fault baseline, the static-reroute envelope and
+// a DAL adaptive-escape arm (workloads::run_online_resilience_campaign).
+//
+// The contracts the campaign exists to enforce: every arm's typed and
+// reference engine Results agree bitwise, an inert PktOnlineConfig leaves
+// static-path runs bit-identical, run_batch is thread-count invariant with
+// retry on, and neither routing epoch ships a blackhole column.  A broken
+// contract throws, naming it; the committed claims also bind them
+// (nofault_identical, engines_identical) and the retry retention gain
+// (end-host retransmission never loses delivered goodput).  Every arm's
+// full record (drops by cause, makespan, ...) lands in the long-form
+// "phases" table.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/experiments.hpp"
@@ -83,22 +95,70 @@ report::ResultSet run(const report::Options& options) {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  const bool contracts_hold =
-      report.all_engines_identical && report.threads_identical &&
-      report.blackhole_columns_epoch0 == 0 &&
-      report.blackhole_columns_epoch1 == 0;
-  rs.set("nofault_identical", report.nofault_identical ? 1.0 : 0.0);
-  rs.set("engines_identical", contracts_hold ? 1.0 : 0.0);
-  rs.set("retry_retention_gain", report.retry_retention_gain);
-  rs.set("cables_failed", static_cast<double>(report.cables_failed));
+  obs::BenchJson json("online");
+  for (std::size_t i = 0; i < report.rows.size(); ++i) {
+    const auto& row = report.rows[i];
+    std::vector<std::pair<std::string, double>> metrics = {
+        {"propagation_delay", row.propagation_delay},
+        {"retry", row.retry ? 1.0 : 0.0},
+        {"adaptive", row.adaptive ? 1.0 : 0.0},
+        {"engines_identical", row.engines_identical ? 1.0 : 0.0},
+        {"deadlock", row.deadlock ? 1.0 : 0.0},
+        {"messages_delivered", static_cast<double>(row.messages_delivered)},
+        {"messages", static_cast<double>(row.messages)},
+        {"messages_abandoned", static_cast<double>(row.messages_abandoned)},
+        {"packets_dropped", static_cast<double>(row.packets_dropped)},
+        {"retries", static_cast<double>(row.retries)},
+        {"delivered_fraction", row.delivered_fraction},
+        {"retention", row.retention},
+        {"recovery_time", row.recovery_time},
+        {"makespan", row.makespan},
+    };
+    for (std::size_t c = 0; c < obs::kNumPktDropCauses; ++c)
+      metrics.emplace_back(
+          "drops_" + std::string(obs::to_string(
+                         static_cast<obs::PktDropCause>(c))),
+          static_cast<double>(row.dropped_by_cause[c]));
+    json.add(row.arm + "/delay" +
+                 std::to_string(static_cast<long long>(
+                     row.propagation_delay * 1e9)) +
+                 "ns/retry-" + (row.retry ? "on" : "off") + "/" +
+                 std::to_string(i),
+             metrics);
+  }
+  json.add("contracts",
+           {{"nofault_identical", report.nofault_identical ? 1.0 : 0.0},
+            {"all_engines_identical",
+             report.all_engines_identical ? 1.0 : 0.0},
+            {"threads_identical", report.threads_identical ? 1.0 : 0.0},
+            {"retry_retention_gain", report.retry_retention_gain},
+            {"blackhole_columns_epoch0",
+             static_cast<double>(report.blackhole_columns_epoch0)},
+            {"blackhole_columns_epoch1",
+             static_cast<double>(report.blackhole_columns_epoch1)},
+            {"cables_failed", static_cast<double>(report.cables_failed)}});
 
-  std::printf("inert online config bit-identical: %s\n",
-              report.nofault_identical ? "yes" : "NO (BUG)");
-  std::printf("typed == reference / thread-invariant / no blackhole "
-              "columns: %s\n",
-              contracts_hold ? "yes" : "NO (BUG)");
   std::printf("retry retention gain (min over delays): %+.3f\n",
               report.retry_retention_gain);
+  const auto require = [](bool holds, const char* contract) {
+    if (!holds) throw std::runtime_error(contract);
+  };
+  require(report.all_engines_identical,
+          "typed and reference engines differ on an arm");
+  require(report.nofault_identical,
+          "an inert online config changed a static-path run");
+  require(report.threads_identical,
+          "run_batch with retry on differs between 1 and N threads");
+  require(report.blackhole_columns_epoch0 == 0 &&
+              report.blackhole_columns_epoch1 == 0,
+          "a routing epoch shipped blackhole columns");
+  std::printf("typed == reference, inert config bit-identical, "
+              "thread-invariant, no blackhole columns: yes\n");
+  rs.set("nofault_identical", 1.0);
+  rs.set("engines_identical", 1.0);
+  rs.set("retry_retention_gain", report.retry_retention_gain);
+  rs.set("cables_failed", static_cast<double>(report.cables_failed));
+  json.publish(rs);
   return rs;
 }
 

@@ -1,14 +1,15 @@
-// Registry of the paper-figure experiments (bench/experiments/exp_*.cpp).
+// Registry of the experiments (bench/experiments/exp_<id>.cpp): every
+// paper figure/table plus the repo-level contracts, one measurement core
+// each.  bench/repro_pipeline is the only runner: `--only <id>` runs one
+// experiment (with its --csv/--trace outputs), no --only runs them all in
+// one process, folds the ResultSets into REPRO.json, checks the committed
+// claims/ tables and regenerates EXPERIMENTS.md.
 //
-// Each figure/table bench's measurement core lives here as a registered
-// report::Experiment; the bench binary itself is a thin main() that runs
-// its experiment through run_experiment_main(), and bench/repro_pipeline
-// runs all of them in one process, folds the ResultSets into REPRO.json,
-// checks the committed claims/ tables and regenerates EXPERIMENTS.md.
-//
-// Experiments print the same human-readable stdout the standalone benches
-// always did *and* fill a structured ResultSet (metrics the claims bind
-// to, tables the renderer embeds in the docs).
+// Experiments print a human-readable report to stdout *and* fill a
+// structured ResultSet (metrics the claims bind to, tables the renderer
+// embeds in the docs).  The repo-level experiments throw, naming the
+// phase, when an identity contract breaks, so a run fails even without
+// the claims check.
 #pragma once
 
 #include "bench_common.hpp"
@@ -16,21 +17,17 @@
 
 namespace hxsim::bench {
 
-/// BenchArgs view of the pipeline options, so extracted bench bodies keep
-/// their `args.*` spelling and the bench:: helpers (place, reps_for,
-/// CsvSink, write_trace) unchanged.  Applies Options.threads to the exec
-/// layer, exactly as BenchArgs::parse does.
+/// BenchArgs view of the pipeline options, so experiment bodies use the
+/// bench:: helpers (place, reps_for, CsvSink, write_trace).  Applies
+/// Options.threads to the exec layer, exactly as BenchArgs::parse does.
 [[nodiscard]] BenchArgs to_bench_args(const report::Options& options);
-
-/// Inverse adapter for the thin bench mains.
-[[nodiscard]] report::Options to_options(const BenchArgs& args);
 
 /// One lazily built PaperSystem per scale, shared by every experiment in
 /// the process (building the 972-switch tree's routings costs seconds;
 /// the pipeline would otherwise pay it 10+ times).
 [[nodiscard]] const workloads::PaperSystem& shared_system(bool small_scale);
 
-// One factory per experiment; ids equal the bench binary names.
+// One factory per experiment, defined in exp_<id>.cpp.
 report::Experiment fig1_mpigraph_experiment();
 report::Experiment table1_rules_experiment();
 report::Experiment fig4_collectives_experiment();
@@ -48,8 +45,8 @@ report::Experiment uniform_random_throughput_experiment();
 report::Experiment topology_comparison_experiment();
 report::Experiment taper_study_experiment();
 // Repo-level experiments (claims about this implementation, not the
-// paper): incremental-reroute savings, typed packet-engine speedup and
-// indexed flow-solver speedup.
+// paper): incremental-reroute savings, typed packet-engine and flow-solver
+// identity and speedup, and the online-fault contracts.
 report::Experiment reroute_dirty_experiment();
 report::Experiment pktsim_speedup_experiment();
 report::Experiment flowsim_speedup_experiment();
@@ -60,10 +57,5 @@ void register_all_experiments(report::Registry& registry);
 
 /// Process-wide registry, populated once on first use.
 [[nodiscard]] report::Registry& global_registry();
-
-/// Thin-main entry point: parses the standard bench CLI, runs `id` from
-/// the global registry (stdout output unchanged from the pre-registry
-/// binaries), discards the ResultSet.  Returns the process exit code.
-int run_experiment_main(const char* id, int argc, char** argv);
 
 }  // namespace hxsim::bench

@@ -25,9 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "audit/audit.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
@@ -53,16 +55,21 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args args;
+  const auto print_usage = [&] { usage(argv[0]); };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
+    const auto value = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
     if (flag == "--seeds") {
-      args.seeds = std::stoi(value());
+      args.seeds = bench::parse_flag<std::int32_t>(
+          "--seeds", value(), 1, std::numeric_limits<std::int32_t>::max(),
+          print_usage);
     } else if (flag == "--first-seed") {
-      args.first_seed = std::stoull(value());
+      args.first_seed = bench::parse_flag<std::uint64_t>(
+          "--first-seed", value(), 0,
+          std::numeric_limits<std::uint64_t>::max(), print_usage);
     } else if (flag == "--out") {
       args.out = value();
     } else if (flag == "--repro") {
@@ -75,7 +82,6 @@ Args parse_args(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (args.seeds < 1) usage(argv[0]);
   return args;
 }
 

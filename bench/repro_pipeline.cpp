@@ -1,14 +1,20 @@
 // One-command reproduction pipeline.
 //
 //   ./repro_pipeline [--quick] [--only id,id,...] [--seed n] [--reps n]
-//                    [--threads n] [--out path] [--from path]
+//                    [--threads n] [--csv path] [--trace path]
+//                    [--out path] [--from path]
 //                    [--claims dir] [--no-claims] [--baseline path]
 //                    [--no-baseline] [--render] [--md path] [--list]
 //
-// Runs every registered experiment (bench/experiments/) in one process,
-// folds the ResultSets into a ResultStore written as REPRO.json, then
-// evaluates the committed claims/ tables against the measured metrics and
-// exits non-zero listing every violation (measured vs expected band).
+// The one way to run an experiment: `--only <id>` runs a single
+// registered experiment (bench/experiments/), with --csv/--trace passed
+// through to it.  Without --only it runs every registered experiment in
+// one process, folds the ResultSets into a ResultStore written as
+// REPRO.json, then evaluates the committed claims/ tables against the
+// measured metrics and exits non-zero listing every violation (measured
+// vs expected band).  An experiment that throws (the repo-level ones do
+// on any broken identity contract, naming the phase) fails the run even
+// under --no-claims.
 // With --render the EXPERIMENTS.md generated blocks are regenerated from
 // the result store -- from the committed full-scale baseline in --quick
 // mode (CI-sized runs must not rewrite paper-scale tables), from the
@@ -27,6 +33,7 @@
 #include <stdexcept>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -58,8 +65,9 @@ struct PipelineArgs {
   bool list = false;
 };
 
-void usage(const char* argv0) {
-  std::printf(
+void usage(std::FILE* out, const char* argv0) {
+  std::fprintf(
+      out,
       "usage: %s [options]\n"
       "  --quick         CI-sized topologies and repetition counts\n"
       "  --only id,...   run only these experiments (claims restricted "
@@ -67,8 +75,13 @@ void usage(const char* argv0) {
       "  --seed n        base RNG seed (default 1)\n"
       "  --reps n        repetitions per measurement (default 3)\n"
       "  --threads n     worker threads (default: hardware)\n"
+      "  --csv path      machine-readable dump of the one --only "
+      "experiment\n"
+      "  --trace path    observability export of the one --only "
+      "experiment\n"
       "  --out path      result store to write (default: REPRO.json in "
-      "the source tree for full runs, REPRO.quick.json here for --quick)\n"
+      "the source tree for full runs of every experiment, REPRO.only.json "
+      "here for --only runs, REPRO.quick.json here for --quick)\n"
       "  --from path     skip measuring; load this store instead\n"
       "  --claims dir    claims tables (default: <source>/claims)\n"
       "  --no-claims     skip the claims check\n"
@@ -83,6 +96,7 @@ void usage(const char* argv0) {
 }
 
 bool parse_args(int argc, char** argv, PipelineArgs& args) {
+  const auto print_usage = [&] { usage(stderr, argv[0]); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&]() -> const char* {
@@ -105,15 +119,27 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
     } else if (a == "--seed") {
       const char* v = value();
       if (!v) return false;
-      args.options.seed = std::strtoull(v, nullptr, 10);
+      args.options.seed = bench::parse_flag<std::uint64_t>(
+          "--seed", v, 0, std::numeric_limits<std::uint64_t>::max(),
+          print_usage);
     } else if (a == "--reps") {
       const char* v = value();
       if (!v) return false;
-      args.options.reps = static_cast<std::int32_t>(std::atoi(v));
+      args.options.reps = bench::parse_flag<std::int32_t>(
+          "--reps", v, 1, bench::kMaxReps, print_usage);
     } else if (a == "--threads") {
       const char* v = value();
       if (!v) return false;
-      args.options.threads = static_cast<std::int32_t>(std::atoi(v));
+      args.options.threads = bench::parse_flag<std::int32_t>(
+          "--threads", v, 0, bench::kMaxThreads, print_usage);
+    } else if (a == "--csv") {
+      const char* v = value();
+      if (!v) return false;
+      args.options.csv_path = v;
+    } else if (a == "--trace") {
+      const char* v = value();
+      if (!v) return false;
+      args.options.trace_path = v;
     } else if (a == "--out") {
       const char* v = value();
       if (!v) return false;
@@ -143,7 +169,7 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
     } else if (a == "--list") {
       args.list = true;
     } else if (a == "--help" || a == "-h") {
-      usage(argv[0]);
+      usage(stdout, argv[0]);
       std::exit(0);
     } else {
       std::fprintf(stderr, "%s: unknown option %s (try --help)\n", argv[0],
@@ -151,9 +177,20 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
       return false;
     }
   }
+  // Per-experiment outputs need exactly one measured experiment to own them.
+  if ((args.options.csv_path || args.options.trace_path) &&
+      (args.only.size() != 1 || !args.from_path.empty())) {
+    std::fprintf(stderr,
+                 "%s: %s needs exactly one --only experiment and no --from\n",
+                 argv[0], args.options.csv_path ? "--csv" : "--trace");
+    print_usage();
+    return false;
+  }
+  // Only a full run of every experiment may replace the committed store.
   if (args.out_path.empty())
-    args.out_path = args.options.quick ? "REPRO.quick.json"
-                                       : HXSIM_SOURCE_DIR "/REPRO.json";
+    args.out_path = !args.only.empty()  ? "REPRO.only.json"
+                    : args.options.quick ? "REPRO.quick.json"
+                                         : HXSIM_SOURCE_DIR "/REPRO.json";
   return true;
 }
 

@@ -73,32 +73,9 @@ std::vector<char> terminal_mask(const topo::Topology& topo,
 
 OracleResult check_pkt_results_equal(const sim::PktSim::Result& a,
                                      const sim::PktSim::Result& b) {
-  if (a.completion.size() != b.completion.size())
-    return oracle_fail("completion vector sizes differ");
-  if (!a.completion.empty() &&
-      std::memcmp(a.completion.data(), b.completion.data(),
-                  a.completion.size() * sizeof(double)) != 0)
-    return oracle_fail("completion times differ bitwise");
-  if (a.deadlock != b.deadlock) return oracle_fail("deadlock flags differ");
-  if (a.truncated != b.truncated) return oracle_fail("truncated flags differ");
-  if (std::memcmp(&a.end_time, &b.end_time, sizeof(double)) != 0)
-    return oracle_fail("end times differ bitwise");
-  if (a.packets_delivered != b.packets_delivered)
-    return oracle_fail("packets_delivered differ");
-  if (a.packets_total != b.packets_total)
-    return oracle_fail("packets_total differ");
-  if (a.events_executed != b.events_executed)
-    return oracle_fail("events_executed differ");
-  if (a.packets_dropped != b.packets_dropped)
-    return oracle_fail("packets_dropped differ");
-  if (a.dropped_by_cause != b.dropped_by_cause)
-    return oracle_fail("per-cause drop counters differ");
-  if (a.retries != b.retries) return oracle_fail("retry counters differ");
-  if (a.messages_abandoned != b.messages_abandoned)
-    return oracle_fail("messages_abandoned differ");
-  if (a.message_status != b.message_status)
-    return oracle_fail("message statuses differ");
-  return oracle_pass();
+  const std::string_view field = sim::first_difference(a, b);
+  if (field.empty()) return oracle_pass();
+  return oracle_fail("results differ bitwise in " + std::string(field));
 }
 
 OracleResult check_pkt_conservation(std::span<const sim::PktMessage> messages,
@@ -202,6 +179,18 @@ OracleResult check_pkt_batches_equal(std::span<const sim::PktSim::Result> a,
     }
   }
   return oracle_pass();
+}
+
+bool replication_equal(const workloads::PktReplicationResult& a,
+                       const workloads::PktReplicationResult& b) {
+  return a.arm == b.arm && a.pattern == b.pattern && a.seed == b.seed &&
+         a.deadlock == b.deadlock && a.truncated == b.truncated &&
+         std::memcmp(&a.end_time, &b.end_time, sizeof(double)) == 0 &&
+         std::memcmp(&a.mean_completion, &b.mean_completion,
+                     sizeof(double)) == 0 &&
+         a.packets_delivered == b.packets_delivered &&
+         a.packets_total == b.packets_total &&
+         a.events_executed == b.events_executed;
 }
 
 OracleResult check_trace_consistency(const topo::Topology& topo,
@@ -518,18 +507,6 @@ OracleResult oracle_pkt_conservation(const Scenario& s) {
     }
   }
   return oracle_pass();
-}
-
-bool replication_equal(const workloads::PktReplicationResult& a,
-                       const workloads::PktReplicationResult& b) {
-  return a.arm == b.arm && a.pattern == b.pattern && a.seed == b.seed &&
-         a.deadlock == b.deadlock && a.truncated == b.truncated &&
-         std::memcmp(&a.end_time, &b.end_time, sizeof(double)) == 0 &&
-         std::memcmp(&a.mean_completion, &b.mean_completion,
-                     sizeof(double)) == 0 &&
-         a.packets_delivered == b.packets_delivered &&
-         a.packets_total == b.packets_total &&
-         a.events_executed == b.events_executed;
 }
 
 OracleResult oracle_sweep_determinism(const Scenario& s) {

@@ -60,7 +60,8 @@ struct OracleResult {
 
 // --- granular checks -------------------------------------------------------
 
-/// Bitwise PktSim result equality (completion vector, flags, counters).
+/// Bitwise PktSim result equality: sim::first_difference as an oracle,
+/// the detail naming the first differing field.
 [[nodiscard]] OracleResult check_pkt_results_equal(
     const sim::PktSim::Result& a, const sim::PktSim::Result& b);
 
@@ -83,6 +84,11 @@ struct OracleResult {
 [[nodiscard]] OracleResult check_online_quiesced_equivalent(
     const sim::PktSim::Result& quiesced, const sim::PktSim::Result& base,
     std::int64_t extra_events, double last_fault_time);
+
+/// Field-wise run_pkt_sweep summary equality (doubles by bits): the
+/// sweep's thread-count determinism contract.
+[[nodiscard]] bool replication_equal(const workloads::PktReplicationResult& a,
+                                     const workloads::PktReplicationResult& b);
 
 /// Bitwise equality of two run_batch result vectors (the thread-count
 /// invariance contract: every replication field-for-field identical).

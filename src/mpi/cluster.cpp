@@ -84,11 +84,11 @@ routing::Lid Cluster::select_path(topo::NodeId src, topo::NodeId dst,
                   });
 }
 
-std::optional<sim::NetMessage> Cluster::route_message(topo::NodeId src,
-                                                      topo::NodeId dst,
-                                                      std::int64_t bytes,
-                                                      stats::Rng& rng) const {
-  sim::NetMessage msg;
+std::optional<NetMessage> Cluster::route_message(topo::NodeId src,
+                                                 topo::NodeId dst,
+                                                 std::int64_t bytes,
+                                                 stats::Rng& rng) const {
+  NetMessage msg;
   msg.src = src;
   msg.dst = dst;
   msg.bytes = bytes;

@@ -30,7 +30,6 @@
 #include "mpi/profile.hpp"
 #include "routing/engine.hpp"
 #include "sim/flowsim.hpp"
-#include "sim/network_model.hpp"
 #include "stats/rng.hpp"
 
 namespace hxsim::mpi {
@@ -46,6 +45,16 @@ struct RankMsg {
 using Round = std::vector<RankMsg>;
 /// Dependency-ordered rounds.
 using Schedule = std::vector<Round>;
+
+/// A fully routed network message (Cluster::route_message).
+struct NetMessage {
+  topo::NodeId src = topo::kInvalidNode;
+  topo::NodeId dst = topo::kInvalidNode;
+  std::int64_t bytes = 0;
+  /// Routed path (terminal-up ... switch-terminal); empty for self-sends.
+  std::vector<topo::ChannelId> path;
+  std::int8_t vl = 0;
+};
 
 class Cluster {
  public:
@@ -83,7 +92,7 @@ class Cluster {
 
   /// Fully routed network message (empty path for src == dst);
   /// std::nullopt when unroutable.  Built on select_path().
-  [[nodiscard]] std::optional<sim::NetMessage> route_message(
+  [[nodiscard]] std::optional<NetMessage> route_message(
       topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
       stats::Rng& rng) const;
 

@@ -5,11 +5,11 @@
 // saturated.  The saturated set is the flow-level view of the Figure 1
 // hotspot -- the shared HyperX cable carrying 7 streams is the first
 // channel to saturate, at 1/7th of line rate -- and the level count tracks
-// solver cost across the completion-event loop.
+// solver cost.
 //
-// A trace is passed per call (FlowSim::fair_rates / completion_times), so
-// the const solver stays safe to run concurrently from solve_batch, which
-// does not trace.  Tracing never changes the computed rates.
+// A trace is passed per call (FlowSim::fair_rates / channel_utilisation),
+// so the const solver stays safe to run concurrently from solve_batch,
+// which does not trace.  Tracing never changes the computed rates.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,7 @@ struct FlowSolveRecord {
 };
 
 struct FlowSolveTrace {
-  /// One record per solve; completion_times() appends one per
-  /// reallocation round, fair_rates() exactly one.
+  /// One record per solve (fair_rates() appends exactly one).
   std::vector<FlowSolveRecord> solves;
 
   void clear() { solves.clear(); }

@@ -1,16 +1,15 @@
 // Experiment registry: the paper's figures and studies as enumerable,
 // programmatically runnable units.
 //
-// A registered Experiment is the *core* of one bench binary: the bench's
-// main() becomes a thin wrapper that runs its experiment with parsed
-// options, and bench/repro_pipeline can run the whole registry in one
-// process, collect every ResultSet into a ResultStore (REPRO.json), check
-// the committed claims/ tables against it (claims.hpp) and regenerate the
-// EXPERIMENTS.md result tables (render.hpp).
+// A registered Experiment is the one measurement core of a figure, table
+// or repo-level contract.  bench/repro_pipeline runs one of them
+// (`--only <id>`) or the whole registry in one process, collects every
+// ResultSet into a ResultStore (REPRO.json), checks the committed claims/
+// tables against it (claims.hpp) and regenerates the EXPERIMENTS.md
+// result tables (render.hpp).
 //
-// Experiments print their human-readable report to stdout exactly as the
-// standalone benches always did; the ResultSet is the machine-readable
-// subset of the same run.
+// Experiments print a human-readable report to stdout; the ResultSet is
+// the machine-readable subset of the same run.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +23,8 @@
 
 namespace hxsim::report {
 
-/// The option surface every bench binary already exposes (bench_common's
-/// BenchArgs, decoupled from the CLI so experiments are library-callable).
+/// The option surface of an experiment run (repro_pipeline's flags,
+/// decoupled from the CLI so experiments are library-callable).
 struct Options {
   bool quick = false;
   std::uint64_t seed = 1;
@@ -36,7 +35,7 @@ struct Options {
 };
 
 struct Experiment {
-  std::string id;         // == the bench binary name, e.g. "fig1_mpigraph"
+  std::string id;         // e.g. "fig1_mpigraph" (defined in exp_<id>.cpp)
   std::string title;      // one-line purpose
   std::string paper_ref;  // figure/table/section reproduced
   std::function<ResultSet(const Options&)> run;

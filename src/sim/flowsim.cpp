@@ -566,60 +566,6 @@ std::vector<std::vector<double>> FlowSim::solve_batch(
   return rates;
 }
 
-std::vector<double> FlowSim::completion_times(
-    std::span<const Flow> flows, obs::FlowSolveTrace* trace) const {
-  validate(flows);
-  std::vector<double> done(flows.size(), 0.0);
-  std::vector<double> remaining_bytes(flows.size());
-  std::vector<char> active(flows.size(), 0);
-  std::size_t live = 0;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    remaining_bytes[f] = static_cast<double>(flows[f].bytes);
-    if (flows[f].channels.empty() || flows[f].bytes <= 0) {
-      // Self-sends (empty path, any byte count) and zero-byte flows move
-      // no data over the network: they complete at injection, t = 0 --
-      // the defined semantics matching PktSim's self-send handling.
-      done[f] = 0.0;
-      continue;
-    }
-    active[f] = 1;
-    ++live;
-  }
-
-  double now = 0.0;
-  std::vector<double> rate(flows.size(), 0.0);
-  while (live > 0) {
-    std::fill(rate.begin(), rate.end(), 0.0);
-    // Reallocation rounds reuse the engine-owned warm scratch: the flow
-    // set's incidence footprint is sized on round one, later rounds solve
-    // allocation-free.
-    solve(flows, active, rate, scratch_,
-          trace != nullptr ? &trace->solves.emplace_back() : nullptr);
-
-    // Advance to the earliest completion under the current allocation.
-    double dt = kInf;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (!active[f]) continue;
-      if (rate[f] <= 0.0) continue;  // fully starved (cannot happen normally)
-      dt = std::min(dt, remaining_bytes[f] / rate[f]);
-    }
-    if (dt == kInf)
-      throw std::runtime_error("FlowSim: starved flows cannot complete");
-
-    now += dt;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (!active[f]) continue;
-      remaining_bytes[f] -= rate[f] * dt;
-      if (remaining_bytes[f] <= 1e-6) {  // sub-byte residue: complete
-        active[f] = 0;
-        done[f] = now;
-        --live;
-      }
-    }
-  }
-  return done;
-}
-
 std::vector<double> FlowSim::channel_utilisation(
     std::span<const Flow> flows, obs::FlowSolveTrace* trace) const {
   const std::vector<double> rate = fair_rates(flows, trace);

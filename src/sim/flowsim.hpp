@@ -27,8 +27,7 @@ struct Flow {
   /// An empty path is a *self-send*: the flow consumes no network resource
   /// regardless of `bytes`.  Defined semantics (matching PktSim, which
   /// completes self-send messages at their inject_time): fair_rates()
-  /// reports +inf, completion_times() reports completion at injection,
-  /// i.e. t = 0.  Zero-byte flows likewise complete at t = 0.
+  /// reports +inf.
   std::vector<topo::ChannelId> channels;
   std::int64_t bytes = 0;
 };
@@ -39,7 +38,7 @@ class FlowSim {
   /// filling and are *bitwise* identical -- rates and FlowSolveRecord
   /// output alike -- a contract pinned by tests/flowsim_golden_test.cpp,
   /// the fuzz-audit flowsim_engine_identity oracle, and the
-  /// bench/flowsim_scaling check mode.
+  /// flowsim_speedup experiment.
   ///  - kAdaptive (default): rescan rounds while the solve is light, handed
   ///    over mid-solve to the indexed loop once the rounds have rescanned
   ///    a fixed multiple of the set's flow-hops (see "Flow-solver
@@ -120,11 +119,11 @@ class FlowSim {
   /// (levels, freezes, saturated channels); tracing never changes the
   /// rates.
   ///
-  /// Solves on the engine-owned warm scratch (like completion_times and
-  /// channel_utilisation), so sweep loops stop re-warming per call; these
-  /// convenience entry points therefore must not run concurrently on one
-  /// FlowSim -- concurrent callers go through solve_batch (per-worker
-  /// scratch) or solve_active (caller-owned scratch).
+  /// Solves on the engine-owned warm scratch (like channel_utilisation),
+  /// so sweep loops stop re-warming per call; these convenience entry
+  /// points therefore must not run concurrently on one FlowSim --
+  /// concurrent callers go through solve_batch (per-worker scratch) or
+  /// solve_active (caller-owned scratch).
   [[nodiscard]] std::vector<double> fair_rates(
       std::span<const Flow> flows,
       obs::FlowSolveTrace* trace = nullptr) const;
@@ -152,14 +151,6 @@ class FlowSim {
   void solve_active(std::span<const Flow> flows, std::span<const char> active,
                     std::span<double> rate, SolveScratch& scratch,
                     obs::FlowSolveRecord* record = nullptr) const;
-
-  /// Completion time of each flow when all start at t = 0 and rates are
-  /// re-allocated max-min fairly whenever a flow finishes.  Self-send and
-  /// zero-byte flows complete at injection (t = 0; see Flow::channels).
-  /// When `trace` is given, one record is appended per reallocation round.
-  [[nodiscard]] std::vector<double> completion_times(
-      std::span<const Flow> flows,
-      obs::FlowSolveTrace* trace = nullptr) const;
 
   /// Utilisation [0, 1] per channel under the steady-state allocation
   /// (diagnostics; same flow-set semantics as fair_rates).
@@ -221,8 +212,8 @@ class FlowSim {
   std::vector<double> capacity_;
   SolverEngine engine_ = SolverEngine::kAdaptive;
   /// Warm scratch backing the serial convenience entry points
-  /// (fair_rates / completion_times / channel_utilisation); persists
-  /// across calls so sweep loops stop re-warming every iteration.
+  /// (fair_rates / channel_utilisation); persists across calls so sweep
+  /// loops stop re-warming every iteration.
   mutable SolveScratch scratch_;
 };
 

@@ -1438,4 +1438,27 @@ std::vector<PktSim::Result> PktSim::run_batch(
   return results;
 }
 
+std::string_view first_difference(const PktSim::Result& a,
+                                  const PktSim::Result& b) noexcept {
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (!std::equal(a.completion.begin(), a.completion.end(),
+                  b.completion.begin(), b.completion.end(), same_bits))
+    return "completion";
+  if (a.deadlock != b.deadlock) return "deadlock";
+  if (a.truncated != b.truncated) return "truncated";
+  if (!same_bits(a.end_time, b.end_time)) return "end_time";
+  if (a.packets_delivered != b.packets_delivered) return "packets_delivered";
+  if (a.packets_total != b.packets_total) return "packets_total";
+  if (a.events_executed != b.events_executed) return "events_executed";
+  if (a.packets_dropped != b.packets_dropped) return "packets_dropped";
+  if (a.dropped_by_cause != b.dropped_by_cause) return "dropped_by_cause";
+  if (a.retries != b.retries) return "retries";
+  if (a.messages_abandoned != b.messages_abandoned)
+    return "messages_abandoned";
+  if (a.message_status != b.message_status) return "message_status";
+  return {};
+}
+
 }  // namespace hxsim::sim

@@ -31,8 +31,8 @@
 // PktSim object and is reused across run() calls, so a warm engine performs
 // zero heap allocations per event.  The seed std::function engine is kept
 // as Engine::kReference, bit-identical by construction; the golden suite in
-// tests/pktsim_golden_test.cpp and bench/pktsim_scaling hold the two to
-// byte equality.
+// tests/pktsim_golden_test.cpp and the pktsim_speedup experiment hold the
+// two to byte equality (first_difference below).
 //
 // Replication: run_batch() fans independent message sets across an
 // exec::ThreadPool, one engine instance (and scratch) per worker, results
@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "obs/deadlock.hpp"
@@ -207,5 +208,14 @@ class PktSim {
   /// Per-worker scratch for run_batch(); grown to the pool width on use.
   std::vector<std::unique_ptr<detail::PktScratch>> batch_scratch_;
 };
+
+/// The bitwise comparator of PktSim results (engine vs oracle, 1 vs N
+/// threads, trace on vs off): the name of the first field that differs,
+/// or an empty view when `a` and `b` are bitwise equal.  Doubles compare
+/// by bits, so matching NaN completions (undelivered messages) are equal.
+/// The deadlock report is covered by the `deadlock` flag and the
+/// completion/drop fields, which an unequal report would also move.
+[[nodiscard]] std::string_view first_difference(
+    const PktSim::Result& a, const PktSim::Result& b) noexcept;
 
 }  // namespace hxsim::sim

@@ -1,7 +1,6 @@
 #include "workloads/online_resilience.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -15,33 +14,6 @@
 namespace hxsim::workloads {
 
 namespace {
-
-/// Bitwise double equality (NaN-safe: two NaNs of the same payload match),
-/// the comparison the typed/reference identity contract is stated in.
-bool bits_equal(double a, double b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Field-for-field Result equality over every online-era field.  The
-/// deadlock report is covered by the flag: arms are expected deadlock-free
-/// and a report differing under an equal flag would mean unequal queues,
-/// which the completion/drop fields already expose.
-bool results_equal(const sim::PktSim::Result& a,
-                   const sim::PktSim::Result& b) {
-  if (a.completion.size() != b.completion.size()) return false;
-  for (std::size_t i = 0; i < a.completion.size(); ++i)
-    if (!bits_equal(a.completion[i], b.completion[i])) return false;
-  return a.deadlock == b.deadlock && a.truncated == b.truncated &&
-         bits_equal(a.end_time, b.end_time) &&
-         a.packets_delivered == b.packets_delivered &&
-         a.packets_total == b.packets_total &&
-         a.events_executed == b.events_executed &&
-         a.packets_dropped == b.packets_dropped &&
-         a.dropped_by_cause == b.dropped_by_cause &&
-         a.retries == b.retries &&
-         a.messages_abandoned == b.messages_abandoned &&
-         a.message_status == b.message_status;
-}
 
 /// Seeded path-less message set: uniform random pairs (self-sends
 /// redrawn), inject times spread evenly over the window.
@@ -89,7 +61,9 @@ ArmOutcome run_arm(const topo::Topology& topo,
   config.engine = sim::PktSimConfig::Engine::kReference;
   sim::PktSim reference(topo, config);
   out.engines_identical =
-      results_equal(out.result, reference.run(messages, options.max_events));
+      sim::first_difference(out.result,
+                            reference.run(messages, options.max_events))
+          .empty();
   return out;
 }
 
@@ -203,9 +177,9 @@ OnlineResilienceReport run_online_resilience_campaign(
         run_arm(topo, static_messages, &inert, nullptr, options);
     const ArmOutcome without =
         run_arm(topo, static_messages, nullptr, nullptr, options);
-    report.nofault_identical = with_inert.engines_identical &&
-                               without.engines_identical &&
-                               results_equal(with_inert.result, without.result);
+    report.nofault_identical =
+        with_inert.engines_identical && without.engines_identical &&
+        sim::first_difference(with_inert.result, without.result).empty();
   }
 
   sim::PktRoutingEpoch epoch0;
@@ -316,7 +290,8 @@ OnlineResilienceReport run_online_resilience_campaign(
         options.max_events);
     report.threads_identical = serial.size() == fanned.size();
     for (std::size_t i = 0; report.threads_identical && i < serial.size(); ++i)
-      report.threads_identical = results_equal(serial[i], fanned[i]);
+      report.threads_identical =
+          sim::first_difference(serial[i], fanned[i]).empty();
   }
 
   return report;

@@ -5,13 +5,12 @@
 // both paper fabrics (small HyperX under DFSSSP, small fat-tree under
 // ftree), three traffic shapes (uniform random permutations, mpiGraph-
 // style shifts, eBB-style bisections), at 1 and 4 solver threads, through
-// the cold fair_rates path, the warm solve_active fault-stage path, and
-// the completion_times reallocation loop.  Merged permutations drive the
-// adaptive core across its rescan-to-indexed handoff.  The saturation-
-// epsilon regression scenarios from sim_test.cpp are re-run here on every
-// core and compared bitwise against kReference: the 1e-12 saturation
-// slack, the max(0, .) fully-frozen-load clamp and the denormal-level
-// rounds must take the *same* branch in all of them.
+// the cold fair_rates path and the warm solve_active fault-stage path.
+// Merged permutations drive the adaptive core across its rescan-to-indexed
+// handoff.  The saturation-epsilon regression scenarios from sim_test.cpp
+// are re-run here on every core and compared bitwise against kReference:
+// the 1e-12 saturation slack, the max(0, .) fully-frozen-load clamp and
+// the denormal-level rounds must take the *same* branch in all of them.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -275,34 +274,6 @@ TEST(FlowSimGolden, SolveActiveWarmStartStagesBitIdentical) {
           << f.name << " stage " << stage;
       EXPECT_TRUE(records_equal(ref_record, ada_record))
           << f.name << " stage " << stage;
-    }
-  }
-}
-
-TEST(FlowSimGolden, CompletionTimesEngineParity) {
-  for (const GoldenFabric& f : paper_fabrics()) {
-    const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
-    const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
-    const FlowSim adaptive(*f.topo);
-
-    stats::Rng rng(11);
-    std::vector<Flow> flows = ebb_set(f, rng);
-    // Unequal sizes force multiple reallocation rounds.
-    for (std::size_t i = 0; i < flows.size(); ++i)
-      flows[i].bytes = static_cast<std::int64_t>(1 + i) << 12;
-
-    obs::FlowSolveTrace ref_trace;
-    const auto ref_times = reference.completion_times(flows, &ref_trace);
-    EXPECT_GT(ref_trace.solves.size(), 1u) << f.name;
-    for (const FlowSim* other : {&indexed, &adaptive}) {
-      obs::FlowSolveTrace trace;
-      const auto times = other->completion_times(flows, &trace);
-      EXPECT_TRUE(bits_equal(ref_times, times)) << f.name;
-      ASSERT_EQ(ref_trace.solves.size(), trace.solves.size()) << f.name;
-      for (std::size_t i = 0; i < ref_trace.solves.size(); ++i) {
-        EXPECT_TRUE(records_equal(ref_trace.solves[i], trace.solves[i]))
-            << f.name << " round " << i;
-      }
     }
   }
 }

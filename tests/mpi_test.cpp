@@ -565,7 +565,7 @@ std::vector<double> seed_execute_rounds(const Cluster& cluster,
       times.push_back(0.0);
       continue;
     }
-    std::vector<sim::NetMessage> msgs;
+    std::vector<NetMessage> msgs;
     std::vector<double> offset;
     std::map<std::int32_t, std::int32_t> src_count;
     std::map<std::int32_t, std::int32_t> dst_count;
@@ -581,12 +581,12 @@ std::vector<double> seed_execute_rounds(const Cluster& cluster,
       msgs.push_back(std::move(*routed));
     }
     std::vector<sim::Flow> flows;
-    for (const sim::NetMessage& m : msgs)
+    for (const NetMessage& m : msgs)
       flows.push_back(sim::Flow{m.path, m.bytes});
     const std::vector<double> rate = solver.fair_rates(flows);
     double time = 0.0;
     for (std::size_t i = 0; i < msgs.size(); ++i) {
-      const sim::NetMessage& m = msgs[i];
+      const NetMessage& m = msgs[i];
       double t = offset[i] + pml.per_message_overhead +
                  static_cast<double>(m.bytes) * pml.per_byte_overhead;
       t += static_cast<double>(m.path.size()) * link.hop_latency;

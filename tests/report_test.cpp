@@ -314,26 +314,26 @@ TEST(Registry, RejectsDuplicatesAndEmptyIds) {
       std::invalid_argument);
 }
 
-TEST(Registry, CoversEveryFigureBenchBinary) {
-  // Every fig*/table* bench binary declared in bench/CMakeLists.txt must
-  // have a registered experiment of the same name, or the pipeline and
-  // the claims silently lose coverage.
+TEST(Registry, CoversEveryExperimentSource) {
+  // Every experiments/exp_<id>.cpp compiled by bench/CMakeLists.txt must
+  // register an experiment named <id>: repro_pipeline --only <id> is the
+  // only way to run it, and the claims bind to that id.
   std::ifstream cmake(HXSIM_SOURCE_DIR "/bench/CMakeLists.txt");
   ASSERT_TRUE(cmake.is_open());
   std::ostringstream buf;
   buf << cmake.rdbuf();
   const std::string text = buf.str();
-  const std::regex bench_re(R"(hxsim_add_bench\(((?:fig|table)\w+))");
-  std::set<std::string> figure_benches;
-  for (std::sregex_iterator it(text.begin(), text.end(), bench_re), end;
+  const std::regex source_re(R"(experiments/exp_(\w+)\.cpp)");
+  std::set<std::string> ids;
+  for (std::sregex_iterator it(text.begin(), text.end(), source_re), end;
        it != end; ++it)
-    figure_benches.insert((*it)[1]);
-  EXPECT_GE(figure_benches.size(), 9u);
-
+    ids.insert((*it)[1]);
   const report::Registry& registry = bench::global_registry();
-  for (const std::string& name : figure_benches)
-    EXPECT_NE(registry.find(name), nullptr)
-        << "bench binary '" << name << "' has no registered experiment";
+  EXPECT_EQ(ids.size(), registry.experiments().size());
+  for (const std::string& id : ids)
+    EXPECT_NE(registry.find(id), nullptr)
+        << "experiments/exp_" << id << ".cpp registers no experiment '" << id
+        << "'";
 }
 
 TEST(Registry, RunStampsIdentityAndProducesMetrics) {

@@ -17,7 +17,6 @@
 #include "sim/adaptive.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flowsim.hpp"
-#include "sim/network_model.hpp"
 #include "sim/pktsim.hpp"
 #include "topo/hyperx.hpp"
 #include "routing/dfsssp.hpp"
@@ -171,49 +170,6 @@ TEST(FlowSim, NoChannelOversubscribed) {
     for (NodeId j = 4; j < 8; ++j) flows.push_back(d.flow(i, j, 100));
   const auto util = sim.channel_utilisation(flows);
   for (double u : util) EXPECT_LE(u, 1.0 + 1e-9);
-}
-
-TEST(FlowSim, CompletionTimesReallocateAfterFinish) {
-  // Two flows share a unit-capacity link; one has half the bytes.  The
-  // small one finishes at t=1 (rate 1/2), then the big one speeds up:
-  // total 1.5 bytes left at rate 1 -> done at 2.0... with bytes 1 and 2:
-  // t1: both at 0.5 -> small done at 2.0? Use bytes 1 and 3 for clarity:
-  // small done at 2 (0.5 rate), big has 2 left, full rate -> done at 4.
-  Topology t("pair");
-  const SwitchId a = t.add_switch();
-  const SwitchId b = t.add_switch();
-  const auto [ab, unused] = t.connect(a, b);
-  (void)unused;
-  FlowSim sim(t, LinkModel{});
-  sim.set_capacity(ab, 1.0);
-  const std::vector<Flow> flows{Flow{{ab}, 1}, Flow{{ab}, 3}};
-  const auto done = sim.completion_times(flows);
-  EXPECT_NEAR(done[0], 2.0, 1e-9);
-  EXPECT_NEAR(done[1], 4.0, 1e-9);
-}
-
-TEST(FlowSim, ZeroByteAndSelfFlowsCompleteInstantly) {
-  const Dumbbell d;
-  const FlowSim sim(d.topo, LinkModel{});
-  const std::vector<Flow> flows{Flow{{}, 1000}, d.flow(0, 4, 0)};
-  const auto done = sim.completion_times(flows);
-  EXPECT_DOUBLE_EQ(done[0], 0.0);
-  EXPECT_DOUBLE_EQ(done[1], 0.0);
-}
-
-TEST(FlowSim, CompletionScalesLinearlyWithBytes) {
-  const Dumbbell d;
-  const FlowSim sim(d.topo, LinkModel{});
-  std::vector<Flow> small;
-  std::vector<Flow> big;
-  for (NodeId i = 0; i < 4; ++i) {
-    small.push_back(d.flow(i, 4 + i, 1000));
-    big.push_back(d.flow(i, 4 + i, 4000));
-  }
-  const auto ds = sim.completion_times(small);
-  const auto db = sim.completion_times(big);
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    EXPECT_NEAR(db[i], 4.0 * ds[i], 1e-12);
 }
 
 // --- FlowSim saturation-epsilon regressions -----------------------------------
@@ -860,46 +816,31 @@ TEST(HotspotCounters, SharedCableConcentratesTrafficAndXmitWait) {
             saturated.end());
 }
 
-// --- NetworkModel facade --------------------------------------------------------
+// --- flow model vs packet model --------------------------------------------------
 
 TEST(NetworkModel, FlowAndPacketModelsAgreeOnASingleStream) {
+  // The flow model's time for one message -- fluid transfer at its max-min
+  // rate plus one pipeline traversal -- against the packet engine's.
   const Dumbbell d;
   const std::int64_t bytes = 4 * 1024 * 1024;
-  NetMessage msg;
+  const Flow flow = d.flow(0, 4, bytes);
+  const LinkModel link;
+  const FlowSim flow_sim(d.topo, link);
+  const double rate = flow_sim.fair_rates(std::vector<Flow>{flow})[0];
+  const double t_flow =
+      static_cast<double>(bytes) / rate +
+      static_cast<double>(flow.channels.size()) * link.hop_latency;
+
+  PktMessage msg;
   msg.src = 0;
   msg.dst = 4;
   msg.bytes = bytes;
-  msg.path = d.flow(0, 4, bytes).channels;
-
-  FlowModel flow_model(d.topo);
-  PacketModel pkt_model(d.topo);
-  const double t_flow = flow_model.run(std::vector<NetMessage>{msg})[0];
-  const double t_pkt = pkt_model.run(std::vector<NetMessage>{msg})[0];
+  msg.path = flow.channels;
+  PktSim pkt_sim(d.topo);
+  const double t_pkt = pkt_sim.run(std::vector<PktMessage>{msg}).completion[0];
   // Cut-through pipelining vs fluid: within 5% on a large transfer.
   EXPECT_NEAR(t_pkt / t_flow, 1.0, 0.05);
 }
-
-TEST(NetworkModel, PacketModelThrowsOnDeadlock) {
-  const Triangle tri;
-  PktSimConfig cfg;
-  cfg.vc_buffer_packets = 1;
-  PacketModel model(tri.topo, cfg);
-  std::vector<NetMessage> msgs;
-  for (int rep = 0; rep < 4; ++rep)
-    for (int i = 0; i < 3; ++i) {
-      const PktMessage p = tri.two_hop(i, 16 * 2048, 0);
-      NetMessage m;
-      m.src = p.src;
-      m.dst = p.dst;
-      m.bytes = p.bytes;
-      m.path = p.path;
-      m.vl = 0;
-      msgs.push_back(std::move(m));
-    }
-  EXPECT_THROW((void)model.run(msgs), std::runtime_error);
-}
-
-
 
 // --- randomized max-min optimality property ---------------------------------------
 
