@@ -4,18 +4,6 @@
 
 namespace hxsim::bench {
 
-BenchArgs to_bench_args(const report::Options& options) {
-  BenchArgs args;
-  args.quick = options.quick;
-  args.seed = options.seed;
-  args.reps = options.reps;
-  args.threads = options.threads;
-  args.csv_path = options.csv_path;
-  args.trace_path = options.trace_path;
-  exec::set_default_threads(args.threads);
-  return args;
-}
-
 const workloads::PaperSystem& shared_system(bool small_scale) {
   static std::optional<workloads::PaperSystem> full;
   static std::optional<workloads::PaperSystem> small;
@@ -26,6 +14,26 @@ const workloads::PaperSystem& shared_system(bool small_scale) {
     slot.emplace(opts);
   }
   return *slot;
+}
+
+topo::FatTreeParams campaign_fat_tree_params(bool quick) {
+  if (!quick) return topo::paper_fat_tree_params();
+  topo::FatTreeParams p;
+  p.arity = 6;
+  p.levels = 3;
+  p.leaf_terminals = 4;
+  p.populated_leaves = 24;  // 96 nodes
+  p.name = "fat-tree-6ary3-small";
+  return p;
+}
+
+topo::HyperXParams campaign_hyperx_params(bool quick) {
+  if (!quick) return topo::paper_hyperx_params();
+  topo::HyperXParams p;
+  p.dims = {6, 4};
+  p.terminals_per_switch = 4;  // 96 nodes
+  p.name = "hyperx-6x4-small";
+  return p;
 }
 
 void register_all_experiments(report::Registry& registry) {
@@ -49,6 +57,8 @@ void register_all_experiments(report::Registry& registry) {
   registry.add(pktsim_speedup_experiment());
   registry.add(flowsim_speedup_experiment());
   registry.add(online_resilience_experiment());
+  registry.add(resilience_campaign_experiment());
+  registry.add(exec_scaling_experiment());
 }
 
 report::Registry& global_registry() {

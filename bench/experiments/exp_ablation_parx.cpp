@@ -44,20 +44,19 @@ double mpigraph_mean(const mpi::Cluster& cluster, std::int32_t n,
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  topo::HyperX hx(args.quick
+  topo::HyperX hx(options.quick
                       ? topo::HyperXParams{{6, 4}, 4, "hyperx-6x4"}
                       : topo::paper_hyperx_params());
   // Same degraded fabric as before, expressed as a one-stage fault schedule
   // (a link-only single stage is bit-identical to the legacy injector).
   topo::FaultSchedule::Options faults;
-  faults.links_per_stage = args.quick ? 2 : 15;
+  faults.links_per_stage = options.quick ? 2 : 15;
   faults.seed = 1003;
   topo::FaultSchedule::plan(hx.topo(), faults).apply_all(hx.topo());
 
   // A synthetic all-pairs demand over the dense allocation (mpiGraph-like).
-  const std::int32_t dense = args.quick ? 16 : 28;
+  const std::int32_t dense = options.quick ? 16 : 28;
   core::DemandMatrix demands(hx.topo().num_terminals());
   for (topo::NodeId s = 0; s < dense; ++s)
     for (topo::NodeId d = 0; d < dense; ++d)
@@ -104,9 +103,9 @@ report::ResultSet run(const report::Options& options) {
       rs.table("variants", {"variant", "VLs", "mpiGraph mean GiB/s",
                             "14-node Alltoall 512KiB [ms]"});
   for (const Variant& v : variants) {
-    const double mean = mpigraph_mean(v.cluster, dense, args.seed);
+    const double mean = mpigraph_mean(v.cluster, dense, options.seed);
     const double a2a =
-        alltoall_time(v.cluster, std::min(dense, 14), args.seed) * 1e3;
+        alltoall_time(v.cluster, std::min(dense, 14), options.seed) * 1e3;
     const std::vector<std::string> row{
         v.name, std::to_string(v.cluster.route().num_vls_used),
         stats::format_fixed(mean, 2), stats::format_fixed(a2a, 2)};

@@ -28,10 +28,9 @@ double worst_completion(const sim::PktSim::Result& r) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
   const topo::HyperX hx(topo::paper_hyperx_params());
-  const std::int64_t bytes = args.quick ? 64 * 1024 : 512 * 1024;
+  const std::int64_t bytes = options.quick ? 64 * 1024 : 512 * 1024;
 
   // Static planes.
   routing::LidSpace dlids =
@@ -45,7 +44,7 @@ report::ResultSet run(const report::Options& options) {
   // Adaptive routers.
   const sim::DalRouter dal(hx);
   const sim::DalRouter minimal_adaptive = sim::make_minimal_adaptive(hx);
-  const sim::ValiantRouter valiant(hx, args.seed);
+  const sim::ValiantRouter valiant(hx, options.seed);
 
   // Scenario traffic as (src, dst) pairs.
   struct Scenario {
@@ -71,7 +70,7 @@ report::ResultSet run(const report::Options& options) {
                              const routing::LidSpace& lids,
                              const routing::RouteResult& route,
                              bool parx_selection) {
-    stats::Rng rng(args.seed);
+    stats::Rng rng(options.seed);
     std::vector<sim::PktMessage> msgs;
     for (const auto& [src, dst] : sc.pairs) {
       routing::Lid dlid = lids.base_lid(dst);

@@ -1,0 +1,110 @@
+// Repo-level experiment: thread scaling of full-fabric route computation
+// on the exec/ layer.  DFSSSP on the 12x8 HyperX and ftree on the paper
+// fat-tree (the small CI fabrics in quick mode) are timed at 1, 2, 4, ...
+// threads up to --threads (default: every hardware thread).  Every
+// N-thread RouteResult must equal the 1-thread one; a difference throws,
+// naming the phase.  Wall times and speedups land in the long-form
+// "phases" table after a "machine" row recording the hardware they ran
+// on.  The flow solver's batch scaling is timed and identity-checked by
+// flowsim_speedup.
+#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "experiments/experiments.hpp"
+#include "routing/dfsssp.hpp"
+#include "routing/ftree.hpp"
+
+namespace hxsim::bench {
+
+namespace {
+
+std::vector<std::int32_t> thread_points(std::int32_t max_threads) {
+  std::vector<std::int32_t> pts{1};
+  for (std::int32_t t = 2; t < max_threads; t *= 2) pts.push_back(t);
+  if (max_threads > 1) pts.push_back(max_threads);
+  return pts;
+}
+
+/// Times `route(threads)` at every thread point, throws unless each result
+/// equals the 1-thread one, and records the phase's rows.
+template <typename Route>
+void sweep(const char* phase, const std::vector<std::int32_t>& points,
+           std::int32_t reps, report::ResultTable& phase_table,
+           const Route& route) {
+  double base_seconds = 0.0;
+  routing::RouteResult reference;
+  for (const std::int32_t t : points) {
+    PhaseClock clock;
+    routing::RouteResult result;
+    for (std::int32_t r = 0; r < reps; ++r) result = route(t);
+    const double seconds = clock.lap() / reps;
+    if (t == 1) {
+      base_seconds = seconds;
+      reference = std::move(result);
+    } else if (result != reference) {
+      throw std::runtime_error(std::string(phase) + ": " + std::to_string(t) +
+                               "-thread routes differ from the 1-thread "
+                               "routes");
+    }
+    const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
+    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx\n", phase, t,
+                seconds * 1e3, speedup);
+    add_phase(phase_table, phase,
+              {{"threads", static_cast<double>(t)},
+               {"seconds", seconds},
+               {"speedup", speedup}});
+  }
+}
+
+report::ResultSet run(const report::Options& options) {
+  report::ResultSet rs;
+  const std::int32_t max_threads =
+      options.threads > 0 ? options.threads : exec::hardware_threads();
+  const auto points = thread_points(max_threads);
+  const std::int32_t reps = options.quick ? 1 : std::max(options.reps, 1);
+  report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
+  add_phase(phase_table, "machine",
+            {{"hardware_threads",
+              static_cast<double>(exec::hardware_threads())},
+             {"max_threads", static_cast<double>(max_threads)}});
+
+  // --- full-fabric DFSSSP on the 12x8 HyperX (paper default routing) ----
+  const topo::HyperX hx(options.quick ? topo::small_hyperx_params()
+                                      : topo::paper_hyperx_params());
+  const auto hx_lids =
+      routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
+  sweep("dfsssp_hyperx_12x8", points, reps, phase_table,
+        [&](std::int32_t t) {
+          routing::DfssspEngine engine(8, t);
+          return engine.compute(hx.topo(), hx_lids);
+        });
+
+  // --- full-fabric ftree on the 3-level fat-tree ------------------------
+  const topo::FatTree ft(options.quick ? topo::small_fat_tree_params()
+                                       : topo::paper_fat_tree_params());
+  const auto ft_lids =
+      routing::LidSpace::consecutive(ft.topo().num_terminals(), 0);
+  sweep("ftree_paper_tree", points, reps, phase_table, [&](std::int32_t t) {
+    routing::FtreeEngine engine(ft, t);
+    return engine.compute(ft.topo(), ft_lids);
+  });
+
+  // Reaching here means every N-thread result matched (sweep throws).
+  rs.set("threads_identical", 1.0);
+  rs.tables.push_back(std::move(phase_table));
+  std::printf("all parallel routes bit-identical to 1-thread runs\n");
+  return rs;
+}
+
+}  // namespace
+
+report::Experiment exec_scaling_experiment() {
+  return {"exec_scaling",
+          "Route-computation thread scaling and 1 vs N-thread identity",
+          "repo (exec-layer contract)", run};
+}
+
+}  // namespace hxsim::bench

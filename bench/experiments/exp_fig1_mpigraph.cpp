@@ -4,6 +4,7 @@
 // `planes` table plus per-plane mean metrics the claims bind to.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "experiments/experiments.hpp"
@@ -26,18 +27,19 @@ struct Plane {
 /// Observability export of the congested plane: peak per-channel
 /// utilisation across all mpiGraph shifts, flow-solver metrics of every
 /// shift, and the DFSSSP routing phase timers.
-void export_trace(const BenchArgs& args,
+void export_trace(const report::Options& options,
                   const workloads::PaperSystem& system,
                   const mpi::Placement& placement, std::int32_t nodes,
                   std::int64_t bytes) {
   const mpi::Cluster& hx = system.hx_dfsssp();
-  obs::MetricRegistry reg;
+  report::ResultSet trace;
+  trace.id = "fig1_mpigraph";
 
   sim::FlowSim flows(hx.topo(), hx.link());
   obs::FlowSolveTrace ftrace;
   std::vector<double> peak(static_cast<std::size_t>(hx.topo().num_channels()),
                            0.0);
-  stats::Rng rng(args.seed);
+  stats::Rng rng(options.seed);
   for (std::int32_t shift = 1; shift < nodes; ++shift) {
     std::vector<sim::Flow> round;
     round.reserve(static_cast<std::size_t>(nodes));
@@ -52,36 +54,37 @@ void export_trace(const BenchArgs& args,
     for (std::size_t ch = 0; ch < util.size(); ++ch)
       peak[ch] = std::max(peak[ch], util[ch]);
   }
-  ftrace.publish(reg, "flow_solves");
+  ftrace.publish(trace, "flow_solves");
 
-  auto& table = reg.table("hx_channel_util", {"channel", "src_switch",
-                                              "dst_switch", "switch_link",
-                                              "peak_util"});
+  auto& table = trace.table("hx_channel_util", {"channel", "src_switch",
+                                                "dst_switch", "switch_link",
+                                                "peak_util"});
+  const auto endpoint = [](topo::Endpoint e) {
+    return e.is_switch() ? std::to_string(e.index) : std::string("-1");
+  };
   for (topo::ChannelId ch = 0; ch < hx.topo().num_channels(); ++ch) {
     const std::size_t c = static_cast<std::size_t>(ch);
     if (peak[c] <= 0.0) continue;
     const topo::Channel& chan = hx.topo().channel(ch);
-    table.add_row(
-        {static_cast<double>(ch),
-         chan.src.is_switch() ? static_cast<double>(chan.src.index) : -1.0,
-         chan.dst.is_switch() ? static_cast<double>(chan.dst.index) : -1.0,
-         hx.topo().is_switch_channel(ch) ? 1.0 : 0.0, peak[c]});
+    table.add_row({std::to_string(ch), endpoint(chan.src), endpoint(chan.dst),
+                   hx.topo().is_switch_channel(ch) ? "1" : "0",
+                   report::format_metric(peak[c])});
   }
 
   obs::PhaseTimings timings;
   routing::DfssspEngine engine;
   engine.set_timings(&timings);
   const routing::RouteResult rr = engine.compute(hx.topo(), hx.lids());
-  reg.add_timings("dfsssp_", timings);
-  reg.set("dfsssp_num_vls_used", static_cast<double>(rr.num_vls_used));
+  for (const auto& [phase, seconds] : timings.entries())
+    trace.set("dfsssp_" + phase + "_s", seconds);
+  trace.set("dfsssp_num_vls_used", static_cast<double>(rr.num_vls_used));
 
-  write_trace(args, reg);
+  write_trace(options, std::move(trace));
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
-  const workloads::PaperSystem& system = shared_system(args.quick);
-  const std::int32_t nodes = args.quick ? 16 : 28;
+  const workloads::PaperSystem& system = shared_system(options.quick);
+  const std::int32_t nodes = options.quick ? 16 : 28;
   report::ResultSet rs;
 
   std::printf("== Figure 1: mpiGraph bandwidth heatmaps (%d nodes, linear "
@@ -107,13 +110,13 @@ report::ResultSet run(const report::Options& options) {
                                                  "min", "max",
                                                  "paper GiB/s"});
   const char* paper_values[] = {"2.26", "0.84", "1.39"};
-  CsvSink csv(args, {"plane", "sender", "receiver", "gib_per_s"});
+  CsvSink csv(options, {"plane", "sender", "receiver", "gib_per_s"});
 
   int idx = 0;
   double means[3] = {0.0, 0.0, 0.0};
   for (const Plane& plane : planes) {
     workloads::MpiGraphOptions opts;
-    opts.seed = args.seed;
+    opts.seed = options.seed;
     const stats::Heatmap map =
         workloads::mpigraph(*plane.cluster, placement, nodes, opts);
     std::printf("%s\n%s\n", plane.label, map.to_string(scale_max).c_str());
@@ -139,9 +142,9 @@ report::ResultSet run(const report::Options& options) {
   // shared-cable hotspot.
   rs.set("parx_gain_over_dfsssp", means[2] / means[1]);
 
-  if (args.trace_path) {
+  if (options.trace_path) {
     workloads::MpiGraphOptions opts;
-    export_trace(args, system, placement, nodes, opts.bytes);
+    export_trace(options, system, placement, nodes, opts.bytes);
   }
   return rs;
 }

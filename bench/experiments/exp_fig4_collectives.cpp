@@ -29,18 +29,17 @@ bool skipped(ImbOp op, std::int32_t nodes, std::int64_t bytes) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
   std::vector<std::int32_t> node_counts =
       workloads::capability_node_counts(false, machine);
-  if (args.quick)
+  if (options.quick)
     node_counts.assign({7, 14, 28});
 
-  CsvSink csv(args, {"op", "config", "nodes", "bytes", "tmin_us",
-                     "gain_vs_baseline"});
+  CsvSink csv(options, {"op", "config", "nodes", "bytes", "tmin_us",
+                        "gain_vs_baseline"});
 
   // The dense-allocation corner the figure is famous for: the HyperX/
   // DFSSSP/linear (config index 2) Alltoall column at 14 nodes.
@@ -54,7 +53,7 @@ report::ResultSet run(const report::Options& options) {
 
   for (const ImbOp op : workloads::imb_figure4_ops()) {
     std::vector<std::int64_t> sizes = workloads::imb_message_sizes(op);
-    if (args.quick) {
+    if (options.quick) {
       std::vector<std::int64_t> trimmed;
       for (std::size_t i = 0; i < sizes.size(); i += 4)
         trimmed.push_back(sizes[i]);
@@ -66,13 +65,13 @@ report::ResultSet run(const report::Options& options) {
         tmin;
     for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
       const auto& config = system.configs()[cfg];
-      const std::int32_t reps = reps_for(config, args);
+      const std::int32_t reps = reps_for(config, options);
       for (const std::int32_t n : node_counts) {
         for (std::int32_t rep = 0; rep < reps; ++rep) {
           const mpi::Placement placement = place(
-              config, n, machine, args.seed + 97 * rep);
+              config, n, machine, options.seed + 97 * rep);
           mpi::Transport transport(*config.cluster, placement,
-                                   args.seed + rep);
+                                   options.seed + rep);
           for (const std::int64_t bytes : sizes) {
             if (skipped(op, n, bytes)) continue;
             const double t = transport.execute(

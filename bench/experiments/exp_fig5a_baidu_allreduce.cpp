@@ -36,28 +36,28 @@ const char* config_key(std::size_t cfg) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
   std::vector<std::int32_t> node_counts =
       workloads::capability_node_counts(false, machine);
-  if (args.quick) node_counts.assign({7, 14, 28});
-  const auto lengths = array_lengths(args.quick);
+  if (options.quick) node_counts.assign({7, 14, 28});
+  const auto lengths = array_lengths(options.quick);
 
-  CsvSink csv(args, {"config", "nodes", "array_len", "tavg_s",
-                     "gain_vs_baseline"});
+  CsvSink csv(options, {"config", "nodes", "array_len", "tavg_s",
+                        "gain_vs_baseline"});
 
   std::map<std::tuple<std::size_t, std::int32_t, std::int64_t>, double> best;
   for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
     const auto& config = system.configs()[cfg];
-    const std::int32_t reps = reps_for(config, args);
+    const std::int32_t reps = reps_for(config, options);
     for (const std::int32_t n : node_counts) {
       for (std::int32_t rep = 0; rep < reps; ++rep) {
         const mpi::Placement placement =
-            place(config, n, machine, args.seed + 131 * rep);
-        mpi::Transport transport(*config.cluster, placement, args.seed + rep);
+            place(config, n, machine, options.seed + 131 * rep);
+        mpi::Transport transport(*config.cluster, placement,
+                                 options.seed + rep);
         for (const std::int64_t len : lengths) {
           const double t = transport.execute(
               mpi::collectives::allreduce_ring(n, len * 4));

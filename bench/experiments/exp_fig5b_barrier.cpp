@@ -19,17 +19,16 @@ namespace hxsim::bench {
 namespace {
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
   std::vector<std::int32_t> node_counts =
       workloads::capability_node_counts(false, machine);
-  if (args.quick) node_counts.assign({7, 14, 28});
+  if (options.quick) node_counts.assign({7, 14, 28});
   const std::int32_t runs = 10;  // the paper's ten repetitions
 
-  CsvSink csv(args, {"config", "nodes", "run", "latency_us"});
+  CsvSink csv(options, {"config", "nodes", "run", "latency_us"});
   std::vector<std::vector<double>> best_per_config(system.configs().size());
 
   std::printf("== Fig. 5b IMB Barrier latency [us], whiskers over %d runs "
@@ -43,8 +42,9 @@ report::ResultSet run(const report::Options& options) {
       std::vector<double> lat_us;
       for (std::int32_t run = 0; run < runs; ++run) {
         const mpi::Placement placement =
-            place(config, n, machine, args.seed + 7919 * run);
-        mpi::Transport transport(*config.cluster, placement, args.seed + run);
+            place(config, n, machine, options.seed + 7919 * run);
+        mpi::Transport transport(*config.cluster, placement,
+                                 options.seed + run);
         const double t = transport.execute(
             mpi::collectives::barrier_dissemination(n));
         lat_us.push_back(stats::to_us(t));

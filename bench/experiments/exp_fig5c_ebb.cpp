@@ -22,9 +22,8 @@ namespace hxsim::bench {
 namespace {
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
   // The figure mixes both capability sequences (4, 8, 14, 16, 28, ...).
@@ -39,14 +38,14 @@ report::ResultSet run(const report::Options& options) {
         std::unique(node_counts.begin(), node_counts.end()),
         node_counts.end());
   }
-  if (args.quick) node_counts.assign({8, 14, 16, 28});
+  if (options.quick) node_counts.assign({8, 14, 16, 28});
 
   workloads::EbbOptions ebb_opts;
-  ebb_opts.samples = args.quick ? 50 : 250;  // paper: 1000 (slow but exact)
-  ebb_opts.seed = args.seed;
+  ebb_opts.samples = options.quick ? 50 : 250;  // paper: 1000 (slow but exact)
+  ebb_opts.seed = options.seed;
 
-  CsvSink csv(args, {"config", "nodes", "median_gibs", "min", "max",
-                     "gain_vs_baseline"});
+  CsvSink csv(options, {"config", "nodes", "median_gibs", "min", "max",
+                        "gain_vs_baseline"});
 
   std::printf("== Fig. 5c effective bisection bandwidth [GiB/s per pair], "
               "%d random bisections ==\n\n", ebb_opts.samples);
@@ -66,7 +65,7 @@ report::ResultSet run(const report::Options& options) {
       if (n % 2 != 0 && n != 7) continue;  // eBB needs even node counts
       const std::int32_t even_n = n - (n % 2);
       const mpi::Placement placement =
-          place(config, even_n, machine, args.seed);
+          place(config, even_n, machine, options.seed);
       const workloads::EbbResult result =
           workloads::effective_bisection_bandwidth(*config.cluster, placement,
                                                    even_n, ebb_opts);

@@ -38,13 +38,12 @@ bool halo_dominated(workloads::AppId id) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
-  CsvSink csv(args, {"app", "config", "nodes", "best_runtime_s",
-                     "gain_vs_baseline"});
+  CsvSink csv(options, {"app", "config", "nodes", "best_runtime_s",
+                        "gain_vs_baseline"});
   report::ResultTable& spread =
       rs.table("spread", {"app", "min gain", "max gain",
                           "missing runs (walltime)"});
@@ -54,7 +53,7 @@ report::ResultSet run(const report::Options& options) {
     const workloads::AppWorkload probe = workloads::make_app(id, 4);
     std::vector<std::int32_t> node_counts = workloads::capability_node_counts(
         probe.power_of_two_scaling, machine);
-    if (args.quick) node_counts.resize(std::min<std::size_t>(
+    if (options.quick) node_counts.resize(std::min<std::size_t>(
         node_counts.size(), 3));
 
     std::printf("== Fig. 6 %s kernel runtime [s] (lower is better) ==\n",
@@ -71,7 +70,7 @@ report::ResultSet run(const report::Options& options) {
     for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
       const auto& config = system.configs()[cfg];
       const bool is_parx = config.cluster == &system.hx_parx();
-      const std::int32_t reps = reps_for(config, args);
+      const std::int32_t reps = reps_for(config, options);
       std::vector<std::string> row{config.name};
       for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
         const std::int32_t n = node_counts[ni];
@@ -86,18 +85,18 @@ report::ResultSet run(const report::Options& options) {
           mpi::CommProfile profile(n);
           mpi::Transport::accumulate(app.iteration_comm, profile);
           const mpi::Placement placement =
-              place(config, n, machine, args.seed);
+              place(config, n, machine, options.seed);
           rerouted = system.make_parx_cluster(
               profile.to_demands(placement, machine));
         }
         double best = stats::kFailed;
         for (std::int32_t rep = 0; rep < reps; ++rep) {
           const mpi::Placement placement =
-              place(config, n, machine, args.seed + 211 * rep);
+              place(config, n, machine, options.seed + 211 * rep);
           const mpi::Cluster& plane =
               rerouted ? *rerouted : *config.cluster;
           best = std::min(best,
-                          one_run(plane, placement, app, args.seed + rep));
+                          one_run(plane, placement, app, options.seed + rep));
         }
         if (cfg == 0) baseline_best.push_back(best);
         const double gain = stats::relative_gain(

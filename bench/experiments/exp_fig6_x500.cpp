@@ -17,13 +17,12 @@ namespace hxsim::bench {
 namespace {
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
-  CsvSink csv(args, {"bench", "config", "nodes", "metric",
-                     "gain_vs_baseline"});
+  CsvSink csv(options, {"bench", "config", "nodes", "metric",
+                        "gain_vs_baseline"});
   report::ResultTable& out =
       rs.table("x500", {"benchmark", "nodes", "baseline",
                         "max spread across configs"});
@@ -33,7 +32,7 @@ report::ResultSet run(const report::Options& options) {
     const bool is_graph = id == workloads::AppId::kGraph500;
     std::vector<std::int32_t> node_counts = workloads::capability_node_counts(
         probe.power_of_two_scaling, machine);
-    if (args.quick) node_counts.resize(std::min<std::size_t>(
+    if (options.quick) node_counts.resize(std::min<std::size_t>(
         node_counts.size(), 3));
 
     std::printf("== Fig. 6 %s [%s] (higher is better) ==\n",
@@ -51,7 +50,7 @@ report::ResultSet run(const report::Options& options) {
     std::vector<double> baseline_best;
     for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
       const auto& config = system.configs()[cfg];
-      const std::int32_t reps = reps_for(config, args);
+      const std::int32_t reps = reps_for(config, options);
       std::vector<std::string> row{config.name};
       for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
         const std::int32_t n = node_counts[ni];
@@ -59,9 +58,9 @@ report::ResultSet run(const report::Options& options) {
         double best_metric = 0.0;
         for (std::int32_t rep = 0; rep < reps; ++rep) {
           const mpi::Placement placement =
-              place(config, n, machine, args.seed + 307 * rep);
+              place(config, n, machine, options.seed + 307 * rep);
           mpi::Transport transport(*config.cluster, placement,
-                                   args.seed + rep);
+                                   options.seed + rep);
           const double t = workloads::run_workload(app, transport);
           if (t > workloads::kWalltimeLimit) continue;
           const double metric =

@@ -51,29 +51,28 @@ const char* config_key(std::size_t cfg) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
 
   workloads::CapacityOptions cap_opts;
-  cap_opts.duration = args.quick ? 1800.0 : 3.0 * 3600.0;
-  cap_opts.seed = args.seed;
+  cap_opts.duration = options.quick ? 1800.0 : 3.0 * 3600.0;
+  cap_opts.seed = options.seed;
 
   std::printf("== Fig. 7 capacity runs: 14 concurrent applications, "
               "%.1f h window ==\n\n", cap_opts.duration / 3600.0);
 
-  CsvSink csv(args, {"config", "app", "runs_completed"});
+  CsvSink csv(options, {"config", "app", "runs_completed"});
   std::vector<std::string> app_names;
   std::vector<std::vector<std::int32_t>> per_config_runs;
   std::int32_t baseline_total = 0;
 
   for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
     const auto& config = system.configs()[cfg];
-    stats::Rng rng(args.seed + cfg);
+    stats::Rng rng(options.seed + cfg);
     const auto pool =
         mpi::Placement::whole_machine(system.num_nodes());
     const auto jobs =
-        capacity_mix(pool, config.placement, rng, args.quick);
+        capacity_mix(pool, config.placement, rng, options.quick);
     const workloads::CapacityResult result =
         workloads::run_capacity(*config.cluster, jobs, cap_opts);
 

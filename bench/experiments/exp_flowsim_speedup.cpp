@@ -205,20 +205,20 @@ struct Phase {
 };
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const std::int32_t reps = args.quick ? 2 : std::max(args.reps, 50);
-  obs::BenchJson json("flowsim");
-  json.add("machine", {{"hardware_threads",
-                        static_cast<double>(exec::hardware_threads())}});
+  const std::int32_t reps = options.quick ? 2 : std::max(options.reps, 50);
+  report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
+  add_phase(phase_table, "machine",
+            {{"hardware_threads",
+              static_cast<double>(exec::hardware_threads())}});
 
-  const FlowFabric hx = flow_hyperx_fabric(args.quick);
-  const FlowFabric ft = flow_fat_tree_fabric(args.quick);
-  const std::int32_t samples = args.quick ? 2 : 4;
+  const FlowFabric hx = flow_hyperx_fabric(options.quick);
+  const FlowFabric ft = flow_fat_tree_fabric(options.quick);
+  const std::int32_t samples = options.quick ? 2 : 4;
 
   // The congested phases the claims gate, drawn from the seed's stream.
   std::vector<Phase> phases;
-  stats::Rng rng(args.seed);
+  stats::Rng rng(options.seed);
   {
     Phase p{"hx_merged", "hx_merged", "hyperx merged perms x8", hx.topo, {}};
     for (std::int32_t s = 0; s < samples / 2 + 1; ++s)
@@ -245,30 +245,30 @@ report::ResultSet run(const report::Options& options) {
 
   // The light phases, one merged set per fabric and the batch sets draw
   // from their own stream, so the claimed phases' inputs stay fixed.
-  stats::Rng extra_rng = stats::Rng(args.seed).fork();
-  const auto add_phase = [&](const char* name, const FlowFabric& f,
-                             std::int32_t count, const auto& make) {
+  stats::Rng extra_rng = stats::Rng(options.seed).fork();
+  const auto add_light_phase = [&](const char* name, const FlowFabric& f,
+                                   std::int32_t count, const auto& make) {
     Phase p{name, nullptr, name, f.topo, {}};
     for (std::int32_t s = 0; s < count; ++s) p.sets.push_back(make());
     phases.push_back(std::move(p));
   };
-  const std::int32_t overlays = args.quick ? 4 : 8;
-  add_phase("hyperx_uniform", hx, samples,
-            [&] { return uniform_flow_set(hx, extra_rng); });
+  const std::int32_t overlays = options.quick ? 4 : 8;
+  add_light_phase("hyperx_uniform", hx, samples,
+                  [&] { return uniform_flow_set(hx, extra_rng); });
   {
     Phase p{"hyperx_shift", nullptr, "hyperx_shift", hx.topo, {}};
     for (const std::int32_t r : {1, 7, hx.topo->num_terminals() / 2})
       p.sets.push_back(shift_flow_set(hx, r));
     phases.push_back(std::move(p));
   }
-  add_phase("hyperx_ebb", hx, samples,
-            [&] { return ebb_flow_set(hx, extra_rng); });
-  add_phase("hyperx_merged_perms", hx, 1, [&] {
+  add_light_phase("hyperx_ebb", hx, samples,
+                  [&] { return ebb_flow_set(hx, extra_rng); });
+  add_light_phase("hyperx_merged_perms", hx, 1, [&] {
     return merged_permutations_set(hx, extra_rng, overlays);
   });
-  add_phase("ftree_uniform", ft, samples,
-            [&] { return uniform_flow_set(ft, extra_rng); });
-  add_phase("ftree_merged_perms", ft, 1, [&] {
+  add_light_phase("ftree_uniform", ft, samples,
+                  [&] { return uniform_flow_set(ft, extra_rng); });
+  add_light_phase("ftree_merged_perms", ft, 1, [&] {
     return merged_permutations_set(ft, extra_rng, overlays);
   });
 
@@ -309,13 +309,14 @@ report::ResultSet run(const report::Options& options) {
     // > 1: adaptive is slower than the faster pure core by that factor.
     const double adaptive_vs_best =
         ada.seconds / std::min(ref.seconds, idx.seconds);
-    json.add(phase.name, {{"flows", static_cast<double>(flows)},
-                          {"levels", static_cast<double>(levels)},
-                          {"old_freezes_per_sec", ref.freezes_per_sec},
-                          {"new_freezes_per_sec", idx.freezes_per_sec},
-                          {"speedup", speedup},
-                          {"adaptive_freezes_per_sec", ada.freezes_per_sec},
-                          {"adaptive_time_vs_best", adaptive_vs_best}});
+    add_phase(phase_table, phase.name,
+              {{"flows", static_cast<double>(flows)},
+               {"levels", static_cast<double>(levels)},
+               {"old_freezes_per_sec", ref.freezes_per_sec},
+               {"new_freezes_per_sec", idx.freezes_per_sec},
+               {"speedup", speedup},
+               {"adaptive_freezes_per_sec", ada.freezes_per_sec},
+               {"adaptive_time_vs_best", adaptive_vs_best}});
     table.add_row({phase.label, std::to_string(flows), std::to_string(levels),
                    stats::format_fixed(ref.freezes_per_sec / 1e6, 2),
                    stats::format_fixed(idx.freezes_per_sec / 1e6, 2),
@@ -338,12 +339,12 @@ report::ResultSet run(const report::Options& options) {
   // --- solve_batch scaling: uniform sets, 1..8 threads ---------------------
   {
     std::vector<std::vector<sim::Flow>> sets;
-    const std::int32_t batches = args.quick ? 8 : 16;
+    const std::int32_t batches = options.quick ? 8 : 16;
     for (std::int32_t s = 0; s < batches; ++s)
       sets.push_back(uniform_flow_set(hx, extra_rng));
     const sim::FlowSim solver(*hx.topo);
     const std::int32_t max_threads = std::min<std::int32_t>(
-        8, args.threads > 0 ? args.threads : exec::hardware_threads());
+        8, options.threads > 0 ? options.threads : exec::hardware_threads());
     std::vector<std::vector<double>> reference;
     double base_seconds = 0.0;
     for (std::int32_t t = 1; t <= max_threads; t *= 2) {
@@ -368,11 +369,11 @@ report::ResultSet run(const report::Options& options) {
       std::printf("solve_batch_uniform      threads=%-2d  %8.1f ms  speedup "
                   "%.2fx\n",
                   t, seconds * 1e3, speedup);
-      json.add("solve_batch_uniform",
-               {{"threads", static_cast<double>(t)},
-                {"sets", static_cast<double>(batches)},
-                {"seconds", seconds},
-                {"speedup", speedup}});
+      add_phase(phase_table, "solve_batch_uniform",
+                {{"threads", static_cast<double>(t)},
+                 {"sets", static_cast<double>(batches)},
+                 {"seconds", seconds},
+                 {"speedup", speedup}});
     }
   }
 
@@ -380,7 +381,7 @@ report::ResultSet run(const report::Options& options) {
   rs.set("indexed_min_speedup", min_speedup);
   rs.set("indexed_identical", 1.0);
   rs.set("adaptive_identical", 1.0);
-  json.publish(rs);
+  rs.tables.push_back(std::move(phase_table));
   std::printf("indexed and adaptive cores bit-identical to reference: yes\n");
   return rs;
 }

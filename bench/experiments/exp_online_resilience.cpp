@@ -33,11 +33,10 @@ namespace hxsim::bench {
 namespace {
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
 
   topo::HyperXParams params;
-  if (args.quick) {
+  if (options.quick) {
     params.dims = {6, 4};
     params.terminals_per_switch = 4;  // 96 nodes
     params.name = "hyperx-6x4-small";
@@ -51,14 +50,14 @@ report::ResultSet run(const report::Options& options) {
   const sim::DalRouter dal(hx);
 
   workloads::OnlineResilienceOptions opt;
-  opt.links_failed = args.quick ? 4 : 8;
-  opt.fault_seed = args.seed;
-  opt.traffic_seed = args.seed;
-  opt.messages = args.quick ? 64 : 192;
+  opt.links_failed = options.quick ? 4 : 8;
+  opt.fault_seed = options.seed;
+  opt.traffic_seed = options.seed;
+  opt.messages = options.quick ? 64 : 192;
   opt.propagation_delays =
-      args.quick ? std::vector<double>{0.0, 10e-6, 50e-6}
-                 : std::vector<double>{0.0, 5e-6, 20e-6, 50e-6};
-  opt.threads = args.threads;
+      options.quick ? std::vector<double>{0.0, 10e-6, 50e-6}
+                    : std::vector<double>{0.0, 5e-6, 20e-6, 50e-6};
+  opt.threads = options.threads;
 
   std::printf("== Online faults, %s / dfsssp: %d cables die at t = %.1f us "
               "==\n\n",
@@ -95,7 +94,7 @@ report::ResultSet run(const report::Options& options) {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  obs::BenchJson json("online");
+  report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
     const auto& row = report.rows[i];
     std::vector<std::pair<std::string, double>> metrics = {
@@ -119,24 +118,24 @@ report::ResultSet run(const report::Options& options) {
           "drops_" + std::string(obs::to_string(
                          static_cast<obs::PktDropCause>(c))),
           static_cast<double>(row.dropped_by_cause[c]));
-    json.add(row.arm + "/delay" +
-                 std::to_string(static_cast<long long>(
-                     row.propagation_delay * 1e9)) +
-                 "ns/retry-" + (row.retry ? "on" : "off") + "/" +
-                 std::to_string(i),
-             metrics);
+    add_phase(phase_table, row.arm + "/delay" +
+                  std::to_string(static_cast<long long>(
+                      row.propagation_delay * 1e9)) +
+                  "ns/retry-" + (row.retry ? "on" : "off") + "/" +
+                  std::to_string(i),
+              metrics);
   }
-  json.add("contracts",
-           {{"nofault_identical", report.nofault_identical ? 1.0 : 0.0},
-            {"all_engines_identical",
-             report.all_engines_identical ? 1.0 : 0.0},
-            {"threads_identical", report.threads_identical ? 1.0 : 0.0},
-            {"retry_retention_gain", report.retry_retention_gain},
-            {"blackhole_columns_epoch0",
-             static_cast<double>(report.blackhole_columns_epoch0)},
-            {"blackhole_columns_epoch1",
-             static_cast<double>(report.blackhole_columns_epoch1)},
-            {"cables_failed", static_cast<double>(report.cables_failed)}});
+  add_phase(phase_table, "contracts",
+            {{"nofault_identical", report.nofault_identical ? 1.0 : 0.0},
+             {"all_engines_identical",
+              report.all_engines_identical ? 1.0 : 0.0},
+             {"threads_identical", report.threads_identical ? 1.0 : 0.0},
+             {"retry_retention_gain", report.retry_retention_gain},
+             {"blackhole_columns_epoch0",
+              static_cast<double>(report.blackhole_columns_epoch0)},
+             {"blackhole_columns_epoch1",
+              static_cast<double>(report.blackhole_columns_epoch1)},
+             {"cables_failed", static_cast<double>(report.cables_failed)}});
 
   std::printf("retry retention gain (min over delays): %+.3f\n",
               report.retry_retention_gain);
@@ -158,7 +157,7 @@ report::ResultSet run(const report::Options& options) {
   rs.set("engines_identical", 1.0);
   rs.set("retry_retention_gain", report.retry_retention_gain);
   rs.set("cables_failed", static_cast<double>(report.cables_failed));
-  json.publish(rs);
+  rs.tables.push_back(std::move(phase_table));
   return rs;
 }
 

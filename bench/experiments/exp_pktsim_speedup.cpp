@@ -88,29 +88,29 @@ EngineTiming time_engine(const topo::Topology& topo,
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  const std::int32_t reps = args.quick ? 2 : std::max(args.reps, 1);
-  obs::BenchJson json("pktsim");
-  json.add("machine", {{"hardware_threads",
-                        static_cast<double>(exec::hardware_threads())}});
+  const std::int32_t reps = options.quick ? 2 : std::max(options.reps, 1);
+  report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
+  add_phase(phase_table, "machine",
+            {{"hardware_threads",
+              static_cast<double>(exec::hardware_threads())}});
 
-  const topo::HyperX hx(args.quick ? topo::small_hyperx_params()
-                                   : topo::paper_hyperx_params());
+  const topo::HyperX hx(options.quick ? topo::small_hyperx_params()
+                                      : topo::paper_hyperx_params());
   const auto hx_lids =
       routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
   routing::DfssspEngine dfsssp(8);
   const auto hx_route = dfsssp.compute(hx.topo(), hx_lids);
   const sim::DalRouter dal(hx);
 
-  const topo::FatTree ft(args.quick ? topo::small_fat_tree_params()
-                                    : topo::paper_fat_tree_params());
+  const topo::FatTree ft(options.quick ? topo::small_fat_tree_params()
+                                       : topo::paper_fat_tree_params());
   const auto ft_lids =
       routing::LidSpace::consecutive(ft.topo().num_terminals(), 0);
   routing::FtreeEngine ftree(ft);
   const auto ft_route = ftree.compute(ft.topo(), ft_lids);
 
-  const std::int64_t bytes = args.quick ? 16 * 1024 : 64 * 1024;
+  const std::int64_t bytes = options.quick ? 16 * 1024 : 64 * 1024;
   const workloads::PktRoutingArm hx_static{"dfsssp", &hx_route, &hx_lids,
                                            nullptr};
   const workloads::PktRoutingArm hx_dal{"dal", nullptr, nullptr, &dal};
@@ -123,11 +123,11 @@ report::ResultSet run(const report::Options& options) {
   shift.bytes = bytes;
   workloads::PktPatternSpec hotspot;
   hotspot.pattern = workloads::PktPattern::kHotspot;
-  hotspot.messages = args.quick ? 64 : 256;
+  hotspot.messages = options.quick ? 64 : 256;
   hotspot.bytes = bytes;
   workloads::PktPatternSpec uniform;
   uniform.pattern = workloads::PktPattern::kUniformRandom;
-  uniform.messages = args.quick ? 128 : 512;
+  uniform.messages = options.quick ? 128 : 512;
   uniform.bytes = bytes;
 
   // --- engine phases: reference vs typed, single thread ------------------
@@ -162,7 +162,7 @@ report::ResultSet run(const report::Options& options) {
     sim::PktSimConfig cfg;
     cfg.adaptive = phase.arm.adaptive;
     const auto msgs =
-        build_pkt_messages(phase.topo, phase.arm, phase.spec, args.seed);
+        build_pkt_messages(phase.topo, phase.arm, phase.spec, options.seed);
     const EngineTiming ref = time_engine(
         phase.topo, cfg, sim::PktSimConfig::Engine::kReference, msgs, reps);
     const EngineTiming typed = time_engine(
@@ -173,13 +173,13 @@ report::ResultSet run(const report::Options& options) {
       fail(phase.name, "workload did not run to completion");
     const double speedup =
         typed.seconds > 0.0 ? ref.seconds / typed.seconds : 0.0;
-    json.add(phase.name,
-             {{"events", static_cast<double>(typed.result.events_executed)},
-              {"old_events_per_sec", ref.events_per_sec},
-              {"old_ns_per_packet", ref.ns_per_packet},
-              {"new_events_per_sec", typed.events_per_sec},
-              {"new_ns_per_packet", typed.ns_per_packet},
-              {"speedup", speedup}});
+    add_phase(phase_table, phase.name,
+              {{"events", static_cast<double>(typed.result.events_executed)},
+               {"old_events_per_sec", ref.events_per_sec},
+               {"old_ns_per_packet", ref.ns_per_packet},
+               {"new_events_per_sec", typed.events_per_sec},
+               {"new_ns_per_packet", typed.ns_per_packet},
+               {"speedup", speedup}});
     const std::vector<std::string> row{
         phase.label,
         std::to_string(typed.result.events_executed),
@@ -204,12 +204,12 @@ report::ResultSet run(const report::Options& options) {
     sim::PktSimConfig cfg;
     cfg.adaptive = &dal;
     std::vector<std::vector<sim::PktMessage>> sets;
-    const std::int32_t replications = args.quick ? 8 : 16;
+    const std::int32_t replications = options.quick ? 8 : 16;
     for (std::int32_t s = 1; s <= replications; ++s)
       sets.push_back(build_pkt_messages(hx.topo(), hx_dal, uniform,
                                         static_cast<std::uint64_t>(s)));
     const std::int32_t max_threads = std::min<std::int32_t>(
-        8, args.threads > 0 ? args.threads : exec::hardware_threads());
+        8, options.threads > 0 ? options.threads : exec::hardware_threads());
     std::vector<sim::PktSim::Result> reference;
     double base_seconds = 0.0;
     for (std::int32_t t = 1; t <= max_threads; t *= 2) {
@@ -231,11 +231,11 @@ report::ResultSet run(const report::Options& options) {
       std::printf("run_batch_dal_uniform    threads=%-2d  %8.1f ms  speedup "
                   "%.2fx\n",
                   t, seconds * 1e3, speedup);
-      json.add("run_batch_dal_uniform",
-               {{"threads", static_cast<double>(t)},
-                {"replications", static_cast<double>(replications)},
-                {"seconds", seconds},
-                {"speedup", speedup}});
+      add_phase(phase_table, "run_batch_dal_uniform",
+                {{"threads", static_cast<double>(t)},
+                 {"replications", static_cast<double>(replications)},
+                 {"seconds", seconds},
+                 {"speedup", speedup}});
     }
   }
 
@@ -245,15 +245,15 @@ report::ResultSet run(const report::Options& options) {
   // bit-identical to the serial loop.
   {
     const char* phase = "sweep_3arms_uniform";
-    const sim::ValiantRouter valiant(hx, args.seed);
+    const sim::ValiantRouter valiant(hx, options.seed);
     const std::vector<workloads::PktRoutingArm> arms{
         hx_static, hx_dal, {"valiant", nullptr, nullptr, &valiant}};
     workloads::PktPatternSpec sweep_uniform = uniform;
-    sweep_uniform.messages = args.quick ? 64 : 256;
+    sweep_uniform.messages = options.quick ? 64 : 256;
     const std::vector<workloads::PktPatternSpec> patterns{sweep_uniform};
 
     workloads::PktSweepOptions opt;
-    opt.seeds = args.quick ? 3 : 4;
+    opt.seeds = options.quick ? 3 : 4;
     opt.threads = 1;
     PhaseClock clock;
     const auto serial = run_pkt_sweep(hx.topo(), arms, patterns, opt);
@@ -285,16 +285,16 @@ report::ResultSet run(const report::Options& options) {
                 "starved budget truncated %zu/%zu\n",
                 phase, serial.size(), serial_s * 1e3, parallel_s * 1e3,
                 capped.size(), capped.size());
-    json.add(phase,
-             {{"replications", static_cast<double>(serial.size())},
-              {"serial_seconds", serial_s},
-              {"parallel_seconds", parallel_s},
-              {"truncated_starved", static_cast<double>(capped.size())}});
+    add_phase(phase_table, phase,
+              {{"replications", static_cast<double>(serial.size())},
+               {"serial_seconds", serial_s},
+               {"parallel_seconds", parallel_s},
+               {"truncated_starved", static_cast<double>(capped.size())}});
   }
 
   // Reaching here means every identity check above held.
   rs.set("typed_identical", 1.0);
-  json.publish(rs);
+  rs.tables.push_back(std::move(phase_table));
   std::printf("typed engine bit-identical to reference: yes\n");
   return rs;
 }

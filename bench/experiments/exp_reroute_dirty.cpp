@@ -54,26 +54,6 @@ namespace hxsim::bench {
 
 namespace {
 
-topo::FatTreeParams tree_params(bool quick) {
-  if (!quick) return topo::paper_fat_tree_params();
-  topo::FatTreeParams p;
-  p.arity = 6;
-  p.levels = 3;
-  p.leaf_terminals = 4;
-  p.populated_leaves = 24;  // 96 nodes
-  p.name = "fat-tree-6ary3-small";
-  return p;
-}
-
-topo::HyperXParams hyperx_params(bool quick) {
-  if (!quick) return topo::paper_hyperx_params();
-  topo::HyperXParams p;
-  p.dims = {6, 4};
-  p.terminals_per_switch = 4;  // 96 nodes
-  p.name = "hyperx-6x4-small";
-  return p;
-}
-
 struct Arm {
   const char* key;    // metric prefix
   const char* label;  // "dirty" table row
@@ -90,10 +70,11 @@ struct ArmResult {
 };
 
 /// Runs one arm's schedule stage by stage, records every stage and the
-/// cable-attrition aggregate in `json` under `tag`, and reverts the fabric.
+/// cable-attrition aggregate in `phase_table` under `tag`, and reverts the
+/// fabric.
 ArmResult run_arm(const Arm& arm, const std::string& tag,
                   const topo::FaultSchedule::Options& opt,
-                  obs::BenchJson& json) {
+                  report::ResultTable& phase_table) {
   topo::FaultSchedule schedule = topo::FaultSchedule::plan(arm.topo, opt);
   const std::int32_t attrition_stages = schedule.num_stages();
   for (const topo::FaultStage& stage : arm.extra)
@@ -119,7 +100,8 @@ ArmResult run_arm(const Arm& arm, const std::string& tag,
     } catch (const std::exception& ex) {
       // The engine refuses this degraded fabric; the delta path would too.
       router.invalidate();
-      json.add(phase + "/failed", {{"stage", static_cast<double>(stage)}});
+      add_phase(phase_table, phase + "/failed",
+                {{"stage", static_cast<double>(stage)}});
       std::printf("note: %s failed to route: %s\n", phase.c_str(), ex.what());
       continue;
     }
@@ -141,18 +123,18 @@ ArmResult run_arm(const Arm& arm, const std::string& tag,
       full_ms_sum += full_ms;
       delta_ms_sum += delta_ms;
     }
-    json.add(phase,
-             {{"stage", static_cast<double>(stage)},
-              {"full_ms", full_ms},
-              {"delta_ms", delta_ms},
-              {"dirty_fraction", stage == 0 ? 1.0 : stats.dirty_fraction()},
-              {"recompute_fraction",
-               stage == 0 ? 1.0 : stats.recompute_fraction()},
-              {"columns_total", static_cast<double>(stats.columns_total)},
-              {"columns_recomputed",
-               static_cast<double>(stats.columns_recomputed)},
-              {"columns_changed", static_cast<double>(stats.columns_changed)},
-              {"full_recompute", stats.full_recompute ? 1.0 : 0.0}});
+    add_phase(phase_table, phase,
+              {{"stage", static_cast<double>(stage)},
+               {"full_ms", full_ms},
+               {"delta_ms", delta_ms},
+               {"dirty_fraction", stage == 0 ? 1.0 : stats.dirty_fraction()},
+               {"recompute_fraction",
+                stage == 0 ? 1.0 : stats.recompute_fraction()},
+               {"columns_total", static_cast<double>(stats.columns_total)},
+               {"columns_recomputed",
+                static_cast<double>(stats.columns_recomputed)},
+               {"columns_changed", static_cast<double>(stats.columns_changed)},
+               {"full_recompute", stats.full_recompute ? 1.0 : 0.0}});
   }
   schedule.revert(arm.topo);
 
@@ -165,28 +147,27 @@ ArmResult run_arm(const Arm& arm, const std::string& tag,
       throw std::runtime_error(
           tag + ": every cable-attrition stage dirtied every tree "
                 "(incrementality saved nothing)");
-    json.add(tag + "/aggregate",
-             {{"dirty_fraction", out.dirty},
-              {"recompute_fraction", out.recompute},
-              {"full_ms", full_ms_sum},
-              {"delta_ms", delta_ms_sum},
-              {"speedup",
-               delta_ms_sum > 0.0 ? full_ms_sum / delta_ms_sum : 0.0}});
+    add_phase(phase_table, tag + "/aggregate",
+              {{"dirty_fraction", out.dirty},
+               {"recompute_fraction", out.recompute},
+               {"full_ms", full_ms_sum},
+               {"delta_ms", delta_ms_sum},
+               {"speedup",
+                delta_ms_sum > 0.0 ? full_ms_sum / delta_ms_sum : 0.0}});
   }
   return out;
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
-  topo::FatTree ft(tree_params(args.quick));
-  topo::HyperX hx(hyperx_params(args.quick));
+  topo::FatTree ft(campaign_fat_tree_params(options.quick));
+  topo::HyperX hx(campaign_hyperx_params(options.quick));
 
   topo::FaultSchedule::Options opt;
-  opt.stages = args.quick ? 3 : 5;
-  opt.links_per_stage = args.quick ? 2 : 3;
+  opt.stages = options.quick ? 3 : 5;
+  opt.links_per_stage = options.quick ? 2 : 3;
   opt.switches_per_stage = 0;  // cable attrition
-  opt.seed = args.seed;
+  opt.seed = options.seed;
 
   std::printf("== Incremental reroute savings (%d stages x %d cables; the "
               "HyperX schedule then cuts plane dim 0 coord 0) ==\n\n",
@@ -226,10 +207,10 @@ report::ResultSet run(const report::Options& options) {
                                         "delta == full"};
   stats::TextTable table(header);
   report::ResultTable& out = rs.table("dirty", header);
-  obs::BenchJson json("reroute");
+  report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
   for (const Arm& arm : arms) {
     const ArmResult r = run_arm(
-        arm, arm.topo.name() + "/" + arm.engine.name(), opt, json);
+        arm, arm.topo.name() + "/" + arm.engine.name(), opt, phase_table);
     const std::vector<std::string> row{
         arm.label, stats::format_fixed(r.dirty, 4),
         stats::format_fixed(r.recompute, 4), "yes"};
@@ -240,7 +221,7 @@ report::ResultSet run(const report::Options& options) {
   }
   // Reaching here means every stage of every arm matched (run_arm throws).
   rs.set("delta_identical", 1.0);
-  json.publish(rs);
+  rs.tables.push_back(std::move(phase_table));
   std::printf("%s\n", table.to_string().c_str());
   std::printf("delta tables bit-identical to full recompute: yes\n");
   return rs;

@@ -41,7 +41,6 @@ std::int32_t print_table(core::MsgClass cls, const char* title) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
   std::printf("== Table 1: virtual destination LIDx selection ==\n\n");
   std::printf("Rules (Section 3.2.1):\n"
@@ -60,10 +59,10 @@ report::ResultSet run(const report::Options& options) {
 
   // Demonstrate the consequence on the real lattice: average switch hops
   // per class between two same-quadrant switches.
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const auto& hx = system.hyperx();
   const auto& cluster = system.hx_parx();
-  stats::Rng rng(args.seed);
+  stats::Rng rng(options.seed);
 
   double small_hops = 0.0;
   double large_hops = 0.0;

@@ -35,7 +35,6 @@ double uniform_saturation(const mpi::Cluster& cluster, std::uint64_t seed) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
 
   std::printf("== Fat-tree leaf taper study (Section 2.1) ==\n\n");
@@ -57,7 +56,7 @@ report::ResultSet run(const report::Options& options) {
     // Leaf-stage cables = populated-leaf uplinks (arity/taper each).
     const std::int64_t leaf_cables =
         static_cast<std::int64_t>(p.populated_leaves) * (p.arity / taper);
-    const double alpha = uniform_saturation(cluster, args.seed);
+    const double alpha = uniform_saturation(cluster, options.seed);
     std::string expect;
     if (taper == 1)
       expect = "full bisection: ~1.0";

@@ -15,9 +15,8 @@ namespace hxsim::bench {
 
 namespace {
 
-report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
-  (void)args;  // deterministic and cheap at paper scale; ignores --quick
+// Deterministic and cheap at paper scale: ignores every option.
+report::ResultSet run(const report::Options&) {
   report::ResultSet rs;
 
   const topo::HyperX hx(topo::paper_hyperx_params());

@@ -74,7 +74,6 @@ stats::Summary hops(const mpi::Cluster& cluster, std::uint64_t seed) {
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
 
   const topo::FatTree ft(topo::paper_fat_tree_params());
@@ -113,9 +112,9 @@ report::ResultSet run(const report::Options& options) {
       rs.table("planes", {"plane", "switches", "cables", "hops med/max",
                           "VLs", "uniform alpha", "shift alpha"});
   for (const Plane& plane : planes) {
-    const stats::Summary h = hops(*plane.cluster, args.seed);
-    const double uniform = saturation(*plane.cluster, false, args.seed);
-    const double shift = saturation(*plane.cluster, true, args.seed);
+    const stats::Summary h = hops(*plane.cluster, options.seed);
+    const double uniform = saturation(*plane.cluster, false, options.seed);
+    const double shift = saturation(*plane.cluster, true, options.seed);
     const std::vector<std::string> row{
         plane.name, std::to_string(plane.topology->num_switches()),
         std::to_string(plane.topology->num_switch_links()),

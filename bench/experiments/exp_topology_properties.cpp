@@ -30,8 +30,7 @@ stats::Summary path_lengths(const mpi::Cluster& cluster, std::uint64_t seed,
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
-  const workloads::PaperSystem& system = shared_system(args.quick);
+  const workloads::PaperSystem& system = shared_system(options.quick);
   const auto& ft = system.fat_tree();
   const auto& hx = system.hyperx();
   report::ResultSet rs;
@@ -93,7 +92,7 @@ report::ResultSet run(const report::Options& options) {
   };
   for (const Row& row : rows) {
     const stats::Summary s =
-        path_lengths(*row.cluster, args.seed, 1000, row.bytes);
+        path_lengths(*row.cluster, options.seed, 1000, row.bytes);
     const std::int32_t vls = row.cluster->route().num_vls_used;
     p.add_row({row.name, stats::format_fixed(s.min, 0),
                stats::format_fixed(s.median, 0),

@@ -64,16 +64,16 @@ double mean_fair_throughput(const mpi::Cluster& cluster,
 }
 
 report::ResultSet run(const report::Options& options) {
-  const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
   // Not the shared system: this experiment measures the *design*, not the
   // degradation, so faults are off.
-  workloads::SystemOptions opts = args.system_options();
+  workloads::SystemOptions opts;
+  opts.small_scale = options.quick;
   opts.with_faults = false;
   const workloads::PaperSystem system(opts);
   const std::int32_t n = system.num_nodes();
   const auto& hx = system.hyperx();
-  stats::Rng rng(args.seed);
+  stats::Rng rng(options.seed);
 
   auto uniform = [&] {
     std::vector<Demand> demands;
@@ -135,13 +135,13 @@ report::ResultSet run(const report::Options& options) {
                   "HX mean capped near its 0.57 cut"});
   for (Row& row : rows) {
     const double ft_a =
-        saturation_throughput(system.ft_ftree(), row.demands, args.seed);
+        saturation_throughput(system.ft_ftree(), row.demands, options.seed);
     const double hx_a =
-        saturation_throughput(system.hx_dfsssp(), row.demands, args.seed);
+        saturation_throughput(system.hx_dfsssp(), row.demands, options.seed);
     const double ft_m =
-        mean_fair_throughput(system.ft_ftree(), row.demands, args.seed);
+        mean_fair_throughput(system.ft_ftree(), row.demands, options.seed);
     const double hx_m =
-        mean_fair_throughput(system.hx_dfsssp(), row.demands, args.seed);
+        mean_fair_throughput(system.hx_dfsssp(), row.demands, options.seed);
     auto fmt = [](double v) {
       return v > 0.0 ? stats::format_fixed(v, 2) : std::string("-");
     };

@@ -14,18 +14,21 @@
 
 #include "bench_common.hpp"
 #include "report/experiment.hpp"
+#include "topo/fat_tree.hpp"
+#include "topo/hyperx.hpp"
 
 namespace hxsim::bench {
-
-/// BenchArgs view of the pipeline options, so experiment bodies use the
-/// bench:: helpers (place, reps_for, CsvSink, write_trace).  Applies
-/// Options.threads to the exec layer, exactly as BenchArgs::parse does.
-[[nodiscard]] BenchArgs to_bench_args(const report::Options& options);
 
 /// One lazily built PaperSystem per scale, shared by every experiment in
 /// the process (building the 972-switch tree's routings costs seconds;
 /// the pipeline would otherwise pay it 10+ times).
 [[nodiscard]] const workloads::PaperSystem& shared_system(bool small_scale);
+
+/// Fabrics of the fault campaigns (reroute_dirty, resilience_campaign):
+/// the paper planes, or 96-node stand-ins (6-ary-3 tree, 6x4 HyperX) in
+/// quick mode.
+[[nodiscard]] topo::FatTreeParams campaign_fat_tree_params(bool quick);
+[[nodiscard]] topo::HyperXParams campaign_hyperx_params(bool quick);
 
 // One factory per experiment, defined in exp_<id>.cpp.
 report::Experiment fig1_mpigraph_experiment();
@@ -46,11 +49,14 @@ report::Experiment topology_comparison_experiment();
 report::Experiment taper_study_experiment();
 // Repo-level experiments (claims about this implementation, not the
 // paper): incremental-reroute savings, typed packet-engine and flow-solver
-// identity and speedup, and the online-fault contracts.
+// identity and speedup, the online-fault contracts, the degraded-fabric
+// campaign and thread scaling of route computation.
 report::Experiment reroute_dirty_experiment();
 report::Experiment pktsim_speedup_experiment();
 report::Experiment flowsim_speedup_experiment();
 report::Experiment online_resilience_experiment();
+report::Experiment resilience_campaign_experiment();
+report::Experiment exec_scaling_experiment();
 
 /// Registers every experiment above.
 void register_all_experiments(report::Registry& registry);

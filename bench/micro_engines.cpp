@@ -54,7 +54,8 @@ void BM_DfssspRoutePaperHyperX(benchmark::State& state) {
 BENCHMARK(BM_DfssspRoutePaperHyperX)->Unit(benchmark::kMillisecond);
 
 // Thread scaling of the full-fabric DFSSSP route compute (the acceptance
-// path of the exec/ layer; exec_scaling writes the committed JSON record).
+// path of the exec/ layer; the exec_scaling experiment records it in
+// REPRO.json).
 void BM_DfssspRouteThreads(benchmark::State& state) {
   const auto threads = static_cast<std::int32_t>(state.range(0));
   const topo::HyperX hx(topo::paper_hyperx_params());

@@ -232,6 +232,10 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+  // Engines and simulators resolve threads == 0 through this default, so
+  // one flag configures every experiment.
+  exec::set_default_threads(args.options.threads);
+
   // --- measure (or load) --------------------------------------------------
   report::ResultStore store;
   bool run_failed = false;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_common.hpp"
 #include "mpi/cluster.hpp"
 #include "routing/dfsssp.hpp"
 #include "stats/table.hpp"
@@ -15,8 +16,25 @@
 
 int main(int argc, char** argv) {
   using namespace hxsim;
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [linear|clustered|random] [hours]\n",
+                 argv[0]);
+  };
   const std::string place_arg = argc > 1 ? argv[1] : "linear";
-  const double hours = argc > 2 ? std::atof(argv[2]) : 1.0;
+  mpi::PlacementKind kind = mpi::PlacementKind::kLinear;
+  if (place_arg == "clustered") {
+    kind = mpi::PlacementKind::kClustered;
+  } else if (place_arg == "random") {
+    kind = mpi::PlacementKind::kRandom;
+  } else if (place_arg != "linear") {
+    std::fprintf(stderr, "unknown placement '%s'\n", place_arg.c_str());
+    usage();
+    return 2;
+  }
+  // At most one simulated day: the co-scheduler's cost grows with it.
+  const double hours =
+      argc > 2 ? bench::parse_flag<double>("hours", argv[2], 0.01, 24.0, usage)
+               : 1.0;
 
   const topo::HyperX hx(topo::paper_hyperx_params());
   routing::LidSpace lids =
@@ -25,10 +43,6 @@ int main(int argc, char** argv) {
   const mpi::Cluster cluster(hx.topo(), lids,
                              engine.compute(hx.topo(), lids),
                              mpi::make_ob1());
-
-  mpi::PlacementKind kind = mpi::PlacementKind::kLinear;
-  if (place_arg == "clustered") kind = mpi::PlacementKind::kClustered;
-  if (place_arg == "random") kind = mpi::PlacementKind::kRandom;
 
   // Four jobs with contrasting communication characters.
   stats::Rng rng(1);

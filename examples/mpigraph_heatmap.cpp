@@ -5,9 +5,10 @@
 //                         [nodes] [linear|clustered|random]
 // e.g.:  ./build/examples/mpigraph_heatmap hyperx parx 28 linear
 #include <cstdio>
-#include <cstring>
+#include <memory>
 #include <string>
 
+#include "bench_common.hpp"
 #include "core/parx.hpp"
 #include "core/quadrant.hpp"
 #include "mpi/cluster.hpp"
@@ -20,10 +21,21 @@
 
 int main(int argc, char** argv) {
   using namespace hxsim;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [fattree|hyperx] [ftree|sssp|dfsssp|parx] "
+                 "[nodes] [linear|clustered|random]\n",
+                 argv[0]);
+  };
   const std::string topo_arg = argc > 1 ? argv[1] : "hyperx";
   const std::string routing_arg = argc > 2 ? argv[2] : "dfsssp";
-  const std::int32_t nodes = argc > 3 ? std::atoi(argv[3]) : 28;
   const std::string place_arg = argc > 4 ? argv[4] : "linear";
+  if (place_arg != "linear" && place_arg != "clustered" &&
+      place_arg != "random") {
+    std::fprintf(stderr, "unknown placement '%s'\n", place_arg.c_str());
+    usage();
+    return 2;
+  }
 
   std::unique_ptr<topo::FatTree> ft;
   std::unique_ptr<topo::HyperX> hx;
@@ -38,6 +50,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown topology '%s'\n", topo_arg.c_str());
     return 2;
   }
+  // mpiGraph needs a partner for every node, and one node per rank.
+  const std::int32_t nodes =
+      argc > 3 ? bench::parse_flag<std::int32_t>(
+                     "nodes", argv[3], 2, topology->num_terminals(), usage)
+               : 28;
 
   routing::LidSpace lids =
       routing::LidSpace::consecutive(topology->num_terminals(), 0);

@@ -1,5 +1,7 @@
 #include "audit/scenario.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +28,19 @@ namespace {
 
 [[noreturn]] void bad(const std::string& why) {
   throw std::invalid_argument("audit scenario: " + why);
+}
+
+/// `value` as a T over the whole token; anything else -- empty, trailing
+/// characters, a sign on an unsigned field, out of range -- is an error
+/// naming `key`.
+template <typename T>
+T parse_int(const std::string& key, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, out);
+  if (value.empty() || error != std::errc{} || stop != end)
+    bad("unparsable value for '" + key + "': '" + value + "'");
+  return out;
 }
 
 workloads::PktPattern pattern_from(const std::string& s) {
@@ -237,57 +252,54 @@ Scenario parse_repro(const std::string& text) {
     std::istringstream ls(line);
     std::string key, value;
     if (!(ls >> key >> value)) bad("malformed repro line '" + line + "'");
-    try {
-      if (key == "kind") {
-        s.kind = kind_from(value);
-      } else if (key == "dims") {
-        std::istringstream ds(value);
-        std::string tok;
-        while (std::getline(ds, tok, ','))
-          s.hyperx.dims.push_back(std::stoi(tok));
-      } else if (key == "terminals_per_switch") {
-        s.hyperx.terminals_per_switch = std::stoi(value);
-      } else if (key == "arity") {
-        s.fat_tree.arity = std::stoi(value);
-      } else if (key == "levels") {
-        s.fat_tree.levels = std::stoi(value);
-      } else if (key == "leaf_terminals") {
-        s.fat_tree.leaf_terminals = std::stoi(value);
-      } else if (key == "populated_leaves") {
-        s.fat_tree.populated_leaves = std::stoi(value);
-      } else if (key == "taper") {
-        s.fat_tree.taper = std::stoi(value);
-      } else if (key == "engine") {
-        s.engine = value;
-      } else if (key == "fault_stages") {
-        s.faults.stages = std::stoi(value);
-      } else if (key == "links_per_stage") {
-        s.faults.links_per_stage = std::stoi(value);
-      } else if (key == "switches_per_stage") {
-        s.faults.switches_per_stage = std::stoi(value);
-      } else if (key == "fault_seed") {
-        s.faults.seed = std::stoull(value);
-      } else if (key == "keep_connected") {
-        s.faults.keep_connected = value != "0";
-      } else if (key == "pattern") {
-        s.traffic.pattern = pattern_from(value);
-      } else if (key == "messages") {
-        s.traffic.messages = std::stoi(value);
-      } else if (key == "shift") {
-        s.traffic.shift = std::stoi(value);
-      } else if (key == "bytes") {
-        s.traffic.bytes = std::stoll(value);
-      } else if (key == "traffic_seed") {
-        s.traffic_seed = std::stoull(value);
-      } else if (key == "flow_pairs") {
-        s.flow_pairs = std::stoi(value);
-      } else {
-        bad("unknown repro key '" + key + "'");
-      }
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      bad("unparsable value for '" + key + "': '" + value + "'");
+    if (key == "kind") {
+      s.kind = kind_from(value);
+    } else if (key == "dims") {
+      std::istringstream ds(value);
+      std::string tok;
+      while (std::getline(ds, tok, ','))
+        s.hyperx.dims.push_back(parse_int<std::int32_t>(key, tok));
+    } else if (key == "terminals_per_switch") {
+      s.hyperx.terminals_per_switch = parse_int<std::int32_t>(key, value);
+    } else if (key == "arity") {
+      s.fat_tree.arity = parse_int<std::int32_t>(key, value);
+    } else if (key == "levels") {
+      s.fat_tree.levels = parse_int<std::int32_t>(key, value);
+    } else if (key == "leaf_terminals") {
+      s.fat_tree.leaf_terminals = parse_int<std::int32_t>(key, value);
+    } else if (key == "populated_leaves") {
+      s.fat_tree.populated_leaves = parse_int<std::int32_t>(key, value);
+    } else if (key == "taper") {
+      s.fat_tree.taper = parse_int<std::int32_t>(key, value);
+    } else if (key == "engine") {
+      s.engine = value;
+    } else if (key == "fault_stages") {
+      s.faults.stages = parse_int<std::int32_t>(key, value);
+    } else if (key == "links_per_stage") {
+      s.faults.links_per_stage = parse_int<std::int32_t>(key, value);
+    } else if (key == "switches_per_stage") {
+      s.faults.switches_per_stage = parse_int<std::int32_t>(key, value);
+    } else if (key == "fault_seed") {
+      s.faults.seed = parse_int<std::uint64_t>(key, value);
+    } else if (key == "keep_connected") {
+      if (value != "0" && value != "1")
+        bad("unparsable value for 'keep_connected': '" + value +
+            "' (expected 0 or 1)");
+      s.faults.keep_connected = value == "1";
+    } else if (key == "pattern") {
+      s.traffic.pattern = pattern_from(value);
+    } else if (key == "messages") {
+      s.traffic.messages = parse_int<std::int32_t>(key, value);
+    } else if (key == "shift") {
+      s.traffic.shift = parse_int<std::int32_t>(key, value);
+    } else if (key == "bytes") {
+      s.traffic.bytes = parse_int<std::int64_t>(key, value);
+    } else if (key == "traffic_seed") {
+      s.traffic_seed = parse_int<std::uint64_t>(key, value);
+    } else if (key == "flow_pairs") {
+      s.flow_pairs = parse_int<std::int32_t>(key, value);
+    } else {
+      bad("unknown repro key '" + key + "'");
     }
   }
   if (s.kind == TopoKind::kHyperX && s.hyperx.dims.empty())

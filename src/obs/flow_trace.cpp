@@ -1,14 +1,15 @@
 #include "obs/flow_trace.hpp"
 
 #include <numeric>
+#include <string>
 
-#include "obs/metrics.hpp"
+#include "report/result.hpp"
 
 namespace hxsim::obs {
 
-void FlowSolveTrace::publish(MetricRegistry& registry,
+void FlowSolveTrace::publish(report::ResultSet& rs,
                              std::string_view table_name) const {
-  MetricRegistry::Table& table = registry.table(
+  report::ResultTable& table = rs.table(
       table_name,
       {"solve", "active_flows", "levels", "flows_frozen", "saturated_channels",
        "first_level", "last_level"});
@@ -19,16 +20,15 @@ void FlowSolveTrace::publish(MetricRegistry& registry,
     const std::int64_t frozen = std::accumulate(
         r.freezes_per_level.begin(), r.freezes_per_level.end(),
         static_cast<std::int64_t>(0));
-    table.add_row({static_cast<double>(s),
-                   static_cast<double>(r.active_flows),
-                   static_cast<double>(r.num_levels()),
-                   static_cast<double>(frozen),
-                   static_cast<double>(r.saturated.size()),
-                   r.levels.empty() ? 0.0 : r.levels.front(),
-                   r.levels.empty() ? 0.0 : r.levels.back()});
+    const double first = r.levels.empty() ? 0.0 : r.levels.front();
+    const double last = r.levels.empty() ? 0.0 : r.levels.back();
+    table.add_row({std::to_string(s), std::to_string(r.active_flows),
+                   std::to_string(r.num_levels()), std::to_string(frozen),
+                   std::to_string(r.saturated.size()),
+                   report::format_metric(first), report::format_metric(last)});
   }
-  registry.set("flow_solver_solves", static_cast<double>(solves.size()));
-  registry.set("flow_solver_levels", static_cast<double>(total_levels));
+  rs.set("flow_solver_solves", static_cast<double>(solves.size()));
+  rs.set("flow_solver_levels", static_cast<double>(total_levels));
 }
 
 }  // namespace hxsim::obs

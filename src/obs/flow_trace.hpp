@@ -18,9 +18,11 @@
 
 #include "topo/topology.hpp"
 
-namespace hxsim::obs {
+namespace hxsim::report {
+struct ResultSet;
+}
 
-class MetricRegistry;
+namespace hxsim::obs {
 
 /// One progressive-filling solve.
 struct FlowSolveRecord {
@@ -43,9 +45,9 @@ struct FlowSolveTrace {
 
   void clear() { solves.clear(); }
 
-  /// Flattens into `registry`: table "flow_solves" (one row per solve:
-  /// levels, freezes, saturated-channel count) and summary scalars.
-  void publish(MetricRegistry& registry,
+  /// Flattens into `rs`: table "flow_solves" (one row per solve: levels,
+  /// freezes, saturated-channel count) and summary metrics.
+  void publish(report::ResultSet& rs,
                std::string_view table_name = "flow_solves") const;
 };
 

@@ -1,9 +1,5 @@
 #include "obs/pkt_trace.hpp"
 
-#include <string>
-
-#include "obs/metrics.hpp"
-
 namespace hxsim::obs {
 
 std::string_view to_string(PktDropCause cause) noexcept {
@@ -52,48 +48,6 @@ double PktTrace::channel_credit_stall(topo::ChannelId ch) const {
   for (std::int8_t vl = 0; vl < num_vls_; ++vl)
     sum += at(ch, vl).credit_stall_s;
   return sum;
-}
-
-void PktTrace::publish(MetricRegistry& registry, const topo::Topology& topo,
-                       std::string_view table_name) const {
-  MetricRegistry::Table& table = registry.table(
-      table_name,
-      {"channel", "vl", "src_switch", "dst_switch", "switch_link", "packets",
-       "bytes", "credit_stall_s", "arb_skips", "peak_queue",
-       "queue_depth_time"});
-  std::int64_t total_packets = 0;
-  std::int64_t total_bytes = 0;
-  double total_stall = 0.0;
-  for (topo::ChannelId ch = 0; ch < num_channels_; ++ch) {
-    const topo::Channel& c = topo.channel(ch);
-    for (std::int8_t vl = 0; vl < num_vls_; ++vl) {
-      const ChannelVlCounters& n = at(ch, vl);
-      if (n.packets == 0 && n.arb_skips == 0 && n.credit_stall_s == 0.0 &&
-          n.queue_depth_time == 0.0)
-        continue;  // idle (ch, vl): keep the export sparse
-      total_packets += n.packets;
-      total_bytes += n.bytes;
-      total_stall += n.credit_stall_s;
-      table.add_row({static_cast<double>(ch), static_cast<double>(vl),
-                     c.src.is_switch() ? static_cast<double>(c.src.index) : -1.0,
-                     c.dst.is_switch() ? static_cast<double>(c.dst.index) : -1.0,
-                     topo.is_switch_channel(ch) ? 1.0 : 0.0,
-                     static_cast<double>(n.packets),
-                     static_cast<double>(n.bytes), n.credit_stall_s,
-                     static_cast<double>(n.arb_skips),
-                     static_cast<double>(n.peak_queue), n.queue_depth_time});
-    }
-  }
-  registry.set("pkt_total_packets", static_cast<double>(total_packets));
-  registry.set("pkt_total_bytes", static_cast<double>(total_bytes));
-  registry.set("pkt_total_credit_stall_s", total_stall);
-  for (std::int32_t c = 0; c < kNumPktDropCauses; ++c) {
-    const PktDropCause cause = static_cast<PktDropCause>(c);
-    registry.set(std::string("pkt_drops_") + std::string(to_string(cause)),
-                 static_cast<double>(drops(cause)));
-  }
-  registry.set("pkt_retries", static_cast<double>(retries_));
-  registry.set("pkt_abandoned", static_cast<double>(abandoned_));
 }
 
 }  // namespace hxsim::obs

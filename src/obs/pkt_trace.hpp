@@ -38,8 +38,6 @@
 
 namespace hxsim::obs {
 
-class MetricRegistry;
-
 /// Why the online-fault layer (sim/online.hpp) dropped a packet.  Causes are
 /// mutually exclusive and charged exactly once per dropped segment.
 enum class PktDropCause : std::int8_t {
@@ -154,12 +152,6 @@ class PktTrace {
   /// Per-channel sums over VLs (convenience for hotspot analysis).
   [[nodiscard]] std::int64_t channel_packets(topo::ChannelId ch) const;
   [[nodiscard]] double channel_credit_stall(topo::ChannelId ch) const;
-
-  /// Flattens the non-idle (ch, vl) rows into `registry` as table
-  /// "pkt_channels" with endpoint metadata from `topo`, plus summary
-  /// scalars (total packets/bytes/stall).
-  void publish(MetricRegistry& registry, const topo::Topology& topo,
-               std::string_view table_name = "pkt_channels") const;
 
  private:
   [[nodiscard]] std::size_t index(topo::ChannelId ch, std::int8_t vl) const {

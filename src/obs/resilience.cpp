@@ -3,53 +3,58 @@
 #include <map>
 #include <utility>
 
+#include "report/result.hpp"
+
 namespace hxsim::obs {
 
 void DegradationSeries::add(DegradationSample sample) {
   samples_.push_back(std::move(sample));
 }
 
-bool DegradationSeries::retention_monotone() const {
+const DegradationSample* DegradationSeries::first_retention_rise() const {
   std::map<std::pair<std::string, std::string>, double> last;
   for (const DegradationSample& s : samples_) {
     const auto key = std::make_pair(s.fabric, s.engine);
     const auto it = last.find(key);
-    if (it != last.end() && s.retention > it->second + 1e-12) return false;
+    if (it != last.end() && s.retention > it->second + 1e-12) return &s;
     last[key] = s.retention;
   }
-  return true;
+  return nullptr;
 }
 
-bool DegradationSeries::all_acyclic(std::string_view engine) const {
+const DegradationSample* DegradationSeries::first_cyclic(
+    std::string_view engine) const {
   for (const DegradationSample& s : samples_)
-    if (s.engine == engine && !s.cdg_acyclic) return false;
-  return true;
+    if (s.engine == engine && !s.cdg_acyclic) return &s;
+  return nullptr;
 }
 
-void DegradationSeries::publish(MetricRegistry& registry) const {
+void DegradationSeries::publish(report::ResultSet& rs) const {
   for (const DegradationSample& s : samples_) {
     const std::string name = "resilience_" + s.fabric + "_" + s.engine;
-    MetricRegistry::Table& table = registry.table(
+    report::ResultTable& table = rs.table(
         name, {"stage", "cables_failed", "switches_failed", "reachability",
                "lost_pairs", "mean_switch_hops", "hop_inflation",
                "throughput", "retention", "cdg_acyclic", "vls_used",
                "blackhole_columns", "lost_in_flight", "blackholed", "retries",
                "abandoned"});
-    table.add_row({static_cast<double>(s.stage),
-                   static_cast<double>(s.cables_failed),
-                   static_cast<double>(s.switches_failed), s.reachability,
-                   static_cast<double>(s.lost_pairs), s.mean_switch_hops,
-                   s.hop_inflation, s.throughput, s.retention,
-                   s.cdg_acyclic ? 1.0 : 0.0,
-                   static_cast<double>(s.vls_used),
-                   static_cast<double>(s.blackhole_columns),
-                   static_cast<double>(s.packets_lost_in_flight),
-                   static_cast<double>(s.packets_blackholed),
-                   static_cast<double>(s.retries),
-                   static_cast<double>(s.messages_abandoned)});
-    // Overwritten by later stages of the same group: the scalar ends up
+    table.add_row({std::to_string(s.stage), std::to_string(s.cables_failed),
+                   std::to_string(s.switches_failed),
+                   report::format_metric(s.reachability),
+                   std::to_string(s.lost_pairs),
+                   report::format_metric(s.mean_switch_hops),
+                   report::format_metric(s.hop_inflation),
+                   report::format_metric(s.throughput),
+                   report::format_metric(s.retention),
+                   s.cdg_acyclic ? "1" : "0", std::to_string(s.vls_used),
+                   std::to_string(s.blackhole_columns),
+                   std::to_string(s.packets_lost_in_flight),
+                   std::to_string(s.packets_blackholed),
+                   std::to_string(s.retries),
+                   std::to_string(s.messages_abandoned)});
+    // Overwritten by later stages of the same group: the metric ends up
     // holding the final (worst) envelope value.
-    registry.set(name + "_final_retention", s.retention);
+    rs.set(name + "_final_retention", s.retention);
   }
 }
 

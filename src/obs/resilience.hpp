@@ -4,8 +4,8 @@
 // stage): how much of the fabric is gone, what the rerouted engine still
 // reaches, how far paths inflated, how much throughput the traffic retains,
 // and whether the shipped tables are still deadlock-free.  The series is
-// plain data; publish() exports it through MetricRegistry (one table per
-// fabric x engine plus headline scalars), the same JSON/CSV surface every
+// plain data; publish() exports it into a report::ResultSet (one table per
+// fabric x engine plus headline metrics), the one result surface every
 // other counter in the repo uses.
 //
 // Two throughput columns, on purpose:
@@ -17,11 +17,14 @@
 //    we can still guarantee after k failures" curve.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+namespace hxsim::report {
+struct ResultSet;
+}
 
 namespace hxsim::obs {
 
@@ -68,19 +71,21 @@ class DegradationSeries {
     return samples_;
   }
 
-  /// True iff, for every (fabric, engine), `retention` never increases in
-  /// insertion (= stage) order.  The campaign's acceptance property.
-  [[nodiscard]] bool retention_monotone() const;
+  /// First sample whose `retention` exceeds the previous sample of its
+  /// (fabric, engine) in insertion (= stage) order; nullptr when every
+  /// envelope is non-increasing, the campaign's acceptance property.
+  [[nodiscard]] const DegradationSample* first_retention_rise() const;
 
-  /// True iff every sample of `engine` (any fabric) has an acyclic CDG.
-  [[nodiscard]] bool all_acyclic(std::string_view engine) const;
+  /// First sample of `engine` (any fabric) with a cyclic CDG, or nullptr.
+  [[nodiscard]] const DegradationSample* first_cyclic(
+      std::string_view engine) const;
 
   /// Exports one table "resilience_<fabric>_<engine>" per group (columns:
   /// stage, cables_failed, switches_failed, reachability, lost_pairs,
   /// mean_switch_hops, hop_inflation, throughput, retention, cdg_acyclic,
   /// vls_used, blackhole_columns, lost_in_flight, blackholed, retries,
-  /// abandoned) plus "<table>_final_retention" scalars.
-  void publish(MetricRegistry& registry) const;
+  /// abandoned) plus "<table>_final_retention" metrics.
+  void publish(report::ResultSet& rs) const;
 
  private:
   std::vector<DegradationSample> samples_;

@@ -1,6 +1,7 @@
 #include "report/result.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -57,7 +58,7 @@ class Parser {
         else if (mode == "quick") store.mode = RunMode::kQuick;
         else fail("mode must be 'full' or 'quick'");
       } else if (key == "seed") {
-        store.seed = static_cast<std::uint64_t>(parse_number());
+        store.seed = parse_number<std::uint64_t>();
       } else if (key == "experiments") {
         expect('[');
         while (!try_consume(']')) {
@@ -94,7 +95,7 @@ class Parser {
           m_first = false;
           const std::string name = parse_string();
           expect(':');
-          rs.metrics.emplace_back(name, parse_number());
+          rs.metrics.emplace_back(name, parse_number<double>());
         }
       } else if (key == "tables") {
         expect('[');
@@ -190,7 +191,11 @@ class Parser {
     return out;  // unreachable
   }
 
-  double parse_number() {
+  /// The next number token as a T, checked over its whole length: a seed
+  /// reads as an exact uint64 (no sign, fraction, exponent or overflow), a
+  /// metric as a double.
+  template <typename T>
+  T parse_number() {
     skip_ws();
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
@@ -199,16 +204,13 @@ class Parser {
             text_[pos_] == 'e' || text_[pos_] == 'E'))
       ++pos_;
     if (pos_ == start) fail("expected number");
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(token, &used);
-      if (used != token.size()) fail("malformed number '" + token + "'");
-      return v;
-    } catch (const std::logic_error&) {
-      fail("malformed number '" + token + "'");
-    }
-    return 0.0;  // unreachable
+    const std::string_view token = text_.substr(start, pos_ - start);
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc{} || stop != end)
+      fail("malformed number '" + std::string(token) + "'");
+    return value;
   }
 
   void skip_ws() {
@@ -253,6 +255,11 @@ void ResultTable::add_row(std::vector<std::string> cells) {
 }
 
 void ResultSet::set(std::string_view name, double value) {
+  // to_json() could only write it as a bare inf/nan parse_json() rejects.
+  if (!std::isfinite(value))
+    throw std::invalid_argument("metric '" + std::string(name) +
+                                "' is not finite (" + format_metric(value) +
+                                ")");
   for (auto& [n, v] : metrics)
     if (n == name) {
       v = value;

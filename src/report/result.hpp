@@ -40,7 +40,8 @@ struct ResultSet {
   std::vector<std::pair<std::string, double>> metrics;
   std::vector<ResultTable> tables;
 
-  /// Sets (or overwrites) a named scalar metric.
+  /// Sets (or overwrites) a named scalar metric.  Throws
+  /// std::invalid_argument, naming the metric, on a non-finite value.
   void set(std::string_view name, double value);
 
   /// nullptr when absent.

@@ -180,6 +180,24 @@ TEST(Scenario, ParseRejectsMalformedRepros) {
                std::invalid_argument);
 }
 
+TEST(Scenario, ParseNamesTheKeyOfAGarbledValue) {
+  // Each line once replayed as a value (7, 2^64-1, true) or failed with a
+  // bare "stoi"; now every one is an audit-scenario error naming its key.
+  const std::string good = audit::to_repro(audit::generate_scenario(3));
+  for (const std::string line : {"messages abc", "messages 7junk",
+                                 "traffic_seed -1", "keep_connected yes"}) {
+    const std::string key = line.substr(0, line.find(' '));
+    try {
+      (void)audit::parse_repro(good + line + "\n");
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("audit scenario: ", 0), 0u) << what;
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Scenario, BuildsFabricsWithinBounds) {
   const audit::ScenarioBounds bounds;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {

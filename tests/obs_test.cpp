@@ -1,83 +1,17 @@
-// Tests for the observability layer: metric registry serialisation, phase
-// timing accumulation, packet-counter bookkeeping, and credit-wait cycle
-// extraction on hand-built wait graphs.
+// Tests for the observability layer: phase timing accumulation,
+// packet-counter bookkeeping, flow-solver trace export, and credit-wait
+// cycle extraction on hand-built wait graphs.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "obs/deadlock.hpp"
 #include "obs/flow_trace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase_clock.hpp"
 #include "obs/pkt_trace.hpp"
+#include "report/result.hpp"
 #include "topo/topology.hpp"
 
 namespace hxsim::obs {
 namespace {
-
-// --- MetricRegistry ------------------------------------------------------------
-
-TEST(MetricRegistry, ScalarsSetAddAndKeepInsertionOrder) {
-  MetricRegistry reg;
-  reg.set("b", 2.0);
-  reg.set("a", 1.0);
-  reg.add("b", 3.0);
-  reg.add("c", 4.0);  // created at the delta
-  ASSERT_EQ(reg.scalars().size(), 3u);
-  EXPECT_EQ(reg.scalars()[0].first, "b");
-  EXPECT_DOUBLE_EQ(reg.scalars()[0].second, 5.0);
-  EXPECT_EQ(reg.scalars()[1].first, "a");
-  EXPECT_EQ(reg.scalars()[2].first, "c");
-  EXPECT_DOUBLE_EQ(reg.scalars()[2].second, 4.0);
-}
-
-TEST(MetricRegistry, TableCreateOrGetValidatesColumns) {
-  MetricRegistry reg;
-  auto& t = reg.table("t", {"x", "y"});
-  t.add_row({1.0, 2.0});
-  auto& again = reg.table("t", {"x", "y"});
-  EXPECT_EQ(&t, &again);
-  EXPECT_THROW(reg.table("t", {"x"}), std::invalid_argument);
-  EXPECT_THROW(t.add_row({1.0}), std::invalid_argument);
-  EXPECT_EQ(t.rows.size(), 1u);
-}
-
-TEST(MetricRegistry, JsonContainsScalarsAndTables) {
-  MetricRegistry reg;
-  reg.set("answer", 42.0);
-  reg.table("pairs", {"k", "v"}).add_row({1.0, 0.5});
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"answer\": 42"), std::string::npos);
-  EXPECT_NE(json.find("\"pairs\""), std::string::npos);
-  EXPECT_NE(json.find("\"columns\": [\"k\", \"v\"]"), std::string::npos);
-  EXPECT_NE(json.find("[1, 0.5]"), std::string::npos);
-}
-
-TEST(MetricRegistry, EmptyRegistryStillSerialises) {
-  const std::string json = MetricRegistry{}.to_json();
-  EXPECT_NE(json.find("\"scalars\": {}"), std::string::npos);
-  EXPECT_NE(json.find("\"tables\": {}"), std::string::npos);
-}
-
-TEST(MetricRegistry, WritesJsonAndCsvFiles) {
-  MetricRegistry reg;
-  reg.set("s", 1.0);
-  reg.table("rows", {"a"}).add_row({7.0});
-  const std::string base = ::testing::TempDir() + "obs_registry";
-  reg.write_json(base + ".json");
-  const auto paths = reg.write_csv(base);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0], base + "_rows.csv");
-  std::ifstream csv(paths[0]);
-  std::stringstream body;
-  body << csv.rdbuf();
-  EXPECT_NE(body.str().find("a"), std::string::npos);
-  EXPECT_NE(body.str().find("7"), std::string::npos);
-  std::remove((base + ".json").c_str());
-  std::remove(paths[0].c_str());
-}
 
 // --- PhaseTimings --------------------------------------------------------------
 
@@ -93,16 +27,6 @@ TEST(PhaseTimings, AccumulatesPerPhaseInInsertionOrder) {
   EXPECT_DOUBLE_EQ(t.total(), 3.5);
   t.clear();
   EXPECT_TRUE(t.entries().empty());
-}
-
-TEST(PhaseTimings, PublishesThroughRegistry) {
-  PhaseTimings t;
-  t.add("spf", 1.25);
-  MetricRegistry reg;
-  reg.add_timings("sssp_", t);
-  ASSERT_EQ(reg.scalars().size(), 1u);
-  EXPECT_EQ(reg.scalars()[0].first, "sssp_spf_s");
-  EXPECT_DOUBLE_EQ(reg.scalars()[0].second, 1.25);
 }
 
 // --- PktTrace ------------------------------------------------------------------
@@ -130,12 +54,11 @@ TEST(PktTrace, QueueDepthIntegralAndPeak) {
   EXPECT_EQ(trace.at(0, 0).peak_queue, 2);
 }
 
-TEST(PktTrace, CrossAndVlSumsAndPublish) {
+TEST(PktTrace, CrossAndVlSums) {
   topo::Topology t("pair");
   const topo::SwitchId a = t.add_switch();
   const topo::SwitchId b = t.add_switch();
   const auto [ab, ba] = t.connect(a, b);
-  (void)ba;
   const topo::NodeId n = t.add_terminal(a);
   (void)n;
 
@@ -147,13 +70,9 @@ TEST(PktTrace, CrossAndVlSumsAndPublish) {
   trace.on_arb_skip(ab, 1);
   EXPECT_EQ(trace.channel_packets(ab), 3);
   EXPECT_EQ(trace.at(ab, 0).bytes, 200);
-
-  MetricRegistry reg;
-  trace.publish(reg, t, "pkt_channels");
-  const auto& table = reg.tables().front();
-  EXPECT_EQ(table.name, "pkt_channels");
-  ASSERT_EQ(table.rows.size(), 2u);  // (ab, VL0) and (ab, VL1) only
-  EXPECT_DOUBLE_EQ(reg.scalars()[0].second, 3.0);  // pkt_total_packets
+  EXPECT_EQ(trace.at(ab, 1).packets, 1);
+  EXPECT_EQ(trace.at(ab, 1).arb_skips, 1);
+  EXPECT_EQ(trace.channel_packets(ba), 0);
 }
 
 // --- FlowSolveTrace ------------------------------------------------------------
@@ -165,13 +84,17 @@ TEST(FlowSolveTrace, PublishSummarisesSolves) {
   r.levels = {1.0, 2.0};
   r.freezes_per_level = {2, 1};
   r.saturated = {5};
-  MetricRegistry reg;
-  trace.publish(reg);
-  const auto& table = reg.tables().front();
+  report::ResultSet rs;
+  trace.publish(rs);
+  ASSERT_EQ(rs.tables.size(), 1u);
+  const report::ResultTable& table = rs.tables.front();
+  EXPECT_EQ(table.id, "flow_solves");
   ASSERT_EQ(table.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(table.rows[0][1], 3.0);  // active_flows
-  EXPECT_DOUBLE_EQ(table.rows[0][3], 3.0);  // flows frozen in total
-  EXPECT_DOUBLE_EQ(table.rows[0][6], 2.0);  // last level
+  EXPECT_EQ(table.rows[0][1], "3");  // active_flows
+  EXPECT_EQ(table.rows[0][3], "3");  // flows frozen in total
+  EXPECT_EQ(table.rows[0][6], "2");  // last level
+  ASSERT_NE(rs.find("flow_solver_levels"), nullptr);
+  EXPECT_DOUBLE_EQ(*rs.find("flow_solver_levels"), 2.0);
 }
 
 // --- deadlock post-mortem ------------------------------------------------------

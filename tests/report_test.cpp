@@ -2,6 +2,7 @@
 // the bench/experiments registry the reproduction pipeline runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -33,6 +34,15 @@ TEST(ResultSet, SetOverwritesAndFindMisses) {
   EXPECT_DOUBLE_EQ(*rs.find("alpha"), 2.5);
   EXPECT_EQ(rs.find("beta"), nullptr);
   EXPECT_EQ(rs.metrics.size(), 1u);
+}
+
+TEST(ResultSet, SetRejectsNonFiniteMetrics) {
+  ResultSet rs;
+  EXPECT_THROW(rs.set("m", std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(rs.set("m", std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(rs.find("m"), nullptr);
 }
 
 TEST(ResultSet, TableReuseAndColumnMismatch) {
@@ -72,6 +82,31 @@ TEST(ResultStore, JsonRoundTripIsByteStable) {
   EXPECT_DOUBLE_EQ(*back.metric("exp1", "metric_a"), 1.25);
   EXPECT_EQ(back.metric("exp1", "nope"), nullptr);
   EXPECT_EQ(back.metric("nope", "metric_a"), nullptr);
+}
+
+TEST(ResultStore, SeedsRoundTripExactly) {
+  // Both above 2^53, where a trip through double would round them.
+  const std::uint64_t above_2_53 = (std::uint64_t{1} << 53) + 1;
+  for (const std::uint64_t seed :
+       {std::numeric_limits<std::uint64_t>::max(), above_2_53}) {
+    ResultStore store = sample_store();
+    store.seed = seed;
+    const std::string json = store.to_json();
+    const ResultStore back = ResultStore::parse_json(json);
+    EXPECT_EQ(back.seed, seed);
+    EXPECT_EQ(back.to_json(), json);
+  }
+}
+
+TEST(ResultStore, ParseRejectsSeedsThatAreNotUint64) {
+  const std::string json = sample_store().to_json();
+  const std::string seed = "\"seed\": 7";
+  ASSERT_NE(json.find(seed), std::string::npos);
+  for (const std::string bad : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    std::string text = json;
+    text.replace(text.find(seed), seed.size(), "\"seed\": " + bad);
+    EXPECT_THROW(ResultStore::parse_json(text), std::runtime_error) << bad;
+  }
 }
 
 TEST(ResultStore, ParseRejectsGarbage) {
@@ -334,6 +369,43 @@ TEST(Registry, CoversEveryExperimentSource) {
     EXPECT_NE(registry.find(id), nullptr)
         << "experiments/exp_" << id << ".cpp registers no experiment '" << id
         << "'";
+}
+
+TEST(Registry, TraceIsALoadableStoreWithOneCsvPerTable) {
+  // --trace writes the experiment's trace as a one-experiment result
+  // store (what `repro_pipeline --from` loads) plus <stem>_<table>.csv.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hxsim_trace_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const report::Registry& registry = bench::global_registry();
+  const Experiment* exp = registry.find("fig1_mpigraph");
+  ASSERT_NE(exp, nullptr);
+  Options options;
+  options.quick = true;
+  options.trace_path = (dir / "fig1.json").string();
+  (void)registry.run(*exp, options);
+
+  const ResultStore store = ResultStore::read_json(*options.trace_path);
+  EXPECT_EQ(store.mode, RunMode::kQuick);
+  ASSERT_EQ(store.experiments.size(), 1u);
+  const ResultSet& trace = store.experiments.front();
+  EXPECT_EQ(trace.id, "fig1_mpigraph");
+  std::set<std::string> tables;
+  for (const ResultTable& t : trace.tables) {
+    tables.insert(t.id);
+    EXPECT_FALSE(t.rows.empty()) << t.id;
+    EXPECT_TRUE(fs::exists(dir / ("fig1_" + t.id + ".csv"))) << t.id;
+  }
+  EXPECT_EQ(tables,
+            (std::set<std::string>{"flow_solves", "hx_channel_util"}));
+  std::size_t csvs = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir))
+    if (entry.path().extension() == ".csv") ++csvs;
+  EXPECT_EQ(csvs, trace.tables.size());
+  EXPECT_NE(trace.find("flow_solver_solves"), nullptr);
+  EXPECT_NE(trace.find("dfsssp_spf_trees_s"), nullptr);
+  fs::remove_all(dir);
 }
 
 TEST(Registry, RunStampsIdentityAndProducesMetrics) {

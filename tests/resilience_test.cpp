@@ -275,8 +275,8 @@ TEST(ResilienceCampaign, RetentionMonotoneAndFabricRestored) {
 
   // stages + intact baseline, per engine.
   EXPECT_EQ(series.samples().size(), 3u * engines.size());
-  EXPECT_TRUE(series.retention_monotone());
-  EXPECT_TRUE(series.all_acyclic("dfsssp"));
+  EXPECT_EQ(series.first_retention_rise(), nullptr);
+  EXPECT_EQ(series.first_cyclic("dfsssp"), nullptr);
   for (const auto& s : series.samples()) {
     EXPECT_FALSE(s.engine_failed);
     if (s.stage == 0) {
