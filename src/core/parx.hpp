@@ -14,6 +14,7 @@
 
 #include "core/demand.hpp"
 #include "core/quadrant.hpp"
+#include "obs/phase_clock.hpp"
 #include "routing/delta.hpp"
 #include "routing/engine.hpp"
 
@@ -68,6 +69,15 @@ class ParxEngine final : public routing::RoutingEngine,
                                      routing::RouteResult& io) override;
   void invalidate_tracking() noexcept override { track_.valid = false; }
 
+  /// Attaches a phase-timer sink (not owned; nullptr detaches): compute()
+  /// and the tracked paths accumulate "spf_trees" (the per-column pruned
+  /// Dijkstra plus its LFT column), "parx_load" (the edge-weight update)
+  /// and assign_vls's "vl_path_extraction" and "vl_placement".  The same
+  /// contract as DfssspEngine::set_timings: observational only.
+  void set_timings(obs::PhaseTimings* timings) noexcept {
+    timings_ = timings;
+  }
+
  private:
   routing::RouteResult compute_impl(const topo::Topology& topo,
                                     const routing::LidSpace& lids,
@@ -77,6 +87,7 @@ class ParxEngine final : public routing::RoutingEngine,
   DemandMatrix demands_;
   ParxOptions options_;
   routing::TreeTrackState track_;
+  obs::PhaseTimings* timings_ = nullptr;
 };
 
 }  // namespace hxsim::core

@@ -470,6 +470,57 @@ TEST_F(ParxSuite, RejectsWrongLidSpace) {
                std::invalid_argument);
 }
 
+TEST_F(ParxSuite, PhaseTimingsAreObservationalOnly) {
+  // A phase sink never changes what an engine ships: DFSSSP and PARX
+  // return the untimed RouteResult, and the PARX sink names its phases.
+  const LidSpace flat = LidSpace::consecutive(hx_.topo().num_terminals(), 0);
+  routing::DfssspEngine dfsssp(8);
+  const RouteResult dfsssp_plain = dfsssp.compute(hx_.topo(), flat);
+  obs::PhaseTimings dfsssp_phases;
+  dfsssp.set_timings(&dfsssp_phases);
+  EXPECT_EQ(dfsssp.compute(hx_.topo(), flat), dfsssp_plain);
+  EXPECT_FALSE(dfsssp_phases.entries().empty());
+
+  ParxEngine parx(hx_);
+  const RouteResult parx_plain = parx.compute(hx_.topo(), lids_);
+  obs::PhaseTimings parx_phases;
+  parx.set_timings(&parx_phases);
+  EXPECT_EQ(parx.compute(hx_.topo(), lids_), parx_plain);
+  const std::vector<std::string> kPhases{"spf_trees", "parx_load",
+                                         "vl_path_extraction", "vl_placement"};
+  std::vector<std::string> names;
+  for (const auto& [name, seconds] : parx_phases.entries()) {
+    names.push_back(name);
+    EXPECT_GE(seconds, 0.0) << name;
+  }
+  EXPECT_EQ(names, kPhases);
+
+  // The tracked path: a timed delta update ships the untimed update's
+  // tables and accumulates into the same four phases.
+  ParxEngine tracked_plain(hx_);
+  ParxEngine tracked_timed(hx_);
+  obs::PhaseTimings tracked_phases;
+  tracked_timed.set_timings(&tracked_phases);
+  RouteResult plain_io = tracked_plain.compute_tracked(hx_.topo(), lids_);
+  RouteResult timed_io = tracked_timed.compute_tracked(hx_.topo(), lids_);
+  topo::FaultSchedule::Options opt;
+  opt.links_per_stage = 2;
+  opt.seed = 5;
+  const topo::FaultReport report =
+      topo::FaultSchedule::plan(hx_.topo(), opt).apply_stage(hx_.topo(), 0);
+  routing::DeltaUpdate update;
+  update.disabled = report.disabled_channels;
+  (void)tracked_plain.update_tracked(hx_.topo(), lids_, update, plain_io);
+  const routing::DeltaStats stats =
+      tracked_timed.update_tracked(hx_.topo(), lids_, update, timed_io);
+  EXPECT_GT(stats.columns_changed, 0);
+  EXPECT_EQ(timed_io, plain_io);
+  names.clear();
+  for (const auto& [name, seconds] : tracked_phases.entries())
+    names.push_back(name);
+  EXPECT_EQ(names, kPhases);
+}
+
 TEST(Parx, RejectsOddTopology) {
   topo::HyperXParams p;
   p.dims = {3, 4};
