@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "audit/naive_layering.hpp"
 #include "routing/delta.hpp"
 #include "sim/adaptive.hpp"
 #include "stats/rng.hpp"
@@ -287,6 +288,35 @@ OracleResult check_shipped_tables(const topo::Topology& topo,
     return oracle_fail(os.str());
   }
   return oracle_pass();
+}
+
+OracleResult check_vl_layering(const topo::Topology& topo,
+                               const routing::LidSpace& lids,
+                               const routing::RouteResult& route,
+                               std::int32_t max_vls) {
+  const NaiveLayering naive =
+      naive_vl_layering(topo, lids, route.tables, max_vls);
+  std::ostringstream os;
+  if (!naive.fits) {
+    os << "the naive re-layering exceeds the " << max_vls
+       << "-VL budget the engine met";
+    return oracle_fail(os.str());
+  }
+  if (route.num_vls_used != naive.num_vls_used) {
+    os << "num_vls_used " << route.num_vls_used
+       << " but the naive re-layering uses " << naive.num_vls_used;
+    return oracle_fail(os.str());
+  }
+  if (route.vls == naive.vls) return oracle_pass();
+  for (topo::SwitchId sw = 0; sw < topo.num_switches(); ++sw)
+    for (routing::Lid lid = 0; lid <= lids.max_lid(); ++lid)
+      if (route.vls.vl(sw, lid) != naive.vls.vl(sw, lid)) {
+        os << "switch " << sw << " dlid " << lid << " ships VL "
+           << int(route.vls.vl(sw, lid)) << ", the naive re-layering VL "
+           << int(naive.vls.vl(sw, lid));
+        return oracle_fail(os.str());
+      }
+  return oracle_fail("VlMap differs from the naive re-layering's");
 }
 
 OracleResult check_flow_invariants(const sim::FlowSim& fs,
@@ -743,6 +773,10 @@ OracleResult oracle_table_audit(const Scenario& s) {
                      f.topo().switches_connected(sw_alive));
     OracleResult check =
         check_shipped_tables(f.topo(), *f.lids, *computed.route, expect);
+    // The two layered engines must reproduce the naive re-layering.
+    if (check.pass && (s.engine == "dfsssp" || s.engine == "parx"))
+      check = check_vl_layering(f.topo(), *f.lids, *computed.route,
+                                kScenarioMaxVls);
     if (!check.pass) check.detail = label + ": " + check.detail;
     return check;
   };

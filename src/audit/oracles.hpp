@@ -24,7 +24,9 @@
 //                        shipped tables, per fault stage, scoped to each
 //                        engine's actual guarantee (sssp is not
 //                        deadlock-free; ftree/parx may legally lose pairs
-//                        on faulted fabrics -- see the .cpp)
+//                        on faulted fabrics -- see the .cpp); for dfsssp
+//                        and parx, the shipped VlMap and num_vls_used
+//                        equal the naive BFS re-layering bit for bit
 //      flow_invariants   max-min feasibility (sum rates <= capacity) and
 //                        bottleneck optimality for every unfrozen flow
 //      flowsim_engine_identity
@@ -123,6 +125,15 @@ struct TableExpectations {
 [[nodiscard]] OracleResult check_shipped_tables(
     const topo::Topology& topo, const routing::LidSpace& lids,
     const routing::RouteResult& route, const TableExpectations& expect);
+
+/// Lane placement identity: `route`'s VlMap and num_vls_used must equal
+/// naive_vl_layering() of its own tables under the same `max_vls` budget,
+/// bit for bit.  Stronger than acyclicity: a path moved to another lane
+/// can keep every CDG acyclic and still fails here.
+[[nodiscard]] OracleResult check_vl_layering(const topo::Topology& topo,
+                                             const routing::LidSpace& lids,
+                                             const routing::RouteResult& route,
+                                             std::int32_t max_vls);
 
 /// Max-min invariants for a solved flow set: per-channel sum of rates
 /// within capacity (relative eps), and every finite-rate flow bottlenecked

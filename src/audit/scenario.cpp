@@ -191,8 +191,12 @@ std::unique_ptr<routing::RoutingEngine> make_engine(const Scenario& s,
     return std::make_unique<routing::FtreeEngine>(*f.fat_tree);
   if (s.engine == "updown") return std::make_unique<routing::UpDownEngine>();
   if (s.engine == "sssp") return std::make_unique<routing::SsspEngine>();
-  if (s.engine == "dfsssp") return std::make_unique<routing::DfssspEngine>();
-  if (s.engine == "parx") return std::make_unique<core::ParxEngine>(*f.hyperx);
+  if (s.engine == "dfsssp")
+    return std::make_unique<routing::DfssspEngine>(kScenarioMaxVls);
+  if (s.engine == "parx")
+    return std::make_unique<core::ParxEngine>(
+        *f.hyperx, core::DemandMatrix{},
+        core::ParxOptions{.max_vls = kScenarioMaxVls});
   bad("unknown engine '" + s.engine + "'");
 }
 

@@ -111,6 +111,10 @@ struct Fabric {
 /// Validates, builds the fabric, and plans the fault schedule.
 [[nodiscard]] Fabric build_fabric(const Scenario& scenario);
 
+/// Virtual-lane budget of the layered engines (dfsssp, parx) under audit:
+/// the paper's 8 QDR lanes.
+inline constexpr std::int32_t kScenarioMaxVls = 8;
+
 /// Fresh engine instance for the scenario's `engine` on this fabric --
 /// one per call, so differential oracles can compare two independent
 /// computations of the same tables.

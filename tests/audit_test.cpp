@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "audit/oracles.hpp"
 #include "audit/scenario.hpp"
 #include "audit/shrink.hpp"
+#include "core/parx.hpp"
+#include "core/quadrant.hpp"
 #include "obs/pkt_trace.hpp"
 #include "routing/updown.hpp"
 #include "routing/verify.hpp"
@@ -487,6 +490,51 @@ TEST(OracleChecks, ShippedTablesDetectCyclicRoutes) {
   expect.require_acyclic = false;  // an sssp-style scenario tolerates it
   EXPECT_TRUE(
       audit::check_shipped_tables(f.hx.topo(), f.lids, ring, expect).pass);
+}
+
+TEST(OracleChecks, VlLayeringDetectsAPathMovedUpALane) {
+  // PARX on the 4x4 HyperX spreads its paths over several lanes.  Moving
+  // one multi-hop lane-0 path up to the top lane can keep every lane's
+  // CDG acyclic, so check_shipped_tables accepts it; it is still not the
+  // greedy lowest-lane layering, and check_vl_layering must say so.
+  const topo::HyperX hx(topo::small_hyperx_params());
+  const topo::Topology& topo = hx.topo();
+  const routing::LidSpace lids = core::make_parx_lid_space(hx);
+  const routing::RouteResult route = core::ParxEngine(hx).compute(topo, lids);
+  ASSERT_GE(route.num_vls_used, 2);
+  audit::TableExpectations expect;
+  ASSERT_TRUE(audit::check_shipped_tables(topo, lids, route, expect).pass);
+  EXPECT_TRUE(audit::check_vl_layering(topo, lids, route, 8).pass);
+
+  const auto top = static_cast<std::int8_t>(route.num_vls_used - 1);
+  std::optional<routing::RouteResult> moved;
+  for (topo::SwitchId sw = 0; sw < topo.num_switches() && !moved; ++sw) {
+    for (const routing::Lid dlid : lids.all_lids()) {
+      const topo::SwitchId dest = topo.attach_switch(lids.owner(dlid).node);
+      if (sw == dest || route.vls.vl(sw, dlid) != 0) continue;
+      const topo::ChannelId first = route.tables.next(sw, dlid);
+      if (first == topo::kInvalidChannel ||
+          topo.channel(first).dst.index == dest)
+        continue;  // not a multi-hop path: it adds no dependency
+      routing::RouteResult candidate = route;
+      candidate.vls.set(sw, dlid, top);
+      if (routing::verify_deadlock_freedom(topo, lids, candidate).acyclic) {
+        moved = std::move(candidate);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_TRUE(audit::check_shipped_tables(topo, lids, *moved, expect).pass);
+  const audit::OracleResult check =
+      audit::check_vl_layering(topo, lids, *moved, 8);
+  EXPECT_FALSE(check.pass);
+  EXPECT_NE(check.detail.find("ships VL"), std::string::npos) << check.detail;
+
+  // A lane count that disagrees with the layering fails too.
+  routing::RouteResult recounted = route;
+  recounted.num_vls_used += 1;
+  EXPECT_FALSE(audit::check_vl_layering(topo, lids, recounted, 8).pass);
 }
 
 TEST(OracleChecks, FlowInvariantsDetectCorruptedRates) {
