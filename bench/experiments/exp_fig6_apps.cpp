@@ -78,8 +78,10 @@ report::ResultSet run(const report::Options& options) {
         // SAR-style pipeline for the PARX plane: record the profile,
         // resolve it to node demands via the first placement, re-route.
         // One re-route per (app, node count): the profile itself is
-        // placement-oblivious (paper footnote 6), and a full-fabric PARX
-        // recompute per repetition would dominate the bench's wall time.
+        // placement-oblivious (paper footnote 6).  A full-fabric PARX
+        // re-route costs ~0.3 s on a 4-core host (the 72 here take ~20 s
+        // of the experiment's ~40 s), so one per repetition would add
+        // ~40 s at the default 3 repetitions.
         std::optional<mpi::Cluster> rerouted;
         if (is_parx) {
           mpi::CommProfile profile(n);

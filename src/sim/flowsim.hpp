@@ -2,11 +2,15 @@
 //
 // Statically routed InfiniBand traffic under sustained load converges to a
 // per-link fair share; FlowSim computes the exact max-min allocation by
-// progressive filling and advances the flow set through completion events,
-// yielding per-flow completion times.  This is the engine behind the
+// progressive filling.  fair_rates() solves one flow set, solve_batch()
+// many independent sets on worker threads (mpiGraph shift rounds, eBB
+// samples), and solve_active() re-solves a caller's set on a warm,
+// caller-owned scratch (the MPI transport's rounds, the resilience
+// campaign's fault stages).  This is the engine behind the
 // bandwidth-dominated experiments (Figure 1 heatmaps, eBB, large-message
 // collectives): congestion arises purely from routed paths sharing
-// channels, which is the effect the paper studies.
+// channels, which is the effect the paper studies.  The event_queue.hpp
+// include provides FlatKeyHeap, the indexed core's quotient heap.
 #pragma once
 
 #include <cstdint>
