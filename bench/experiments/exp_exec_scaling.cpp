@@ -1,5 +1,5 @@
 // Repo-level experiment: thread scaling of full-fabric route computation
-// on the exec/ layer.  DFSSSP on the 12x8 HyperX and ftree on the paper
+// and of the MPI transport on the exec/ layer.  DFSSSP on the 12x8 HyperX and ftree on the paper
 // fat-tree (the small CI fabrics in quick mode) are timed at 1, 2, 4, ...
 // threads up to --threads (default: every hardware thread).  Every
 // N-thread RouteResult must equal the 1-thread one; a difference throws,
@@ -8,11 +8,18 @@
 // on.  A "parx_hyperx_12x8" row splits one PARX compute on the same
 // HyperX (default threads, mean of --reps runs) into the engine's phases:
 // spf_trees, parx_load, vl_path_extraction and vl_placement, plus the
-// whole compute's wall time ("total"), all in seconds.  The flow
-// solver's batch scaling is timed and identity-checked by
-// flowsim_speedup.
+// whole compute's wall time ("total"), all in seconds.  A
+// "transport_alltoall_parx" row times one 128 KiB IMB Alltoall at full
+// machine size (the 96-node system in quick mode) through mpi::Transport
+// on the PARX plane, whose bfo LID draws the transport makes serially, at
+// each thread point set through exec::set_default_threads; the round
+// times must equal the 1-thread ones bit for bit, and the row records
+// seconds, speedup and the rounds that reused the previous round's
+// rates.  The flow solver's batch scaling is timed and identity-checked
+// by flowsim_speedup.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +28,7 @@
 #include "experiments/experiments.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
+#include "workloads/imb.hpp"
 
 namespace hxsim::bench {
 
@@ -62,6 +70,60 @@ void sweep(const char* phase, const std::vector<std::int32_t>& points,
                {"seconds", seconds},
                {"speedup", speedup}});
   }
+}
+
+/// One 128 KiB Alltoall over the whole machine through mpi::Transport on
+/// the PARX plane, at each thread point as the process default; throws
+/// unless every round time equals the 1-thread one bit for bit.
+void transport_sweep(const report::Options& options,
+                     const std::vector<std::int32_t>& points,
+                     std::int32_t reps, report::ResultTable& phase_table) {
+  const workloads::PaperSystem& system = shared_system(options.quick);
+  const std::int32_t n = system.num_nodes();
+  const mpi::Schedule schedule =
+      workloads::imb_schedule(workloads::ImbOp::kAlltoall, n, 128 << 10);
+  const mpi::Placement placement =
+      mpi::Placement::linear(n, mpi::Placement::whole_machine(n));
+  const std::int32_t saved_threads = exec::default_threads();
+  double base_seconds = 0.0;
+  std::vector<double> reference;
+  std::int32_t mismatch = 0;  // first thread count whose times differ
+  for (const std::int32_t t : points) {
+    exec::set_default_threads(t);
+    std::vector<double> times;
+    std::int64_t reused = 0;
+    PhaseClock clock;
+    for (std::int32_t r = 0; r < reps; ++r) {
+      mpi::Transport transport(system.hx_parx(), placement, options.seed);
+      times = transport.execute_rounds(schedule);
+      reused = transport.reused_rounds();
+    }
+    const double seconds = clock.lap() / reps;
+    if (t == 1) {
+      base_seconds = seconds;
+      reference = times;
+    } else if (mismatch == 0 &&
+               (times.size() != reference.size() ||
+                std::memcmp(times.data(), reference.data(),
+                            times.size() * sizeof(double)) != 0)) {
+      mismatch = t;
+    }
+    const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
+    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx  reused %lld\n",
+                "transport_alltoall_parx", t, seconds * 1e3, speedup,
+                static_cast<long long>(reused));
+    add_phase(phase_table, "transport_alltoall_parx",
+              {{"threads", static_cast<double>(t)},
+               {"seconds", seconds},
+               {"speedup", speedup},
+               {"reused_rounds", static_cast<double>(reused)}});
+  }
+  exec::set_default_threads(saved_threads);
+  if (mismatch != 0)
+    throw std::runtime_error("transport_alltoall_parx: " +
+                             std::to_string(mismatch) +
+                             "-thread round times differ from the 1-thread "
+                             "times");
 }
 
 report::ResultSet run(const report::Options& options) {
@@ -118,10 +180,14 @@ report::ResultSet run(const report::Options& options) {
     return engine.compute(ft.topo(), ft_lids);
   });
 
-  // Reaching here means every N-thread result matched (sweep throws).
+  transport_sweep(options, points, reps, phase_table);
+
+  // Reaching here means every N-thread result matched (the sweeps throw).
   rs.set("threads_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
-  std::printf("all parallel routes bit-identical to 1-thread runs\n");
+  std::printf(
+      "all parallel routes and transport rounds bit-identical to 1-thread "
+      "runs\n");
   return rs;
 }
 
@@ -129,7 +195,8 @@ report::ResultSet run(const report::Options& options) {
 
 report::Experiment exec_scaling_experiment() {
   return {"exec_scaling",
-          "Route-computation thread scaling and 1 vs N-thread identity",
+          "Route-computation and transport thread scaling and 1 vs N-thread "
+          "identity",
           "repo (exec-layer contract)", run};
 }
 

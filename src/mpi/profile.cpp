@@ -1,6 +1,7 @@
 #include "mpi/profile.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace hxsim::mpi {
 
@@ -28,6 +29,17 @@ core::DemandMatrix CommProfile::to_demands(const Placement& placement,
                                            std::int32_t num_nodes) const {
   if (placement.num_ranks() != nranks_)
     throw std::invalid_argument("CommProfile::to_demands: rank mismatch");
+  if (num_nodes < 1)
+    throw std::invalid_argument("CommProfile::to_demands: num_nodes must be "
+                                ">= 1");
+  for (std::int32_t r = 0; r < nranks_; ++r) {
+    const topo::NodeId node = placement.node_of(r);
+    if (node < 0 || node >= num_nodes)
+      throw std::out_of_range("CommProfile::to_demands: rank " +
+                              std::to_string(r) + " is placed on node " +
+                              std::to_string(node) + ", outside [0, " +
+                              std::to_string(num_nodes) + ")");
+  }
   std::vector<std::int64_t> node_bytes(
       static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(num_nodes),
       0);

@@ -34,7 +34,9 @@ class CommProfile {
   [[nodiscard]] std::int64_t total_bytes() const;
 
   /// The job-submission/OpenSM interface: resolve ranks to nodes through
-  /// the placement and normalise to the 0..255 demand range.
+  /// the placement and normalise to the 0..255 demand range.  Throws
+  /// std::invalid_argument if num_nodes < 1 and std::out_of_range if the
+  /// placement puts a rank on a node outside [0, num_nodes).
   [[nodiscard]] core::DemandMatrix to_demands(const Placement& placement,
                                               std::int32_t num_nodes) const;
 

@@ -67,7 +67,18 @@ void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
   auto& local_of = scratch.local_of;
   auto& used = scratch.used;
   auto& frozen = scratch.frozen;
-  if (local_of.size() != capacity_.size()) local_of.assign(capacity_.size(), -1);
+  if (local_of.size() != capacity_.size()) {
+    local_of.assign(capacity_.size(), -1);
+    // Reserve the per-channel rescan state to the fabric's channel count
+    // once, so a warm scratch stays allocation-free when a later set
+    // crosses more distinct channels.  Capacity only: a solve still
+    // touches only the channels it uses.
+    used.reserve(capacity_.size());
+    scratch.frozen_load.reserve(capacity_.size());
+    scratch.unfrozen_count.reserve(capacity_.size());
+    scratch.saturated.reserve(capacity_.size());
+    scratch.worklist.reserve(capacity_.size());
+  }
   used.clear();
   frozen.assign(flows.size(), 0);
 

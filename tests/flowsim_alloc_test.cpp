@@ -196,6 +196,28 @@ TEST(FlowSimAllocations, DeactivationStagesStayAllocationFreeWhenWarm) {
   }
 }
 
+TEST(FlowSimAllocations, WarmScratchTakesMoreDistinctChannelsWithoutAllocating) {
+  // A scratch reused across rounds of one size meets differing channel
+  // sets (the transport's solver stripes under random LIDs).  Warmed on
+  // 32 copies of one 3-channel path, it solves 32 flows over 72 distinct
+  // channels: the first solve reserved the per-channel rescan state to
+  // the fabric's channel count.
+  const Chain chain(9, 4);
+  const FlowSim sim(chain.topo);
+  std::vector<Flow> wide;
+  chain.add_shift(wide, 1);
+  const std::vector<Flow> narrow(wide.size(), wide.front());
+  const std::vector<char> active(wide.size(), 1);
+  std::vector<double> rates(wide.size());
+  FlowSim::SolveScratch scratch;
+
+  sim.solve_active(narrow, active, rates, scratch);  // cold
+  const long long warm =
+      allocs_during([&] { sim.solve_active(wide, active, rates, scratch); });
+  EXPECT_EQ(warm, 0);
+  EXPECT_EQ(scratch.handoffs, 0) << "left the rescan regime";
+}
+
 TEST(FlowSimAllocations, WarmAdaptiveSolveIsAllocationFreeAcrossTheHandoff) {
   // A 6x4 HyperX under DFSSSP: one permutation is a light set (a few
   // filling levels, solved in rescan rounds); eight overlaid permutations

@@ -10,6 +10,7 @@
 #include "core/lid_choice.hpp"
 #include "core/parx.hpp"
 #include "core/quadrant.hpp"
+#include "exec/exec.hpp"
 #include "mpi/cluster.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/placement.hpp"
@@ -456,20 +457,76 @@ TEST(Transport, RejectsOutOfRangeRanks) {
             0);
 }
 
+TEST(Transport, ErrorsSurfaceInScheduleOrder) {
+  // Empty tables route nothing: rounds 0 and 2 share a transport block,
+  // and whichever fails first in schedule order decides the error.
+  const HyperX hx(topo::small_hyperx_params());
+  routing::LidSpace lids =
+      routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
+  routing::RouteResult empty;
+  empty.tables = routing::ForwardingTables(hx.topo().num_switches(),
+                                           lids.max_lid());
+  const Cluster broken(hx.topo(), lids, std::move(empty), make_ob1());
+  Transport transport(broken,
+                      Placement::linear(4, Placement::whole_machine(4)), 1);
+  const Schedule unroutable_first{
+      {RankMsg{0, 1, 8}}, {}, {RankMsg{0, 9, 8}}};
+  EXPECT_THROW((void)transport.execute(unroutable_first), std::runtime_error);
+  const Schedule out_of_range_first{
+      {RankMsg{2, 2, 8}}, {RankMsg{0, 9, 8}}, {RankMsg{0, 1, 8}}};
+  EXPECT_THROW((void)transport.execute(out_of_range_first), std::out_of_range);
+}
+
+TEST(Transport, RejectsPlacementsOutsideTheFabric) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  const NodeId n = cluster.num_nodes();
+  for (const NodeId bad : {n, NodeId{-1}}) {
+    const std::vector<NodeId> pool{0, bad};
+    try {
+      const Transport transport(cluster, Placement::linear(2, pool), 1);
+      ADD_FAILURE() << "node " << bad << " accepted";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("node " + std::to_string(bad)), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(Transport, CountsRoundsThatReuseThePreviousRates) {
+  // On ob1 every ring step routes the same pairs over the same paths, so
+  // each step after the first reuses its predecessor's rates -- across
+  // the block boundary too (62 rounds).  Pairwise Alltoall rounds differ.
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  const std::int32_t n = 32;
+  Transport transport(cluster,
+                      Placement::linear(n, Placement::whole_machine(n)), 1);
+  (void)transport.execute(col::allreduce_ring(n, 1 << 20));
+  EXPECT_EQ(transport.reused_rounds(), 2 * (n - 1) - 1);
+  (void)transport.execute(col::alltoall_pairwise(n, 1 << 20));
+  EXPECT_EQ(transport.reused_rounds(), 2 * (n - 1) - 1);
+}
+
 // --- the fused LFT walk ----------------------------------------------------------
 
 /// select_path() against the two-step route it replaces -- select_dlid()
-/// then ForwardingTables::path() -- over every (src, dst) pair and both
-/// sides of the 512-byte Table-1 threshold: same LID, same channels, and
-/// the same RNG draws.  Counts the pairs that fell back past Table 1's
-/// listed LIDs and those with no routable LID at all.
+/// then ForwardingTables::path() -- and against the transport's split
+/// route -- draw_lid_index() then walk_path() -- over every (src, dst)
+/// pair and both sides of the 512-byte Table-1 threshold: same LID, same
+/// channels, and the same RNG draws.  Counts the pairs that fell back past
+/// Table 1's listed LIDs and those with no routable LID at all.
 void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
                                std::int64_t& past_table1,
                                std::int64_t& unroutable) {
   const std::int32_t n = cluster.num_nodes();
   stats::Rng two_step_rng(17);
   stats::Rng fused_rng(17);
+  stats::Rng split_rng(17);
   std::vector<topo::ChannelId> path;
+  std::vector<topo::ChannelId> split_path;
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
       for (const std::int64_t bytes : {8LL, 512LL, 513LL, 128LL << 10}) {
@@ -479,6 +536,12 @@ void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
             cluster.select_path(src, dst, bytes, fused_rng, path);
         ASSERT_EQ(got, want) << name << " " << src << " -> " << dst << " "
                              << bytes << " B";
+        const std::int8_t first =
+            cluster.draw_lid_index(src, dst, bytes, split_rng);
+        ASSERT_EQ(cluster.walk_path(src, dst, bytes, first, split_path), want)
+            << name << " " << src << " -> " << dst << " " << bytes << " B";
+        ASSERT_EQ(split_path, path)
+            << name << " " << src << " -> " << dst << " " << bytes << " B";
         if (want == routing::kInvalidLid) {
           EXPECT_TRUE(path.empty()) << name;
           ++unroutable;
@@ -503,7 +566,9 @@ void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
       }
     }
   }
-  EXPECT_EQ(two_step_rng.next(), fused_rng.next()) << name << ": RNG state";
+  const std::uint64_t two_step_state = two_step_rng.next();
+  EXPECT_EQ(fused_rng.next(), two_step_state) << name << ": RNG state";
+  EXPECT_EQ(split_rng.next(), two_step_state) << name << ": RNG state";
 }
 
 TEST(Cluster, FusedWalkMatchesSelectDlidThenPath) {
@@ -599,30 +664,67 @@ std::vector<double> seed_execute_rounds(const Cluster& cluster,
   return times;
 }
 
+/// Restores exec's default thread count when the scope ends.
+class DefaultThreadsGuard {
+ public:
+  DefaultThreadsGuard() = default;
+  DefaultThreadsGuard(const DefaultThreadsGuard&) = delete;
+  DefaultThreadsGuard& operator=(const DefaultThreadsGuard&) = delete;
+  ~DefaultThreadsGuard() { exec::set_default_threads(saved_); }
+
+ private:
+  std::int32_t saved_ = exec::default_threads();
+};
+
 TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
+  // The seed loop solves every round fresh on the reference core, so it
+  // is also the oracle for the transport's blocks and rate reuse.
   workloads::SystemOptions options;
   options.small_scale = true;
   const workloads::PaperSystem system(options);
   const auto pool = Placement::whole_machine(system.num_nodes());
   const std::int32_t n = 48;
+  // Ring steps repeat their predecessor's pairs; empty rounds sit between
+  // some repeats, and some steps come again with another byte count
+  // (rates reusable, times not).  108 non-empty rounds: over three blocks.
+  Schedule repeats;
+  const Schedule ring = col::allreduce_ring(n, 1 << 20);
+  for (std::size_t r = 0; r < ring.size(); ++r) {
+    repeats.push_back(ring[r]);
+    if (r % 5 == 0) repeats.emplace_back();
+    if (r % 7 == 0) {
+      Round resized = ring[r];
+      for (RankMsg& m : resized) m.bytes = 4096;
+      repeats.push_back(std::move(resized));
+    }
+  }
   const std::vector<std::pair<std::string, Schedule>> schedules = {
       {"allreduce_ring 1 MiB", col::allreduce_ring(n, 1 << 20)},
       {"alltoall 64 B", col::alltoall_pairwise(n, 64)},
-      {"alltoall 64 KiB", col::alltoall_pairwise(n, 64 << 10)}};
-  for (const auto& config : system.configs()) {
-    stats::Rng placement_rng(5);
-    const Placement placement =
-        Placement::make(config.placement, n, pool, placement_rng);
-    for (const auto& [label, schedule] : schedules) {
-      const std::vector<double> want =
-          seed_execute_rounds(*config.cluster, placement, 9, schedule);
-      Transport transport(*config.cluster, placement, 9);
-      const std::vector<double> got = transport.execute_rounds(schedule);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
-          << config.name << ": " << label;
+      {"alltoall 64 KiB", col::alltoall_pairwise(n, 64 << 10)},
+      {"ring repeats", std::move(repeats)}};
+  const DefaultThreadsGuard guard;
+  for (const std::int32_t threads : {1, 4}) {
+    exec::set_default_threads(threads);
+    std::int64_t reused = 0;
+    for (const auto& config : system.configs()) {
+      stats::Rng placement_rng(5);
+      const Placement placement =
+          Placement::make(config.placement, n, pool, placement_rng);
+      for (const auto& [label, schedule] : schedules) {
+        const std::vector<double> want =
+            seed_execute_rounds(*config.cluster, placement, 9, schedule);
+        Transport transport(*config.cluster, placement, 9);
+        const std::vector<double> got = transport.execute_rounds(schedule);
+        reused += transport.reused_rounds();
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+            << config.name << ": " << label << ", " << threads << " threads";
+      }
     }
+    EXPECT_GT(reused, 0) << threads << " threads";
   }
 }
 
@@ -661,6 +763,22 @@ TEST(Profile, IntraNodeTrafficIsDropped) {
   const Placement p = Placement::linear(2, pool);
   const core::DemandMatrix demands = profile.to_demands(p, 8);
   EXPECT_FALSE(demands.is_listed_destination(5));
+}
+
+TEST(Profile, ToDemandsRejectsNodesOutsideTheMachine) {
+  CommProfile profile(2);
+  profile.record(0, 1, 1000);
+  const std::vector<NodeId> pool{0, 8};
+  const Placement p = Placement::linear(2, pool);
+  try {
+    (void)profile.to_demands(p, 8);
+    ADD_FAILURE() << "node 8 of an 8-node machine accepted";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("node 8"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)profile.to_demands(p, 0), std::invalid_argument);
 }
 
 TEST(Profile, RejectsBadRanks) {
