@@ -15,8 +15,10 @@
 // each thread point set through exec::set_default_threads; the round
 // times must equal the 1-thread ones bit for bit, and the row records
 // seconds, speedup and the rounds that reused the previous round's
-// rates.  The flow solver's batch scaling is timed and identity-checked
-// by flowsim_speedup.
+// rates.  An "mpigraph_parx" row does the same for one full-machine
+// mpiGraph on that plane, whose heatmap cells must equal the 1-thread
+// cells bit for bit.  The flow solver's batch scaling is timed and
+// identity-checked by flowsim_speedup.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
 #include "workloads/imb.hpp"
+#include "workloads/mpigraph.hpp"
 
 namespace hxsim::bench {
 
@@ -72,58 +75,99 @@ void sweep(const char* phase, const std::vector<std::int32_t>& points,
   }
 }
 
-/// One 128 KiB Alltoall over the whole machine through mpi::Transport on
-/// the PARX plane, at each thread point as the process default; throws
-/// unless every round time equals the 1-thread one bit for bit.
-void transport_sweep(const report::Options& options,
-                     const std::vector<std::int32_t>& points,
-                     std::int32_t reps, report::ResultTable& phase_table) {
-  const workloads::PaperSystem& system = shared_system(options.quick);
-  const std::int32_t n = system.num_nodes();
-  const mpi::Schedule schedule =
-      workloads::imb_schedule(workloads::ImbOp::kAlltoall, n, 128 << 10);
-  const mpi::Placement placement =
-      mpi::Placement::linear(n, mpi::Placement::whole_machine(n));
+/// Runs `run` at each thread point as the process default, `reps` times
+/// per point, and throws unless every run's output equals the 1-thread
+/// output bit for bit.  Each point's row records threads, seconds,
+/// speedup and the metrics `extra()` reports after its last run.
+template <typename Run, typename Extra>
+void default_threads_sweep(const char* phase,
+                           const std::vector<std::int32_t>& points,
+                           std::int32_t reps, report::ResultTable& phase_table,
+                           const Run& run, const Extra& extra) {
   const std::int32_t saved_threads = exec::default_threads();
   double base_seconds = 0.0;
   std::vector<double> reference;
-  std::int32_t mismatch = 0;  // first thread count whose times differ
+  std::int32_t mismatch = 0;  // first thread count whose output differs
   for (const std::int32_t t : points) {
     exec::set_default_threads(t);
-    std::vector<double> times;
-    std::int64_t reused = 0;
+    std::vector<double> output;
     PhaseClock clock;
-    for (std::int32_t r = 0; r < reps; ++r) {
-      mpi::Transport transport(system.hx_parx(), placement, options.seed);
-      times = transport.execute_rounds(schedule);
-      reused = transport.reused_rounds();
-    }
+    for (std::int32_t r = 0; r < reps; ++r) output = run();
     const double seconds = clock.lap() / reps;
     if (t == 1) {
       base_seconds = seconds;
-      reference = times;
+      reference = output;
     } else if (mismatch == 0 &&
-               (times.size() != reference.size() ||
-                std::memcmp(times.data(), reference.data(),
-                            times.size() * sizeof(double)) != 0)) {
+               (output.size() != reference.size() ||
+                std::memcmp(output.data(), reference.data(),
+                            output.size() * sizeof(double)) != 0)) {
       mismatch = t;
     }
     const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
-    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx  reused %lld\n",
-                "transport_alltoall_parx", t, seconds * 1e3, speedup,
-                static_cast<long long>(reused));
-    add_phase(phase_table, "transport_alltoall_parx",
-              {{"threads", static_cast<double>(t)},
-               {"seconds", seconds},
-               {"speedup", speedup},
-               {"reused_rounds", static_cast<double>(reused)}});
+    std::vector<std::pair<std::string, double>> metrics{
+        {"threads", static_cast<double>(t)},
+        {"seconds", seconds},
+        {"speedup", speedup}};
+    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx", phase, t,
+                seconds * 1e3, speedup);
+    for (auto& [name, value] : extra()) {
+      std::printf("  %s %g", name.c_str(), value);
+      metrics.emplace_back(std::move(name), value);
+    }
+    std::printf("\n");
+    add_phase(phase_table, phase, metrics);
   }
   exec::set_default_threads(saved_threads);
   if (mismatch != 0)
-    throw std::runtime_error("transport_alltoall_parx: " +
+    throw std::runtime_error(std::string(phase) + ": " +
                              std::to_string(mismatch) +
-                             "-thread round times differ from the 1-thread "
-                             "times");
+                             "-thread results differ from the 1-thread "
+                             "results");
+}
+
+/// The PARX plane at full machine size through the round runner's
+/// callers: one 128 KiB IMB Alltoall through mpi::Transport (round
+/// times, and the rounds that reused the previous round's rates), and
+/// one mpiGraph (heatmap cells).
+void round_runner_sweeps(const report::Options& options,
+                         const std::vector<std::int32_t>& points,
+                         std::int32_t reps, report::ResultTable& phase_table) {
+  const workloads::PaperSystem& system = shared_system(options.quick);
+  const std::int32_t n = system.num_nodes();
+  const mpi::Placement placement =
+      mpi::Placement::linear(n, mpi::Placement::whole_machine(n));
+
+  const mpi::Schedule schedule =
+      workloads::imb_schedule(workloads::ImbOp::kAlltoall, n, 128 << 10);
+  std::int64_t reused = 0;
+  default_threads_sweep(
+      "transport_alltoall_parx", points, reps, phase_table,
+      [&] {
+        mpi::Transport transport(system.hx_parx(), placement, options.seed);
+        std::vector<double> times = transport.execute_rounds(schedule);
+        reused = transport.reused_rounds();
+        return times;
+      },
+      [&] {
+        return std::vector<std::pair<std::string, double>>{
+            {"reused_rounds", static_cast<double>(reused)}};
+      });
+
+  workloads::MpiGraphOptions graph;
+  graph.seed = options.seed;
+  default_threads_sweep(
+      "mpigraph_parx", points, reps, phase_table,
+      [&] {
+        const stats::Heatmap map =
+            workloads::mpigraph(system.hx_parx(), placement, n, graph);
+        std::vector<double> cells;
+        cells.reserve(map.rows() * map.cols());
+        for (std::size_t r = 0; r < map.rows(); ++r)
+          for (std::size_t c = 0; c < map.cols(); ++c)
+            cells.push_back(map.at(r, c));
+        return cells;
+      },
+      [] { return std::vector<std::pair<std::string, double>>{}; });
 }
 
 report::ResultSet run(const report::Options& options) {
@@ -180,14 +224,14 @@ report::ResultSet run(const report::Options& options) {
     return engine.compute(ft.topo(), ft_lids);
   });
 
-  transport_sweep(options, points, reps, phase_table);
+  round_runner_sweeps(options, points, reps, phase_table);
 
   // Reaching here means every N-thread result matched (the sweeps throw).
   rs.set("threads_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
   std::printf(
-      "all parallel routes and transport rounds bit-identical to 1-thread "
-      "runs\n");
+      "all parallel routes, transport rounds and mpiGraph cells "
+      "bit-identical to 1-thread runs\n");
   return rs;
 }
 

@@ -1,7 +1,6 @@
 #include "mpi/cluster.hpp"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -129,155 +128,65 @@ std::optional<NetMessage> Cluster::route_message(topo::NodeId src,
   return msg;
 }
 
+void Cluster::check_placement(const Placement& placement, std::int32_t ranks,
+                              std::string_view who) const {
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    const topo::NodeId node = placement.node_of(r);
+    if (node < 0 || node >= num_nodes())
+      throw std::out_of_range(
+          std::string(who) + ": rank " + std::to_string(r) +
+          " is placed on node " + std::to_string(node) +
+          ", outside the cluster's [0, " + std::to_string(num_nodes()) + ")");
+  }
+}
+
 Transport::Transport(const Cluster& cluster, Placement placement,
                      std::uint64_t seed)
     : cluster_(&cluster),
       placement_(std::move(placement)),
       rng_(seed),
-      solver_(cluster.topo(), cluster.link()),
-      slots_(kBlockRounds + 1),
+      runner_(cluster, "Transport"),
       src_count_(static_cast<std::size_t>(placement_.num_ranks()), 0),
-      dst_count_(static_cast<std::size_t>(placement_.num_ranks()), 0),
-      scratch_(static_cast<std::size_t>(pool_.num_threads())) {
-  for (std::int32_t r = 0; r < placement_.num_ranks(); ++r) {
-    const topo::NodeId node = placement_.node_of(r);
-    if (node < 0 || node >= cluster.num_nodes())
-      throw std::out_of_range(
-          "Transport: rank " + std::to_string(r) + " is placed on node " +
-          std::to_string(node) + ", outside the cluster's [0, " +
-          std::to_string(cluster.num_nodes()) + ")");
-  }
+      dst_count_(static_cast<std::size_t>(placement_.num_ranks()), 0) {
+  cluster.check_placement(placement_, placement_.num_ranks(), "Transport");
 }
 
-void Transport::draw_round(const Round& round, std::size_t index,
-                           RoundSlot& slot) {
-  const double overhead = cluster_->pml().per_message_overhead;
-  const std::size_t n = round.size();
-  slot.index = index;
-  slot.size = n;
-  if (slot.flows.size() < n) {
-    slot.flows.resize(n);
-    slot.ends.resize(n);
-  }
-  slot.offsets.resize(n);
-  slot.rates.resize(n);
-  if (active_.size() < n) active_.resize(n, 1);
-
+double Transport::round_time(const Round& round,
+                             const RoundRunner::Slot& slot) {
+  const PmlConfig& pml = cluster_->pml();
+  const sim::LinkModel& link = cluster_->link();
   // Per-endpoint concurrency for the software serialization offsets.  The
   // rank-indexed counters are zero between rounds: the round's own
   // messages reset what they counted.
-  for (std::size_t i = 0; i < n; ++i) {
+  double time = 0.0;
+  for (std::size_t i = 0; i < round.size(); ++i) {
     const RankMsg& rm = round[i];
     const std::int32_t si = src_count_[static_cast<std::size_t>(rm.src_rank)]++;
     const std::int32_t di = dst_count_[static_cast<std::size_t>(rm.dst_rank)]++;
-    slot.offsets[i] = static_cast<double>(std::max(si, di)) * overhead;
+    const std::size_t hops = slot.flows[i].channels.size();
+    double t = static_cast<double>(std::max(si, di)) *
+                   pml.per_message_overhead +
+               pml.per_message_overhead +
+               static_cast<double>(rm.bytes) * pml.per_byte_overhead;
+    t += static_cast<double>(hops) * link.hop_latency;
+    if (rm.bytes > 0 && hops > 0)
+      t += static_cast<double>(rm.bytes) / slot.rates[i];
+    time = std::max(time, t);
   }
   for (const RankMsg& rm : round) {
     src_count_[static_cast<std::size_t>(rm.src_rank)] = 0;
     dst_count_[static_cast<std::size_t>(rm.dst_rank)] = 0;
   }
-
-  // The RNG draws, in message order; self-sends draw nothing.
-  for (std::size_t i = 0; i < n; ++i) {
-    const RankMsg& rm = round[i];
-    Endpoints& e = slot.ends[i];
-    e.src = placement_.node_of(rm.src_rank);
-    e.dst = placement_.node_of(rm.dst_rank);
-    e.first_lid = e.src == e.dst ? std::int8_t{0}
-                                 : cluster_->draw_lid_index(e.src, e.dst,
-                                                            rm.bytes, rng_);
-    slot.flows[i].bytes = rm.bytes;
-  }
-}
-
-void Transport::walk_round(RoundSlot& slot) const {
-  for (std::size_t i = 0; i < slot.size; ++i) {
-    const Endpoints& e = slot.ends[i];
-    sim::Flow& flow = slot.flows[i];
-    if (e.src == e.dst) {
-      flow.channels.clear();  // loopback: no fabric involvement
-      continue;
-    }
-    flow.channels.reserve(max_path_);
-    if (cluster_->walk_path(e.src, e.dst, flow.bytes, e.first_lid,
-                            flow.channels) == routing::kInvalidLid)
-      throw std::runtime_error("Transport: unroutable message in round " +
-                               std::to_string(slot.index));
-  }
-}
-
-bool Transport::same_walks(const RoundSlot& slot, const RoundSlot& prev) {
-  if (slot.size != prev.size) return false;
-  for (std::size_t i = 0; i < slot.size; ++i) {
-    const Endpoints& a = slot.ends[i];
-    const Endpoints& b = prev.ends[i];
-    if (a.src != b.src || a.dst != b.dst || a.first_lid != b.first_lid ||
-        core::classify_message(slot.flows[i].bytes) !=
-            core::classify_message(prev.flows[i].bytes))
-      return false;
-  }
-  return true;
-}
-
-void Transport::run_stripe(std::size_t stripe, std::size_t stripes) {
-  sim::FlowSim::SolveScratch& scratch = scratch_[stripe];
-  for (std::size_t i = stripe; i < block_size_; i += stripes) {
-    RoundSlot& slot = slot_at(block_begin_ + i);
-    walk_round(slot);
-    if (slot.reuse) continue;
-    solver_.solve_active(
-        std::span<const sim::Flow>(slot.flows.data(), slot.size),
-        std::span<const char>(active_.data(), slot.size), slot.rates,
-        scratch);
-  }
-}
-
-void Transport::run_block(std::vector<double>& times) {
-  std::size_t messages = 0;
-  for (std::size_t i = 0; i < block_size_; ++i)
-    messages += slot_at(block_begin_ + i).size;
-  // A small block costs less to walk and solve than to hand to the pool.
-  const std::size_t stripes = messages < kParallelMessages
-                                  ? 1
-                                  : std::min(scratch_.size(), block_size_);
-  if (stripes == 1)
-    run_stripe(0, 1);
-  else
-    pool_.parallel_for(static_cast<std::int64_t>(stripes),
-                       [this, stripes](std::int64_t s, std::int32_t) {
-                         run_stripe(static_cast<std::size_t>(s), stripes);
-                       });
-
-  const PmlConfig& pml = cluster_->pml();
-  const sim::LinkModel& link = cluster_->link();
-  for (std::size_t pos = block_begin_; pos < block_begin_ + block_size_;
-       ++pos) {
-    RoundSlot& slot = slot_at(pos);
-    if (slot.reuse) {
-      ++reused_rounds_;
-      std::copy_n(slot_at(pos - 1).rates.begin(), slot.size,
-                  slot.rates.begin());
-    }
-    double time = 0.0;
-    for (std::size_t i = 0; i < slot.size; ++i) {
-      const sim::Flow& flow = slot.flows[i];
-      max_path_ = std::max(max_path_, flow.channels.size());
-      double t = slot.offsets[i] + pml.per_message_overhead +
-                 static_cast<double>(flow.bytes) * pml.per_byte_overhead;
-      t += static_cast<double>(flow.channels.size()) * link.hop_latency;
-      if (flow.bytes > 0 && !flow.channels.empty())
-        t += static_cast<double>(flow.bytes) / slot.rates[i];
-      time = std::max(time, t);
-    }
-    times[slot.index] = time;
-  }
+  return time;
 }
 
 std::vector<double> Transport::execute_rounds(const Schedule& schedule) {
   std::vector<double> times(schedule.size(), 0.0);  // empty rounds take 0
+  const auto finish = [&](const RoundRunner::Slot& slot) {
+    times[slot.index] = round_time(schedule[slot.index], slot);
+  };
   const std::int32_t ranks = placement_.num_ranks();
-  block_begin_ = 0;
-  block_size_ = 0;
+  runner_.begin();
   for (std::size_t r = 0; r < schedule.size(); ++r) {
     const Round& round = schedule[r];
     if (round.empty()) continue;
@@ -288,26 +197,22 @@ std::vector<double> Transport::execute_rounds(const Schedule& schedule) {
         continue;
       // The block's earlier rounds fail first, as a round-by-round loop
       // would; this round has drawn nothing.
-      run_block(times);
+      runner_.flush(finish);
       throw std::out_of_range(
           "Transport: message " + std::to_string(i) + " of the round (" +
           std::to_string(rm.src_rank) + " -> " + std::to_string(rm.dst_rank) +
           ") names a rank outside [0, " + std::to_string(ranks) + ")");
     }
-    const std::size_t pos = block_begin_ + block_size_;
-    RoundSlot& slot = slot_at(pos);
-    draw_round(round, r, slot);
-    // A walk reads only what same_walks compares, so such a round routes
-    // exactly like its predecessor, and a round's rates depend only on its
-    // paths: it takes the predecessor's rates instead of a solve.
-    slot.reuse = pos > 0 && same_walks(slot, slot_at(pos - 1));
-    if (++block_size_ == kBlockRounds) {
-      run_block(times);
-      block_begin_ += block_size_;
-      block_size_ = 0;
+    // The RNG draws, in message order; self-sends draw nothing.
+    RoundRunner::Slot& slot = runner_.next(r, round.size());
+    for (std::size_t i = 0; i < round.size(); ++i) {
+      const RankMsg& rm = round[i];
+      runner_.draw(slot, i, placement_.node_of(rm.src_rank),
+                   placement_.node_of(rm.dst_rank), rm.bytes, rng_);
     }
+    runner_.push(finish);
   }
-  run_block(times);
+  runner_.flush(finish);
   return times;
 }
 

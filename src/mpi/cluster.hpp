@@ -16,33 +16,26 @@
 //    walk that proves a candidate reachable is also the message's path
 //    (select_path), so each candidate is walked once.
 //
-// In the fixed-rate model a round's rates depend only on its routed paths,
-// so once the Table-1 draws are made in message order the rounds of a
-// schedule are independent.  The transport runs a schedule in blocks of
-// rounds: a serial pass range-checks each round, computes its endpoint
-// offsets and makes every RNG draw (draw_lid_index); then its thread pool
-// walks the block's rounds (walk_path) and solves them (one
-// FlowSim::solve_active per round), striped over one scratch per thread,
-// each task writing only its own rounds' slots.  A round that walks
-// exactly the previous round's paths (same endpoints, drawn LIDs and size
-// classes) copies that round's rates instead of solving.  Round times are
-// bit-identical to a serial, solve-every-round loop at any thread count.
-// parallel_for does not nest, so a transport must not run inside a
-// parallel region.
-//
-// Rounds route into transport-owned buffers and solve on transport-owned
-// scratch: once the transport has seen its largest rounds, a schedule
-// allocates only the vector of times it returns.
+// The transport range-checks each round and makes its Table-1 draws in
+// message order (draw_lid_index); its RoundRunner (mpi/round_runner.hpp)
+// walks and solves the rounds in blocks on the runner's thread pool, and
+// the transport times each round from its rates, endpoint offsets and hop
+// counts.  Round times are bit-identical to a serial, solve-every-round
+// loop at any thread count.  parallel_for does not nest, so a transport
+// must not run inside a parallel region.  Once the transport has seen its
+// largest rounds, a schedule allocates only the vector of times it
+// returns.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "mpi/placement.hpp"
 #include "mpi/pml.hpp"
 #include "mpi/profile.hpp"
+#include "mpi/round_runner.hpp"
 #include "routing/engine.hpp"
 #include "sim/flowsim.hpp"
 #include "stats/rng.hpp"
@@ -131,6 +124,12 @@ class Cluster {
       topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
       stats::Rng& rng) const;
 
+  /// Throws std::out_of_range, naming the rank and its node, if one of the
+  /// placement's first `ranks` ranks sits on a node outside the cluster.
+  /// `who` opens the message.
+  void check_placement(const Placement& placement, std::int32_t ranks,
+                       std::string_view who) const;
+
  private:
   const topo::Topology* topo_;
   routing::LidSpace lids_;
@@ -169,7 +168,7 @@ class Transport {
   /// the previous non-empty round of the same schedule (same walks, so
   /// equal paths) instead of solved.
   [[nodiscard]] std::int64_t reused_rounds() const noexcept {
-    return reused_rounds_;
+    return runner_.reused_rounds();
   }
 
   /// Records the schedule's rank-pair byte counts (the IB-profiler stand-in;
@@ -177,76 +176,18 @@ class Transport {
   static void accumulate(const Schedule& schedule, CommProfile& profile);
 
  private:
-  /// Non-empty rounds per block: the serial draws of a block run before
-  /// its parallel walks and solves.
-  static constexpr std::size_t kBlockRounds = 32;
-  /// Messages from which a block goes to the pool.  In the IMB sweep on
-  /// the paper planes (4 cores), smaller blocks ran slower on four threads
-  /// than on the calling thread: waking the pool cost more than their
-  /// walks and solves.
-  static constexpr std::size_t kParallelMessages = 1024;
-
-  /// A message's endpoints and the LID index its serial draw picked.
-  struct Endpoints {
-    topo::NodeId src = topo::kInvalidNode;
-    topo::NodeId dst = topo::kInvalidNode;
-    std::int8_t first_lid = 0;
-  };
-
-  /// One non-empty round in flight.  The buffers only grow: a round uses
-  /// their first `size` entries, and each path keeps its capacity.
-  struct RoundSlot {
-    std::size_t index = 0;  // position in the schedule
-    std::size_t size = 0;   // messages
-    bool reuse = false;     // walks the previous round's paths
-    std::vector<Endpoints> ends;
-    std::vector<sim::Flow> flows;
-    std::vector<double> offsets;
-    std::vector<double> rates;
-  };
-
-  /// Slot of the round at running position `pos` (non-empty rounds of the
-  /// current schedule).  A block holds kBlockRounds positions; the ring
-  /// has one more slot, so the previous block's last round survives.
-  [[nodiscard]] RoundSlot& slot_at(std::size_t pos) {
-    return slots_[pos % slots_.size()];
-  }
-  /// Serial pass over one round: offsets and RNG draws in message order.
-  void draw_round(const Round& round, std::size_t index, RoundSlot& slot);
-  /// Whether two drawn rounds walk the same paths: message by message,
-  /// the same endpoints, drawn LID index and Table-1 size class -- all
-  /// that Cluster::walk_path reads.
-  [[nodiscard]] static bool same_walks(const RoundSlot& slot,
-                                       const RoundSlot& prev);
-  /// LFT walks of one drawn round into its slot; throws if unroutable.
-  void walk_round(RoundSlot& slot) const;
-  /// Walks the block's rounds stripe, stripe + stripes, ... and solves
-  /// those that do not reuse on scratch_[stripe].  The split depends only
-  /// on the block, so each scratch sees the same rounds on every call,
-  /// whichever thread runs the stripe.
-  void run_stripe(std::size_t stripe, std::size_t stripes);
-  /// Walks, solves and times the block at positions [block_begin_,
-  /// block_begin_ + block_size_) into `times`: one stripe per thread in
-  /// one parallel_for, or a single stripe on the calling thread when the
-  /// block holds fewer than kParallelMessages messages.
-  void run_block(std::vector<double>& times);
+  /// Completion time of a walked and solved round: the slowest message's
+  /// endpoint offset, PML overheads, hop latency and bytes over its rate.
+  [[nodiscard]] double round_time(const Round& round,
+                                  const RoundRunner::Slot& slot);
 
   const Cluster* cluster_;
   Placement placement_;
   stats::Rng rng_;
-  sim::FlowSim solver_;
-  exec::ThreadPool pool_;
+  RoundRunner runner_;
 
-  std::vector<RoundSlot> slots_;
-  std::size_t block_begin_ = 0;
-  std::size_t block_size_ = 0;
-  std::size_t max_path_ = 0;  // path buffers are reserved to this length
-  std::int64_t reused_rounds_ = 0;
-
-  std::vector<char> active_;  // all 1, as long as the largest round
   std::vector<std::int32_t> src_count_;  // per rank; zero between rounds
   std::vector<std::int32_t> dst_count_;
-  std::vector<sim::FlowSim::SolveScratch> scratch_;  // one per thread
 };
 
 }  // namespace hxsim::mpi

@@ -3,10 +3,11 @@
 // Statically routed InfiniBand traffic under sustained load converges to a
 // per-link fair share; FlowSim computes the exact max-min allocation by
 // progressive filling.  fair_rates() solves one flow set, solve_batch()
-// many independent sets on worker threads (mpiGraph shift rounds, eBB
-// samples), and solve_active() re-solves a caller's set on a warm,
-// caller-owned scratch (the MPI transport's rounds, the resilience
-// campaign's fault stages).  This is the engine behind the
+// many independent sets on worker threads (a fresh pool and scratch per
+// call), and solve_active() re-solves a caller's set on a warm,
+// caller-owned scratch (mpi::RoundRunner's rounds -- the transport's,
+// mpiGraph's shifts and eBB's samples -- and the resilience campaign's
+// fault stages).  This is the engine behind the
 // bandwidth-dominated experiments (Figure 1 heatmaps, eBB, large-message
 // collectives): congestion arises purely from routed paths sharing
 // channels, which is the effect the paper studies.  The event_queue.hpp
@@ -132,9 +133,10 @@ class FlowSim {
       std::span<const Flow> flows,
       obs::FlowSolveTrace* trace = nullptr) const;
 
-  /// fair_rates() for many *independent* flow sets (mpiGraph shift
-  /// rounds, eBB permutation samples), solved concurrently on `threads`
-  /// workers (0: exec::default_threads()) with per-worker scratch.  Each
+  /// fair_rates() for many *independent* flow sets, solved concurrently
+  /// on `threads` workers (0: exec::default_threads()) with per-worker
+  /// scratch; pool and scratch are built per call, so repeated batches
+  /// belong on solve_active with warm scratch (mpi::RoundRunner).  Each
   /// set's allocation is computed in isolation, exactly as a fair_rates()
   /// loop would, so the output is thread-count-invariant.  solve_batch
   /// does not take a solver trace (a shared sink would race across

@@ -1,8 +1,9 @@
 #include "workloads/ebb.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "mpi/round_runner.hpp"
 #include "stats/units.hpp"
 
 namespace hxsim::workloads {
@@ -14,49 +15,46 @@ EbbResult effective_bisection_bandwidth(const mpi::Cluster& cluster,
   if (nodes_used < 2 || nodes_used % 2 != 0 ||
       nodes_used > placement.num_ranks())
     throw std::invalid_argument("ebb: node count must be even and placed");
+  if (options.samples < 1)
+    throw std::invalid_argument("ebb: samples must be positive, got " +
+                                std::to_string(options.samples));
+  cluster.check_placement(placement, nodes_used, "ebb");
 
-  stats::Rng rng(options.seed);
-  sim::FlowSim flows(cluster.topo(), cluster.link());
   EbbResult result;
   result.sample_means.reserve(static_cast<std::size_t>(options.samples));
+  const auto mean_of = [&](const mpi::RoundRunner::Slot& slot) {
+    double mean = 0.0;
+    for (std::size_t i = 0; i < slot.size; ++i) mean += slot.rates[i];
+    mean /= static_cast<double>(slot.size);
+    result.sample_means.push_back(mean / static_cast<double>(stats::kGiB));
+  };
 
-  const std::int32_t half = nodes_used / 2;
-
-  // Permutation samples are independent once routed; solve blocks of them
-  // concurrently.  Permutations and paths are generated strictly in sample
-  // order (both consume the RNG), so the sample means are identical to the
+  // Permutation samples are independent once their LIDs are drawn.
+  // Permutations and LID draws interleave strictly in sample order (both
+  // consume the RNG), and the runner walks and solves the samples of a
+  // block concurrently, so the sample means are identical to the
   // sequential run at any thread count.
-  constexpr std::int32_t kBlock = 32;
-  std::vector<std::vector<sim::Flow>> rounds;
-  for (std::int32_t block = 0; block < options.samples; block += kBlock) {
-    const std::int32_t end = std::min(block + kBlock, options.samples);
-    rounds.clear();
-    for (std::int32_t s = block; s < end; ++s) {
-      const std::vector<std::int32_t> perm = rng.permutation(nodes_used);
-      // Pair perm[i] <-> perm[i + half]; both directions stream
-      // concurrently (Netgauge uses Isend/Irecv full-duplex pairs).
-      std::vector<sim::Flow> round;
-      round.reserve(static_cast<std::size_t>(nodes_used));
-      for (std::int32_t i = 0; i < half; ++i) {
-        const topo::NodeId a =
-            placement.node_of(perm[static_cast<std::size_t>(i)]);
-        const topo::NodeId b =
-            placement.node_of(perm[static_cast<std::size_t>(i + half)]);
-        for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
-          auto msg = cluster.route_message(src, dst, options.bytes, rng);
-          if (!msg) throw std::runtime_error("ebb: unroutable pair");
-          round.push_back(sim::Flow{std::move(msg->path), options.bytes});
-        }
-      }
-      rounds.push_back(std::move(round));
+  const std::int32_t half = nodes_used / 2;
+  stats::Rng rng(options.seed);
+  mpi::RoundRunner runner(cluster, "ebb");
+  for (std::int32_t s = 0; s < options.samples; ++s) {
+    const std::vector<std::int32_t> perm = rng.permutation(nodes_used);
+    // Pair perm[i] <-> perm[i + half]; both directions stream
+    // concurrently (Netgauge uses Isend/Irecv full-duplex pairs).
+    mpi::RoundRunner::Slot& slot = runner.next(
+        static_cast<std::size_t>(s), static_cast<std::size_t>(nodes_used));
+    for (std::int32_t i = 0; i < half; ++i) {
+      const topo::NodeId a =
+          placement.node_of(perm[static_cast<std::size_t>(i)]);
+      const topo::NodeId b =
+          placement.node_of(perm[static_cast<std::size_t>(i + half)]);
+      const auto k = static_cast<std::size_t>(2 * i);
+      runner.draw(slot, k, a, b, options.bytes, rng);
+      runner.draw(slot, k + 1, b, a, options.bytes, rng);
     }
-    for (const auto& rate : flows.solve_batch(rounds)) {
-      double mean = 0.0;
-      for (double r : rate) mean += r;
-      mean /= static_cast<double>(rate.size());
-      result.sample_means.push_back(mean / static_cast<double>(stats::kGiB));
-    }
+    runner.push(mean_of);
   }
+  runner.flush(mean_of);
   return result;
 }
 

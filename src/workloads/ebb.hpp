@@ -31,8 +31,11 @@ struct EbbResult {
   }
 };
 
-/// Runs eBB on the first `nodes_used` ranks of the placement
-/// (must be even).
+/// Runs eBB on the first `nodes_used` ranks of the placement (must be
+/// even).  Throws std::invalid_argument for an odd, too small or unplaced
+/// node count or fewer than one sample, std::out_of_range if a used rank
+/// sits outside the fabric, and std::runtime_error for an unroutable
+/// pair.  Must not run inside an exec::ThreadPool::parallel_for body.
 [[nodiscard]] EbbResult effective_bisection_bandwidth(
     const mpi::Cluster& cluster, const mpi::Placement& placement,
     std::int32_t nodes_used, const EbbOptions& options = {});

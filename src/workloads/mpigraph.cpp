@@ -1,8 +1,8 @@
 #include "workloads/mpigraph.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "mpi/round_runner.hpp"
 #include "stats/units.hpp"
 
 namespace hxsim::workloads {
@@ -13,50 +13,37 @@ stats::Heatmap mpigraph(const mpi::Cluster& cluster,
                         const MpiGraphOptions& options) {
   if (nodes_used < 2 || nodes_used > placement.num_ranks())
     throw std::invalid_argument("mpigraph: bad node count");
+  cluster.check_placement(placement, nodes_used, "mpigraph");
 
   stats::Heatmap map(static_cast<std::size_t>(nodes_used),
                      static_cast<std::size_t>(nodes_used),
                      cluster.topo().name() + " mpiGraph " +
                          std::to_string(nodes_used) + " nodes");
 
+  // Shift rounds are independent once their LIDs are drawn: the draws stay
+  // strictly in shift order, and the runner walks and solves the rounds of
+  // a block concurrently, so the heatmap is identical to the sequential
+  // run at any thread count.
+  const auto n = static_cast<std::size_t>(nodes_used);
+  const auto fill = [&](const mpi::RoundRunner::Slot& slot) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // Streaming bandwidth of the pair == its steady fair share.
+      map.set((i + slot.index) % n, i,
+              slot.rates[i] / static_cast<double>(stats::kGiB));
+    }
+  };
   stats::Rng rng(options.seed);
-  sim::FlowSim flows(cluster.topo(), cluster.link());
-
-  // Shift rounds are independent once their flow paths are fixed, so the
-  // rounds of a block are solved concurrently.  Path generation stays
-  // strictly in shift order (route_message consumes the RNG), so the
-  // heatmap is identical to the sequential run at any thread count; the
-  // block bound keeps at most kBlock rounds of flows in memory.
-  constexpr std::int32_t kBlock = 32;
-  std::vector<std::vector<sim::Flow>> rounds;
-  for (std::int32_t block = 1; block < nodes_used; block += kBlock) {
-    const std::int32_t end = std::min(block + kBlock, nodes_used);
-    rounds.clear();
-    for (std::int32_t shift = block; shift < end; ++shift) {
-      std::vector<sim::Flow> round;
-      round.reserve(static_cast<std::size_t>(nodes_used));
-      for (std::int32_t i = 0; i < nodes_used; ++i) {
-        const topo::NodeId src = placement.node_of(i);
-        const topo::NodeId dst = placement.node_of((i + shift) % nodes_used);
-        auto msg = cluster.route_message(src, dst, options.bytes, rng);
-        if (!msg)
-          throw std::runtime_error("mpigraph: unroutable node pair");
-        round.push_back(sim::Flow{std::move(msg->path), options.bytes});
-      }
-      rounds.push_back(std::move(round));
-    }
-    const auto rates = flows.solve_batch(rounds);
-    for (std::int32_t shift = block; shift < end; ++shift) {
-      const auto& rate = rates[static_cast<std::size_t>(shift - block)];
-      for (std::int32_t i = 0; i < nodes_used; ++i) {
-        const std::int32_t j = (i + shift) % nodes_used;
-        // Streaming bandwidth of the pair == its steady fair share.
-        map.set(static_cast<std::size_t>(j), static_cast<std::size_t>(i),
-                rate[static_cast<std::size_t>(i)] /
-                    static_cast<double>(stats::kGiB));
-      }
-    }
+  mpi::RoundRunner runner(cluster, "mpigraph");
+  for (std::size_t shift = 1; shift < n; ++shift) {
+    mpi::RoundRunner::Slot& slot = runner.next(shift, n);
+    for (std::size_t i = 0; i < n; ++i)
+      runner.draw(slot, i,
+                  placement.node_of(static_cast<std::int32_t>(i)),
+                  placement.node_of(static_cast<std::int32_t>((i + shift) % n)),
+                  options.bytes, rng);
+    runner.push(fill);
   }
+  runner.flush(fill);
   return map;
 }
 

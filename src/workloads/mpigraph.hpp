@@ -21,7 +21,10 @@ struct MpiGraphOptions {
 
 /// Heatmap of observed bandwidth [GiB/s], cell (receiver, sender);
 /// diagonal cells stay 0.  Uses the first `nodes_used` ranks of the
-/// placement.
+/// placement.  Throws std::invalid_argument for fewer than 2 or more than
+/// the placed ranks, std::out_of_range if a used rank sits outside the
+/// fabric, and std::runtime_error for an unroutable pair.  Must not run
+/// inside an exec::ThreadPool::parallel_for body.
 [[nodiscard]] stats::Heatmap mpigraph(const mpi::Cluster& cluster,
                                       const mpi::Placement& placement,
                                       std::int32_t nodes_used,

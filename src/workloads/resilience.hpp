@@ -13,7 +13,7 @@
 // flow solver.  Lost pairs count as zero throughput: the metric is
 // "fraction of attempted injection bandwidth delivered", so losing nodes
 // cannot masquerade as a faster fabric.  All randomness is seeded and all
-// parallel pieces (route computation, census, solve_batch) are
+// parallel pieces (route computation, census, flow solves) are
 // deterministic at any thread count, so a campaign is replayable
 // bit-for-bit.
 #pragma once

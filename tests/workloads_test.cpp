@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "core/parx.hpp"
 #include "core/quadrant.hpp"
+#include "exec/exec.hpp"
 #include "mpi/cluster.hpp"
 #include "routing/dfsssp.hpp"
+#include "stats/units.hpp"
 #include "topo/hyperx.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/capacity.hpp"
@@ -34,6 +39,121 @@ Cluster make_dfsssp_cluster(const HyperX& hx) {
   routing::RouteResult route = engine.compute(hx.topo(), lids);
   return Cluster(hx.topo(), std::move(lids), std::move(route),
                  mpi::make_ob1());
+}
+
+/// A plane whose tables are empty: no pair routes.
+Cluster make_broken_cluster(const HyperX& hx) {
+  routing::LidSpace lids =
+      routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
+  routing::RouteResult empty;
+  empty.tables = routing::ForwardingTables(hx.topo().num_switches(),
+                                           lids.max_lid());
+  return Cluster(hx.topo(), std::move(lids), std::move(empty),
+                 mpi::make_ob1());
+}
+
+/// Ranks 0..21 on nodes 32..53 of the 32-node small HyperX.
+Placement placement_past_the_fabric() {
+  std::vector<NodeId> pool(22);
+  std::iota(pool.begin(), pool.end(), NodeId{32});
+  return Placement::linear(22, pool);
+}
+
+/// Restores exec's default thread count when the scope ends.
+class DefaultThreadsGuard {
+ public:
+  DefaultThreadsGuard() = default;
+  DefaultThreadsGuard(const DefaultThreadsGuard&) = delete;
+  DefaultThreadsGuard& operator=(const DefaultThreadsGuard&) = delete;
+  ~DefaultThreadsGuard() { exec::set_default_threads(saved_); }
+
+ private:
+  std::int32_t saved_ = exec::default_threads();
+};
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The flows of one round routed by a loop of route_message calls.
+std::vector<sim::Flow> route_round(
+    const Cluster& cluster, const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    std::int64_t bytes, stats::Rng& rng) {
+  std::vector<sim::Flow> flows;
+  for (const auto& [src, dst] : pairs) {
+    auto msg = cluster.route_message(src, dst, bytes, rng);
+    if (!msg) throw std::runtime_error("oracle: unroutable pair");
+    flows.push_back(sim::Flow{std::move(msg->path), bytes});
+  }
+  return flows;
+}
+
+/// mpigraph's cells, row-major, as a route_message + fair_rates loop
+/// computes them: one shift after another on the calling thread.
+std::vector<double> oracle_mpigraph(const Cluster& cluster,
+                                    const Placement& placement,
+                                    std::int32_t nodes,
+                                    const MpiGraphOptions& options) {
+  const auto n = static_cast<std::size_t>(nodes);
+  std::vector<double> cells(n * n, 0.0);
+  stats::Rng rng(options.seed);
+  const sim::FlowSim solver(cluster.topo(), cluster.link());
+  for (std::size_t shift = 1; shift < n; ++shift) {
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (std::size_t i = 0; i < n; ++i)
+      pairs.emplace_back(
+          placement.node_of(static_cast<std::int32_t>(i)),
+          placement.node_of(static_cast<std::int32_t>((i + shift) % n)));
+    const std::vector<double> rate = solver.fair_rates(
+        route_round(cluster, pairs, options.bytes, rng));
+    for (std::size_t i = 0; i < n; ++i)
+      cells[((i + shift) % n) * n + i] =
+          rate[i] / static_cast<double>(stats::kGiB);
+  }
+  return cells;
+}
+
+/// eBB's sample means as a route_message + fair_rates loop computes them:
+/// each sample's permutation, then its pairs' draws, on the calling thread.
+std::vector<double> oracle_ebb(const Cluster& cluster,
+                               const Placement& placement,
+                               std::int32_t nodes, const EbbOptions& options) {
+  std::vector<double> means;
+  stats::Rng rng(options.seed);
+  const sim::FlowSim solver(cluster.topo(), cluster.link());
+  const std::int32_t half = nodes / 2;
+  for (std::int32_t s = 0; s < options.samples; ++s) {
+    const std::vector<std::int32_t> perm = rng.permutation(nodes);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (std::int32_t i = 0; i < half; ++i) {
+      const NodeId a = placement.node_of(perm[static_cast<std::size_t>(i)]);
+      const NodeId b =
+          placement.node_of(perm[static_cast<std::size_t>(i + half)]);
+      pairs.emplace_back(a, b);
+      pairs.emplace_back(b, a);
+    }
+    const std::vector<double> rate = solver.fair_rates(
+        route_round(cluster, pairs, options.bytes, rng));
+    double mean = 0.0;
+    for (const double r : rate) mean += r;
+    mean /= static_cast<double>(rate.size());
+    means.push_back(mean / static_cast<double>(stats::kGiB));
+  }
+  return means;
+}
+
+std::vector<double> cells_of(const stats::Heatmap& map) {
+  std::vector<double> cells;
+  for (std::size_t r = 0; r < map.rows(); ++r)
+    for (std::size_t c = 0; c < map.cols(); ++c) cells.push_back(map.at(r, c));
+  return cells;
+}
+
+/// The whole machine in random order.
+Placement shuffled_machine(std::int32_t nodes) {
+  stats::Rng rng(11);
+  return Placement::random(nodes, Placement::whole_machine(nodes), rng);
 }
 
 // --- IMB ------------------------------------------------------------------------
@@ -111,6 +231,53 @@ TEST(MpiGraph, SharedCableCongestionShowsUp) {
   EXPECT_LT(map.at(7, 0), map.at(1, 0) / 2.0);
 }
 
+TEST(MpiGraph, BitIdenticalToRouteAndSolveLoop) {
+  // The 96-node system: 95 shifts, three blocks of the round runner, on
+  // the PARX plane (bfo LIDs are drawn) and on the DFSSSP plane.
+  SystemOptions system_options;
+  system_options.small_scale = true;
+  const PaperSystem system(system_options);
+  const std::int32_t n = system.num_nodes();
+  const Placement placement = shuffled_machine(n);
+  MpiGraphOptions options;
+  options.seed = 7;
+  const DefaultThreadsGuard guard;
+  for (const Cluster* cluster : {&system.hx_parx(), &system.hx_dfsssp()}) {
+    const std::vector<double> want =
+        oracle_mpigraph(*cluster, placement, n, options);
+    for (const std::int32_t threads : {1, 4}) {
+      exec::set_default_threads(threads);
+      const stats::Heatmap map = mpigraph(*cluster, placement, n, options);
+      EXPECT_TRUE(bitwise_equal(cells_of(map), want))
+          << cluster->pml().name() << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(MpiGraph, UnroutablePairThrows) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster broken = make_broken_cluster(hx);
+  const Placement p = Placement::linear(
+      4, Placement::whole_machine(hx.topo().num_terminals()));
+  EXPECT_THROW((void)mpigraph(broken, p, 4), std::runtime_error);
+}
+
+TEST(MpiGraph, RejectsPlacementsOutsideTheFabric) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  try {
+    (void)mpigraph(cluster, placement_past_the_fabric(), 22);
+    ADD_FAILURE() << "nodes 32-53 accepted on a 32-node fabric";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("node 32"), std::string::npos) << what;
+  }
+  // Only the ranks in use must sit on the fabric.
+  const std::vector<NodeId> pool{0, 1, 2, 3, 40};
+  EXPECT_NO_THROW((void)mpigraph(cluster, Placement::linear(5, pool), 4));
+}
+
 // --- eBB -------------------------------------------------------------------------
 
 TEST(Ebb, ProducesRequestedSamples) {
@@ -136,6 +303,74 @@ TEST(Ebb, RejectsOddNodeCounts) {
   EXPECT_THROW(
       (void)effective_bisection_bandwidth(cluster, p, 15, EbbOptions{}),
       std::invalid_argument);
+}
+
+TEST(Ebb, RejectsNonPositiveSampleCounts) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  const Placement p = Placement::linear(
+      16, Placement::whole_machine(hx.topo().num_terminals()));
+  for (const std::int32_t samples : {0, -1}) {
+    EbbOptions opts;
+    opts.samples = samples;
+    EXPECT_THROW((void)effective_bisection_bandwidth(cluster, p, 16, opts),
+                 std::invalid_argument)
+        << samples << " samples";
+  }
+}
+
+TEST(Ebb, BitIdenticalToRouteAndSolveLoop) {
+  // 70 samples of the 96-node system: three blocks of the round runner.
+  SystemOptions system_options;
+  system_options.small_scale = true;
+  const PaperSystem system(system_options);
+  const std::int32_t n = system.num_nodes();
+  const Placement placement = shuffled_machine(n);
+  EbbOptions options;
+  options.samples = 70;
+  options.seed = 7;
+  const DefaultThreadsGuard guard;
+  for (const Cluster* cluster : {&system.hx_parx(), &system.hx_dfsssp()}) {
+    const std::vector<double> want =
+        oracle_ebb(*cluster, placement, n, options);
+    for (const std::int32_t threads : {1, 4}) {
+      exec::set_default_threads(threads);
+      const EbbResult got =
+          effective_bisection_bandwidth(*cluster, placement, n, options);
+      EXPECT_TRUE(bitwise_equal(got.sample_means, want))
+          << cluster->pml().name() << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(Ebb, UnroutablePairThrows) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster broken = make_broken_cluster(hx);
+  const Placement p = Placement::linear(
+      4, Placement::whole_machine(hx.topo().num_terminals()));
+  EbbOptions opts;
+  opts.samples = 3;
+  EXPECT_THROW((void)effective_bisection_bandwidth(broken, p, 4, opts),
+               std::runtime_error);
+}
+
+TEST(Ebb, RejectsPlacementsOutsideTheFabric) {
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  EbbOptions opts;
+  opts.samples = 3;
+  try {
+    (void)effective_bisection_bandwidth(cluster, placement_past_the_fabric(),
+                                        22, opts);
+    ADD_FAILURE() << "nodes 32-53 accepted on a 32-node fabric";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("node 32"), std::string::npos) << what;
+  }
+  const std::vector<NodeId> pool{0, 1, 2, 3, 40};
+  EXPECT_NO_THROW((void)effective_bisection_bandwidth(
+      cluster, Placement::linear(5, pool), 4, opts));
 }
 
 // --- app skeletons ----------------------------------------------------------------
