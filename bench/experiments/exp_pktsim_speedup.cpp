@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "audit/oracles.hpp"
+#include "audit/reference_pktsim.hpp"
 #include "experiments/experiments.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
@@ -62,21 +63,16 @@ struct EngineTiming {
   sim::PktSim::Result result;
 };
 
-/// Times `reps` runs of `msgs` on one engine; the last result is kept for
-/// the identity check.  The engine runs warm (one simulator reused),
-/// exactly as the packet-level experiments use it.
-EngineTiming time_engine(const topo::Topology& topo,
-                         const sim::PktSimConfig& base,
-                         sim::PktSimConfig::Engine engine,
-                         const std::vector<sim::PktMessage>& msgs,
-                         std::int32_t reps) {
-  sim::PktSimConfig cfg = base;
-  cfg.engine = engine;
-  sim::PktSim simulator(topo, cfg);
-  (void)simulator.run(msgs);  // warm-up: sizes scratch, touches pages
+/// Times `reps` calls of `run` after one warm-up call; the last result is
+/// kept for the identity check.  The typed engine runs warm (one simulator
+/// reused), exactly as the packet-level experiments use it; the reference
+/// engine builds its state afresh on every call.
+template <typename Run>
+EngineTiming time_engine(Run&& run, std::int32_t reps) {
+  (void)run();  // warm-up: sizes scratch, touches pages
   EngineTiming t;
   PhaseClock clock;
-  for (std::int32_t r = 0; r < reps; ++r) t.result = simulator.run(msgs);
+  for (std::int32_t r = 0; r < reps; ++r) t.result = run();
   t.seconds = clock.lap() / reps;
   if (t.seconds > 0.0) {
     t.events_per_sec =
@@ -164,9 +160,11 @@ report::ResultSet run(const report::Options& options) {
     const auto msgs =
         build_pkt_messages(phase.topo, phase.arm, phase.spec, options.seed);
     const EngineTiming ref = time_engine(
-        phase.topo, cfg, sim::PktSimConfig::Engine::kReference, msgs, reps);
-    const EngineTiming typed = time_engine(
-        phase.topo, cfg, sim::PktSimConfig::Engine::kTyped, msgs, reps);
+        [&] { return audit::reference_pkt_run(phase.topo, cfg, msgs); },
+        reps);
+    sim::PktSim simulator(phase.topo, cfg);
+    const EngineTiming typed =
+        time_engine([&] { return simulator.run(msgs); }, reps);
     require_equal(phase.name, "typed engine vs reference", ref.result,
                   typed.result);
     if (ref.result.deadlock || ref.result.truncated)

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "audit/naive_layering.hpp"
+#include "audit/reference_pktsim.hpp"
 #include "routing/delta.hpp"
 #include "sim/adaptive.hpp"
 #include "stats/rng.hpp"
@@ -478,12 +479,9 @@ OracleResult oracle_pktsim_identity(const Scenario& s) {
   for (const Arm& arm : arms) {
     sim::PktSimConfig cfg;
     cfg.adaptive = arm.adaptive;
-    cfg.engine = sim::PktSimConfig::Engine::kTyped;
     sim::PktSim typed(f.topo(), cfg);
-    cfg.engine = sim::PktSimConfig::Engine::kReference;
-    sim::PktSim reference(f.topo(), cfg);
     const auto rt = typed.run(arm.msgs);
-    const auto rr = reference.run(arm.msgs);
+    const auto rr = reference_pkt_run(f.topo(), cfg, arm.msgs);
     OracleResult check = check_pkt_results_equal(rt, rr);
     if (!check.pass) {
       check.detail = std::string(arm.name) +
@@ -594,7 +592,6 @@ OracleResult oracle_online_fault(const Scenario& s) {
   if (victim == nullptr) return skip("no routed messages to fault");
 
   sim::PktSimConfig cfg;
-  cfg.engine = sim::PktSimConfig::Engine::kTyped;
   sim::PktSim typed_base(f.topo(), cfg);
   const auto base = typed_base.run(msgs);
   if (base.deadlock || base.truncated)
@@ -606,11 +603,9 @@ OracleResult oracle_online_fault(const Scenario& s) {
   sim::PktSimConfig after_cfg = cfg;
   after_cfg.online = &after;
   sim::PktSim typed_after(f.topo(), after_cfg);
-  after_cfg.engine = sim::PktSimConfig::Engine::kReference;
-  sim::PktSim reference_after(f.topo(), after_cfg);
   const auto quiesced = typed_after.run(msgs);
-  OracleResult check = check_pkt_results_equal(quiesced,
-                                               reference_after.run(msgs));
+  OracleResult check = check_pkt_results_equal(
+      quiesced, reference_pkt_run(f.topo(), after_cfg, msgs));
   if (!check.pass) {
     check.detail = "post-quiesce feed: typed vs reference: " + check.detail;
     return check;
@@ -642,10 +637,11 @@ OracleResult oracle_online_fault(const Scenario& s) {
     check.detail = "mid-run fault + retry, 1 vs 4 threads: " + check.detail;
     return check;
   }
-  mid_cfg.engine = sim::PktSimConfig::Engine::kReference;
-  sim::PktSim reference_mid(f.topo(), mid_cfg);
-  check = check_pkt_batches_equal(serial,
-                                  reference_mid.run_batch(replications, 1));
+  std::vector<sim::PktSim::Result> reference;
+  for (std::size_t i = 0; i < replications.size(); ++i)
+    reference.push_back(
+        reference_pkt_run(f.topo(), mid_cfg, replications[i], SIZE_MAX, i));
+  check = check_pkt_batches_equal(serial, reference);
   if (!check.pass) {
     check.detail =
         "mid-run fault + retry: typed vs reference: " + check.detail;

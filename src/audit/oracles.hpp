@@ -9,7 +9,8 @@
 //  - Scenario oracles (all_oracles()): build a Scenario's fabric and drive
 //    a whole pipeline pair through it, asserting the repo's standing
 //    bit-identity and conservation contracts:
-//      pktsim_identity   typed vs reference engine, bit for bit
+//      pktsim_identity   typed engine vs the reference engine
+//                        (reference_pktsim.hpp), bit for bit
 //      pkt_conservation  delivered+undelivered == total, trace on/off
 //                        identical + consistent, truncation =/= deadlock
 //      sweep_determinism run_pkt_sweep at 1 vs 4 threads (static + DAL +

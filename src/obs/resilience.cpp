@@ -36,8 +36,7 @@ void DegradationSeries::publish(report::ResultSet& rs) const {
         name, {"stage", "cables_failed", "switches_failed", "reachability",
                "lost_pairs", "mean_switch_hops", "hop_inflation",
                "throughput", "retention", "cdg_acyclic", "vls_used",
-               "blackhole_columns", "lost_in_flight", "blackholed", "retries",
-               "abandoned"});
+               "blackhole_columns"});
     table.add_row({std::to_string(s.stage), std::to_string(s.cables_failed),
                    std::to_string(s.switches_failed),
                    report::format_metric(s.reachability),
@@ -47,11 +46,7 @@ void DegradationSeries::publish(report::ResultSet& rs) const {
                    report::format_metric(s.throughput),
                    report::format_metric(s.retention),
                    s.cdg_acyclic ? "1" : "0", std::to_string(s.vls_used),
-                   std::to_string(s.blackhole_columns),
-                   std::to_string(s.packets_lost_in_flight),
-                   std::to_string(s.packets_blackholed),
-                   std::to_string(s.retries),
-                   std::to_string(s.messages_abandoned)});
+                   std::to_string(s.blackhole_columns)});
     // Overwritten by later stages of the same group: the metric ends up
     // holding the final (worst) envelope value.
     rs.set(name + "_final_retention", s.retention);

@@ -52,12 +52,6 @@ struct DegradationSample {
   /// zero after every reroute stage -- a non-zero value is a shipped
   /// blackhole.
   std::int64_t blackhole_columns = 0;
-  // Online (mid-run) fault variant: filled by the online_resilience
-  // campaign, zero for the static between-runs campaign.
-  std::int64_t packets_lost_in_flight = 0;
-  std::int64_t packets_blackholed = 0;
-  std::int64_t retries = 0;
-  std::int64_t messages_abandoned = 0;
   /// True when the engine failed outright at this stage (threw); all
   /// metrics above are zeroed.
   bool engine_failed = false;
@@ -83,8 +77,7 @@ class DegradationSeries {
   /// Exports one table "resilience_<fabric>_<engine>" per group (columns:
   /// stage, cables_failed, switches_failed, reachability, lost_pairs,
   /// mean_switch_hops, hop_inflation, throughput, retention, cdg_acyclic,
-  /// vls_used, blackhole_columns, lost_in_flight, blackholed, retries,
-  /// abandoned) plus "<table>_final_retention" metrics.
+  /// vls_used, blackhole_columns) plus "<table>_final_retention" metrics.
   void publish(report::ResultSet& rs) const;
 
  private:

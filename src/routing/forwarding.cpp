@@ -77,7 +77,8 @@ bool ForwardingTables::reachable(const topo::Topology& topo,
 }
 
 VlMap::VlMap(std::int32_t num_switches, Lid max_lid)
-    : max_lid_(max_lid),
+    : switches_(num_switches),
+      max_lid_(max_lid),
       table_(static_cast<std::size_t>(num_switches) *
                  (static_cast<std::size_t>(max_lid) + 1),
              0) {}

@@ -94,10 +94,15 @@ class VlMap {
                   static_cast<std::size_t>(dlid)];
   }
   [[nodiscard]] std::int8_t max_vl() const noexcept { return max_vl_; }
+  /// Shape of the map (0 switches when default-constructed: every lookup
+  /// then answers VL 0).
+  [[nodiscard]] std::int32_t num_switches() const noexcept { return switches_; }
+  [[nodiscard]] Lid max_lid() const noexcept { return max_lid_; }
 
   [[nodiscard]] bool operator==(const VlMap&) const = default;
 
  private:
+  std::int32_t switches_ = 0;
   Lid max_lid_ = kInvalidLid;
   std::int8_t max_vl_ = 0;
   std::vector<std::int8_t> table_;

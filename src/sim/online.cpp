@@ -43,11 +43,26 @@ void validate_online(const topo::Topology& topo, const PktOnlineConfig& online,
   }
   if (!online.epochs.empty()) {
     if (online.lids == nullptr) bad("epochs require a LidSpace");
+    // The engine indexes the LidSpace by destination terminal and every
+    // epoch's tables and VL map by (switch, that terminal's LID) unchecked.
+    if (online.lids->num_terminals() < topo.num_terminals())
+      bad("the LidSpace does not cover every terminal of the fabric");
     const auto nsw = static_cast<std::size_t>(topo.num_switches());
     for (std::size_t e = 0; e < online.epochs.size(); ++e) {
       const PktRoutingEpoch& ep = online.epochs[e];
       if (ep.tables == nullptr)
         bad("epoch " + std::to_string(e) + " has no forwarding tables");
+      if (ep.tables->num_switches() != topo.num_switches())
+        bad("epoch " + std::to_string(e) +
+            " tables do not have one row per switch of the fabric");
+      if (ep.tables->max_lid() < online.lids->max_lid())
+        bad("epoch " + std::to_string(e) +
+            " tables do not reach the LidSpace's largest LID");
+      if (ep.vls != nullptr && ep.vls->num_switches() != 0 &&
+          (ep.vls->num_switches() != ep.tables->num_switches() ||
+           ep.vls->max_lid() != ep.tables->max_lid()))
+        bad("epoch " + std::to_string(e) +
+            " VL map does not have the shape of its tables");
       if (e == 0 && !ep.install_time.empty())
         bad("epoch 0 must be installed from t = 0 (empty install_time)");
       if (!ep.install_time.empty() && ep.install_time.size() != nsw)

@@ -6,9 +6,9 @@
 // ever in flight when a link died.  Camarero et al. (arXiv:2404.04315)
 // show the interesting degradation happens in the transient: stale tables
 // blackhole or loop traffic until updated routes propagate.  This header
-// is the data model for that transient, consumed by both PktSim engines
-// (bit-identically -- the typed/reference differential applies to every
-// online feature):
+// is the data model for that transient, consumed by PktSim and, bit for
+// bit, by the audit's reference engine (the typed/reference differential
+// covers every online feature below):
 //
 //  - PktTimedFault: a set of directed channels that die at one instant.
 //    At the fault time the channel stops accepting and transmitting:
@@ -112,8 +112,10 @@ struct PktOnlineConfig {
     const topo::Topology& topo, const topo::FaultSchedule& schedule);
 
 /// Validates `online` against the run's fabric; throws std::invalid_argument
-/// on out-of-range channels, missing tables/lids, non-finite or negative
-/// times, or nonsensical retry parameters.  PktSim's constructor calls this.
+/// on out-of-range channels, missing tables/lids, a LidSpace that misses a
+/// terminal, epoch tables or VL maps whose shape does not fit the fabric
+/// and its LIDs, non-finite or negative times, or nonsensical retry
+/// parameters.  PktSim's constructor calls this.
 void validate_online(const topo::Topology& topo, const PktOnlineConfig& online,
                      std::int32_t num_vls);
 

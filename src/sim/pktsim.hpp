@@ -23,16 +23,18 @@
 //    source's terminal-up and ending at the destination's terminal-down
 //    channel); malformed paths throw instead of walking out of bounds.
 //
-// Engines: the default engine is the typed zero-allocation core -- POD
-// event records ({kInject, kXmitDone, kArrive}) on a flat 4-ary heap,
-// packets in a pool pre-sized from message bytes/MTU, per-VL FIFOs threaded
-// intrusively through that pool, and channel state split into flat
-// per-channel / per-channel-x-VL arrays.  All of that scratch lives in the
-// PktSim object and is reused across run() calls, so a warm engine performs
-// zero heap allocations per event.  The seed std::function engine is kept
-// as Engine::kReference, bit-identical by construction; the golden suite in
-// tests/pktsim_golden_test.cpp and the pktsim_speedup experiment hold the
-// two to byte equality (first_difference below).
+// Engine: one typed zero-allocation core -- POD event records
+// ({kInject, kXmitDone, kArrive}) on a flat 4-ary heap, packets in a pool
+// pre-sized from message bytes/MTU, per-VL FIFOs threaded intrusively
+// through that pool, and channel state split into flat per-channel /
+// per-channel-x-VL arrays.  All of that scratch lives in the PktSim object
+// and is reused across run() calls, so a warm engine performs zero heap
+// allocations per event.  The seed std::function engine lives on as a
+// feature-frozen oracle in the audit library (audit/reference_pktsim.hpp);
+// the golden suite in tests/pktsim_golden_test.cpp, the fuzz audit and the
+// pktsim_speedup experiment hold the two to byte equality
+// (first_difference below), and committed digests pin what the two derive
+// alike through the detail:: functions below.
 //
 // Replication: run_batch() fans independent message sets across an
 // exec::ThreadPool, one engine instance (and scratch) per worker, results
@@ -64,7 +66,6 @@
 #include "obs/deadlock.hpp"
 #include "obs/pkt_trace.hpp"
 #include "sim/adaptive.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link_model.hpp"
 #include "sim/online.hpp"
 #include "topo/topology.hpp"
@@ -124,11 +125,6 @@ struct PktSimConfig {
   /// nullptr or an inert config (no faults/epochs, retry disabled) is the
   /// bit-identity off switch.
   const PktOnlineConfig* online = nullptr;
-  /// Engine selection.  kTyped is the allocation-free data-oriented engine
-  /// (the default); kReference is the seed std::function/deque engine,
-  /// kept for golden bit-identity testing and old-vs-new benchmarking.
-  enum class Engine : std::int8_t { kTyped, kReference };
-  Engine engine = Engine::kTyped;
 };
 
 class PktSim {
@@ -212,10 +208,49 @@ class PktSim {
 /// The bitwise comparator of PktSim results (engine vs oracle, 1 vs N
 /// threads, trace on vs off): the name of the first field that differs,
 /// or an empty view when `a` and `b` are bitwise equal.  Doubles compare
-/// by bits, so matching NaN completions (undelivered messages) are equal.
-/// The deadlock report is covered by the `deadlock` flag and the
-/// completion/drop fields, which an unequal report would also move.
+/// by bits, so matching NaN completions (undelivered messages) are equal;
+/// the deadlock report compares edge by edge.
 [[nodiscard]] std::string_view first_difference(
     const PktSim::Result& a, const PktSim::Result& b) noexcept;
+
+namespace detail {
+
+// What the engine shares with the audit's reference engine, so the two
+// reject the same inputs and draw the same random streams through one
+// piece of code (pktsim.cpp).
+
+/// PktSim's constructor checks: VL count, buffer depth, the adaptive
+/// router's hop budget and the online config.  Throws
+/// std::invalid_argument.
+void validate_config(const topo::Topology& topo, const PktSimConfig& config);
+
+/// Per-message checks, in submit order: VL range, src/dst terminals, a
+/// router (adaptive or table epochs) for a path-less message, and for a
+/// static path that it runs connected from the source's terminal-up to
+/// the destination's terminal-down channel.  Throws std::invalid_argument.
+void validate_message(const topo::Topology& topo, const PktSimConfig& config,
+                      std::size_t m, const PktMessage& msg);
+
+/// Seed of the per-run adaptive-candidate rng.  Replication 0 maps to the
+/// router's base seed unchanged, so a plain run() reproduces the
+/// historical ValiantRouter stream bit-for-bit; every other replication
+/// gets an independent golden-ratio-offset stream derived from its index
+/// alone, which is what makes randomized routers replicable under
+/// run_batch (no shared mutable state, no order dependence).
+[[nodiscard]] std::uint64_t candidate_rng_seed(const PktSimConfig& config,
+                                               std::uint64_t replication);
+
+/// Seed of the per-run retry-jitter rng, derived exactly like the
+/// adaptive-candidate seed from the online config's retry seed.
+[[nodiscard]] std::uint64_t retry_rng_seed(const PktSimConfig& config,
+                                           std::uint64_t replication);
+
+/// Exponential backoff with seeded jitter before retry attempt `attempt`
+/// (1-based): base * 2^(attempt-1) * (1 + jitter * u).  `u` is drawn by
+/// the caller in event order.
+[[nodiscard]] double backoff_delay(const PktRetryConfig& retry,
+                                   std::int32_t attempt, double u);
+
+}  // namespace detail
 
 }  // namespace hxsim::sim

@@ -19,6 +19,7 @@
 
 #include "audit/audit.hpp"
 #include "audit/oracles.hpp"
+#include "audit/reference_pktsim.hpp"
 #include "audit/scenario.hpp"
 #include "audit/shrink.hpp"
 #include "core/parx.hpp"
@@ -34,6 +35,55 @@
 
 namespace hxsim {
 namespace {
+
+// --- EventQueue (the reference packet engine's core) ---------------------------
+
+using audit::EventQueue;
+
+TEST(EventQueue, RunsInTimeOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(3.0, [&] { order.push_back(3); });
+  q.schedule(1.0, [&] { order.push_back(1); });
+  q.schedule(2.0, [&] { order.push_back(2); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+}
+
+TEST(EventQueue, EqualTimesRunInScheduleOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) q.schedule(1.0, [&order, i] { order.push_back(i); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, EventsMayScheduleMoreEvents) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule(1.0, [&] {
+    ++fired;
+    q.schedule_in(1.0, [&] { ++fired; });
+  });
+  q.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueue, RejectsPastEvents) {
+  EventQueue q;
+  q.schedule(5.0, [] {});
+  q.run();
+  EXPECT_THROW(q.schedule(1.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, MaxEventsBound) {
+  EventQueue q;
+  for (int i = 0; i < 10; ++i) q.schedule(static_cast<double>(i), [] {});
+  EXPECT_EQ(q.run(3), 3u);
+  EXPECT_EQ(q.pending(), 7u);
+}
 
 topo::HyperXParams tiny_hyperx() {
   topo::HyperXParams p;
@@ -267,6 +317,17 @@ TEST(OracleChecks, PktResultsEqualDetectsEveryFieldFlip) {
   r = base;
   r.message_status.push_back(sim::PktMessageStatus::kDelivered);
   EXPECT_FALSE(audit::check_pkt_results_equal(base, r).pass);
+  // The deadlock report compares edge by edge.
+  auto wedged = base;
+  wedged.deadlock_report.blocked.push_back(
+      obs::CreditWaitEdge{0, 0, 1, 0, 2, 0});
+  wedged.deadlock_report.cycle = wedged.deadlock_report.blocked;
+  r = wedged;
+  r.deadlock_report.blocked[0].wanted_vl = 1;
+  EXPECT_FALSE(audit::check_pkt_results_equal(wedged, r).pass);
+  r = wedged;
+  r.deadlock_report.cycle[0].held = 3;
+  EXPECT_FALSE(audit::check_pkt_results_equal(wedged, r).pass);
 }
 
 TEST(OracleChecks, ConservationDetectsCorruptedCounters) {

@@ -1,4 +1,4 @@
-// Tests for the simulators: event queue ordering, max-min fairness
+// Tests for the simulators: flat heap ordering, max-min fairness
 // invariants of FlowSim, and packet-level conservation / latency /
 // deadlock behaviour of PktSim.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "stats/rng.hpp"
 
+#include "audit/reference_pktsim.hpp"
 #include "routing/forwarding.hpp"
 #include "sim/adaptive.hpp"
 #include "sim/event_queue.hpp"
@@ -28,53 +29,6 @@ using topo::ChannelId;
 using topo::NodeId;
 using topo::SwitchId;
 using topo::Topology;
-
-// --- EventQueue ---------------------------------------------------------------
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, EqualTimesRunInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) q.schedule(1.0, [&order, i] { order.push_back(i); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsMayScheduleMoreEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] {
-    ++fired;
-    q.schedule_in(1.0, [&] { ++fired; });
-  });
-  q.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueue, RejectsPastEvents) {
-  EventQueue q;
-  q.schedule(5.0, [] {});
-  q.run();
-  EXPECT_THROW(q.schedule(1.0, [] {}), std::invalid_argument);
-}
-
-TEST(EventQueue, MaxEventsBound) {
-  EventQueue q;
-  for (int i = 0; i < 10; ++i) q.schedule(static_cast<double>(i), [] {});
-  EXPECT_EQ(q.run(3), 3u);
-  EXPECT_EQ(q.pending(), 7u);
-}
 
 // --- FlowSim -------------------------------------------------------------------
 
@@ -558,6 +512,59 @@ TEST(PktSim, RejectsMessageVlOutOfRange) {
       (void)sim.run(std::vector<PktMessage>{
           make_msg(d.topo, 0, 4, 100, f.channels, 5)}),
       std::invalid_argument);
+}
+
+// --- online epochs must fit the fabric --------------------------------------------
+
+/// Constructs (and only constructs) a PktSim on the dumbbell with one
+/// online routing epoch.  The engine indexes the LidSpace by terminal and
+/// an epoch's tables and VL map by (switch, LID) without checks, so the
+/// constructor has to reject every epoch that does not fit.
+void construct_with_epoch(const Dumbbell& d, const routing::LidSpace& lids,
+                          const routing::ForwardingTables& tables,
+                          const routing::VlMap* vls = nullptr) {
+  PktOnlineConfig online;
+  online.epochs.push_back({&tables, vls, {}});
+  online.lids = &lids;
+  PktSimConfig cfg;
+  cfg.online = &online;
+  const PktSim sim(d.topo, cfg);
+}
+
+TEST(PktSim, RejectsOnlineEpochTablesThatDoNotFitTheFabric) {
+  const Dumbbell d;  // 2 switches, 8 terminals: LIDs 0..7
+  const auto lids = routing::LidSpace::consecutive(d.topo.num_terminals(), 0);
+  EXPECT_NO_THROW(
+      construct_with_epoch(d, lids, routing::ForwardingTables(2, 7)));
+  // A switch row short, and every row short of the largest LID.
+  EXPECT_THROW(construct_with_epoch(d, lids, routing::ForwardingTables(1, 7)),
+               std::invalid_argument);
+  EXPECT_THROW(construct_with_epoch(d, lids, routing::ForwardingTables(2, 6)),
+               std::invalid_argument);
+}
+
+TEST(PktSim, RejectsAnOnlineLidSpaceMissingATerminal) {
+  const Dumbbell d;
+  const auto lids =
+      routing::LidSpace::consecutive(d.topo.num_terminals() - 1, 0);
+  EXPECT_THROW(construct_with_epoch(d, lids, routing::ForwardingTables(2, 7)),
+               std::invalid_argument);
+}
+
+TEST(PktSim, RejectsAnOnlineVlMapShapedUnlikeItsTables) {
+  const Dumbbell d;
+  const auto lids = routing::LidSpace::consecutive(d.topo.num_terminals(), 0);
+  const routing::ForwardingTables tables(2, 7);
+  const routing::VlMap fits(2, 7);
+  const routing::VlMap empty;  // answers VL 0 everywhere
+  const routing::VlMap short_rows(1, 7);
+  const routing::VlMap short_lids(2, 6);
+  EXPECT_NO_THROW(construct_with_epoch(d, lids, tables, &fits));
+  EXPECT_NO_THROW(construct_with_epoch(d, lids, tables, &empty));
+  EXPECT_THROW(construct_with_epoch(d, lids, tables, &short_rows),
+               std::invalid_argument);
+  EXPECT_THROW(construct_with_epoch(d, lids, tables, &short_lids),
+               std::invalid_argument);
 }
 
 // --- truncation vs deadlock ------------------------------------------------------
@@ -1180,7 +1187,7 @@ TEST(FlatEventHeap, PopsInTimeOrder) {
 }
 
 TEST(FlatEventHeap, EqualTimesPopInScheduleOrder) {
-  // The determinism contract shared with EventQueue: ties break by
+  // The determinism contract shared with audit::EventQueue: ties break by
   // scheduling order (monotone sequence number), never heap position.
   FlatEventHeap<int> h;
   h.schedule(2.0, 100);
@@ -1192,7 +1199,7 @@ TEST(FlatEventHeap, EqualTimesPopInScheduleOrder) {
 TEST(FlatEventHeap, RejectsPastEvents) {
   // Satellite of the EventQueue "must be >= now()" contract: the typed
   // core enforces it identically (the seed queue already throws; see
-  // EventQueue.RejectsPastEvents above).
+  // EventQueue.RejectsPastEvents in audit_test).
   FlatEventHeap<int> h;
   h.schedule(5.0, 1);
   (void)h.pop();
@@ -1221,26 +1228,7 @@ TEST(FlatEventHeap, ResetKeepsCapacity) {
   EXPECT_EQ(h.capacity(), cap);  // and refilling does not reallocate
 }
 
-// --- engine selection and batch replication -------------------------------------
-
-/// Bitwise equality of two results (NaN-safe: completion compares by
-/// representation, not operator==).
-void expect_results_identical(const PktSim::Result& a,
-                              const PktSim::Result& b) {
-  ASSERT_EQ(a.completion.size(), b.completion.size());
-  if (!a.completion.empty())
-    EXPECT_EQ(std::memcmp(a.completion.data(), b.completion.data(),
-                          a.completion.size() * sizeof(double)),
-              0);
-  EXPECT_EQ(a.deadlock, b.deadlock);
-  EXPECT_EQ(a.truncated, b.truncated);
-  EXPECT_EQ(std::memcmp(&a.end_time, &b.end_time, sizeof(double)), 0);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.packets_total, b.packets_total);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.deadlock_report.blocked, b.deadlock_report.blocked);
-  EXPECT_EQ(a.deadlock_report.cycle, b.deadlock_report.cycle);
-}
+// --- engine vs oracle and batch replication -------------------------------------
 
 TEST(PktSimEngines, ReferenceEngineMatchesTypedOnDumbbell) {
   const Dumbbell d;
@@ -1249,14 +1237,10 @@ TEST(PktSimEngines, ReferenceEngineMatchesTypedOnDumbbell) {
     const Flow f = d.flow(i, 4 + i, 10000);
     msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
   }
-  PktSimConfig typed_cfg;
-  PktSim typed(d.topo, typed_cfg);
-  PktSimConfig ref_cfg;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
-  PktSim ref(d.topo, ref_cfg);
+  PktSim typed(d.topo, PktSimConfig{});
   const auto rt = typed.run(msgs);
-  const auto rr = ref.run(msgs);
-  expect_results_identical(rt, rr);
+  const auto rr = audit::reference_pkt_run(d.topo, PktSimConfig{}, msgs);
+  EXPECT_EQ(first_difference(rt, rr), "");
   EXPECT_GT(rt.events_executed, 0);
 }
 
@@ -1273,8 +1257,8 @@ TEST(PktSimEngines, WarmRunsAreRepeatable) {
   const auto first = sim.run(msgs);
   const auto second = sim.run(msgs);
   const auto third = sim.run(msgs);
-  expect_results_identical(first, second);
-  expect_results_identical(first, third);
+  EXPECT_EQ(first_difference(first, second), "");
+  EXPECT_EQ(first_difference(first, third), "");
 }
 
 /// Replication message sets on the small HyperX: a mix of static DFSSSP
@@ -1333,7 +1317,7 @@ TEST(PktSimBatch, BitIdenticalToSerialAtAnyThreadCount) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " replication=" + std::to_string(i));
-      expect_results_identical(batch[i], serial[i]);
+      EXPECT_EQ(first_difference(batch[i], serial[i]), "");
     }
   }
 }
@@ -1358,7 +1342,7 @@ TEST(PktSimBatch, PerReplicationTracesMatchSerial) {
     scfg.trace = &serial_trace;
     PktSim ssim(fx.hx.topo(), scfg);
     const auto serial = ssim.run(reps[i]);
-    expect_results_identical(batch[i], serial);
+    EXPECT_EQ(first_difference(batch[i], serial), "");
     for (ChannelId ch = 0; ch < fx.hx.topo().num_channels(); ++ch) {
       ASSERT_EQ(traces[i].channel_packets(ch), serial_trace.channel_packets(ch))
           << "replication " << i << " channel " << ch;
@@ -1561,16 +1545,15 @@ TEST(AdaptiveTieBreak, LowestChannelIdWinsUnderAnyCandidateOrder) {
   std::vector<double> completions;
   do {
     const PermutingRouter router(star, order);
-    for (const auto engine : {PktSimConfig::Engine::kTyped,
-                              PktSimConfig::Engine::kReference}) {
+    for (const bool reference : {false, true}) {
       obs::PktTrace trace;
       PktSimConfig cfg;
       cfg.adaptive = &router;
       cfg.num_vls = 2;
       cfg.trace = &trace;
-      cfg.engine = engine;
-      PktSim sim(star.topo, cfg);
-      const auto result = sim.run(msgs);
+      const auto result = reference
+                              ? audit::reference_pkt_run(star.topo, cfg, msgs)
+                              : PktSim(star.topo, cfg).run(msgs);
       ASSERT_FALSE(result.deadlock);
       // The winner is ab[0] (lowest id), never the other spokes.
       EXPECT_EQ(trace.channel_packets(star.ab[0]), 1);
