@@ -4,16 +4,16 @@
 // Every experiment reads report::Options, filled from repro_pipeline's
 // flags:
 //   quick        scaled-down system and trimmed sweeps (CI-friendly)
-//   csv_path     additionally dump machine-readable CSV (--csv)
-//   trace_path   export the observability view (counters, solver
-//                metrics, phase timers) as a one-experiment result store
-//                plus per-table CSVs next to it (--trace); purely
-//                observational
 //   seed         base seed for the stochastic elements
 //   reps         repetitions for configurations with randomness
 //   threads      worker threads for the exec/ layer; repro_pipeline
 //                applies it once through exec::set_default_threads, and
 //                results are identical at any count
+//   trace        set under --trace: the experiment fills this second
+//                ResultSet with its observability view (counters, solver
+//                metrics, phase timers); purely observational
+// Experiments only fill ResultSets.  repro_pipeline writes every file
+// from them through write_table_csvs() and write_trace() below.
 #pragma once
 
 #include <charconv>
@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,47 +107,35 @@ inline void add_phase(
     phases.add_row({phase, metric, report::format_metric(value)});
 }
 
-/// Writes an experiment's trace ResultSet when --trace was given: <path>
-/// as a one-experiment result store (ResultStore::read_json and
-/// `repro_pipeline --from` load it back) plus one <stem>_<table>.csv per
-/// table (stem = path without extension).
-inline void write_trace(const report::Options& options,
+/// Writes one <stem>_<table>.csv per table of `rs`, stem = `path` without
+/// its extension: --csv writes an experiment's tables this way, --trace
+/// its trace's tables next to the trace store.
+inline void write_table_csvs(const report::ResultSet& rs,
+                             const std::string& path) {
+  std::string stem = path;
+  if (const auto dot = stem.rfind('.');
+      dot != std::string::npos && stem.find('/', dot) == std::string::npos)
+    stem.resize(dot);
+  for (const report::ResultTable& table : rs.tables) {
+    stats::CsvWriter csv(stem + "_" + table.id + ".csv", table.columns);
+    for (const auto& row : table.rows) csv.add_row(row);
+    csv.close();
+  }
+}
+
+/// Writes `trace` to `path` as a one-experiment result store
+/// (ResultStore::read_json and `repro_pipeline --from` load it back) plus
+/// its table CSVs.
+inline void write_trace(const std::string& path,
+                        const report::Options& options,
                         report::ResultSet trace) {
-  if (!options.trace_path) return;
   report::ResultStore store;
   store.mode =
       options.quick ? report::RunMode::kQuick : report::RunMode::kFull;
   store.seed = options.seed;
   store.experiments.push_back(std::move(trace));
-  store.write_json(*options.trace_path);
-  std::string stem = *options.trace_path;
-  if (const auto dot = stem.rfind('.');
-      dot != std::string::npos && stem.find('/', dot) == std::string::npos)
-    stem.resize(dot);
-  for (const report::ResultTable& table : store.experiments.front().tables) {
-    stats::CsvWriter csv(stem + "_" + table.id + ".csv", table.columns);
-    for (const auto& row : table.rows) csv.add_row(row);
-    csv.close();
-  }
-  std::printf("wrote trace %s\n", options.trace_path->c_str());
+  store.write_json(path);
+  write_table_csvs(store.experiments.front(), path);
 }
-
-/// Optional CSV sink (no-op without --csv).
-class CsvSink {
- public:
-  CsvSink(const report::Options& options,
-          const std::vector<std::string>& header) {
-    if (options.csv_path) writer_.emplace(*options.csv_path, header);
-  }
-  void add_row(const std::vector<std::string>& cells) {
-    if (writer_) writer_->add_row(cells);
-  }
-  ~CsvSink() {
-    if (writer_) writer_->close();
-  }
-
- private:
-  std::optional<stats::CsvWriter> writer_;
-};
 
 }  // namespace hxsim::bench

@@ -1,14 +1,11 @@
 // Ablation experiment of the PARX design choices (DESIGN.md): link
 // pruning on/off, demand-weighted edge updates on/off, LMC multipathing
 // vs plain DFSSSP, on the degraded dense-allocation HyperX.
-#include <cstdio>
-
 #include "core/parx.hpp"
 #include "core/quadrant.hpp"
 #include "experiments/experiments.hpp"
 #include "mpi/collectives.hpp"
 #include "routing/dfsssp.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fault_injector.hpp"
 #include "workloads/imb.hpp"
@@ -96,9 +93,6 @@ report::ResultSet run(const report::Options& options) {
              demands);
   }
 
-  std::printf("== PARX ablation (dense %d-node allocation) ==\n\n", dense);
-  stats::TextTable table({"variant", "VLs", "mpiGraph mean GiB/s",
-                          "14-node Alltoall 512KiB [ms]"});
   report::ResultTable& out =
       rs.table("variants", {"variant", "VLs", "mpiGraph mean GiB/s",
                             "14-node Alltoall 512KiB [ms]"});
@@ -106,23 +100,16 @@ report::ResultSet run(const report::Options& options) {
     const double mean = mpigraph_mean(v.cluster, dense, options.seed);
     const double a2a =
         alltoall_time(v.cluster, std::min(dense, 14), options.seed) * 1e3;
-    const std::vector<std::string> row{
-        v.name, std::to_string(v.cluster.route().num_vls_used),
-        stats::format_fixed(mean, 2), stats::format_fixed(a2a, 2)};
-    table.add_row(row);
-    out.add_row(row);
+    out.add_row({v.name, std::to_string(v.cluster.route().num_vls_used),
+                 stats::format_fixed(mean, 2), stats::format_fixed(a2a, 2)});
     rs.set(v.key + "_mpigraph_gibs", mean);
     rs.set(v.key + "_alltoall_ms", a2a);
   }
-  std::printf("%s", table.to_string().c_str());
-  // The two design-choice ratios the reading spells out.
+  // The design-choice ratios EXPERIMENTS.md reads off the table.
   const double full = *rs.find("parx_full_mpigraph_gibs");
   rs.set("pruning_gain", full / *rs.find("parx_noprune_mpigraph_gibs"));
   rs.set("demand_gain", full / *rs.find("parx_nodemand_mpigraph_gibs"));
   rs.set("parx_over_dfsssp", full / *rs.find("dfsssp_mpigraph_gibs"));
-  std::printf("\nReading: pruning buys the bandwidth (row 2 vs 4); demand "
-              "weights refine it further (row 2 vs 3); plain DFSSSP (row 1) "
-              "shows the shared-cable collapse PARX exists to fix.\n");
   return rs;
 }
 

@@ -3,7 +3,6 @@
 // PARX, minimal-adaptive, VAL and DAL on the packet simulator, on the
 // shared-cable hotspot and the 28-node half-shift permutation.
 #include <cmath>
-#include <cstdio>
 
 #include "core/lid_choice.hpp"
 #include "core/parx.hpp"
@@ -12,7 +11,6 @@
 #include "routing/dfsssp.hpp"
 #include "sim/adaptive.hpp"
 #include "sim/pktsim.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/hyperx.hpp"
 
@@ -104,16 +102,10 @@ report::ResultSet run(const report::Options& options) {
     return msgs;
   };
 
-  std::printf("== Adaptive vs. static routing on the 12x8 HyperX "
-              "(PktSim, %s per stream) ==\n\n",
-              stats::format_bytes(bytes).c_str());
   report::ResultTable& out =
       rs.table("speedups", {"scenario", "routing", "slowest stream [ms]",
                             "vs DFSSSP"});
   for (const Scenario& sc : scenarios) {
-    std::printf("%s\n", sc.name.c_str());
-    stats::TextTable table({"routing", "slowest stream [ms]",
-                            "vs DFSSSP"});
     double base = 0.0;
     struct Run {
       const char* name;
@@ -157,18 +149,12 @@ report::ResultSet run(const report::Options& options) {
     }
     for (const Run& run : runs) {
       const double speedup = base / run.time;
-      table.add_row({run.name, stats::format_fixed(run.time * 1e3, 2),
-                     stats::format_fixed(speedup, 2) + "x"});
       out.add_row({sc.name, run.name,
                    stats::format_fixed(run.time * 1e3, 2),
                    stats::format_fixed(speedup, 2) + "x"});
       rs.set(std::string(run.key) + "_speedup_" + sc.key, speedup);
     }
-    std::printf("%s\n", table.to_string().c_str());
   }
-  std::printf("Reading: DAL recovers the shared-cable bandwidth without any "
-              "routing tables or LMC tricks -- the paper's conclusion that "
-              "adaptive routing obsoletes the PARX prototype.\n");
   return rs;
 }
 

@@ -20,7 +20,6 @@
 // cells bit for bit.  The flow solver's batch scaling is timed and
 // identity-checked by flowsim_speedup.
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -66,8 +65,6 @@ void sweep(const char* phase, const std::vector<std::int32_t>& points,
                                "routes");
     }
     const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
-    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx\n", phase, t,
-                seconds * 1e3, speedup);
     add_phase(phase_table, phase,
               {{"threads", static_cast<double>(t)},
                {"seconds", seconds},
@@ -108,13 +105,8 @@ void default_threads_sweep(const char* phase,
         {"threads", static_cast<double>(t)},
         {"seconds", seconds},
         {"speedup", speedup}};
-    std::printf("%-28s threads=%-2d  %8.1f ms  speedup %.2fx", phase, t,
-                seconds * 1e3, speedup);
-    for (auto& [name, value] : extra()) {
-      std::printf("  %s %g", name.c_str(), value);
+    for (auto& [name, value] : extra())
       metrics.emplace_back(std::move(name), value);
-    }
-    std::printf("\n");
     add_phase(phase_table, phase, metrics);
   }
   exec::set_default_threads(saved_threads);
@@ -207,10 +199,6 @@ report::ResultSet run(const report::Options& options) {
     for (const auto& [phase, seconds] : timings.entries())
       metrics.emplace_back(phase, seconds / reps);
     metrics.emplace_back("total", total);
-    std::printf("%-28s", "parx_hyperx_12x8");
-    for (const auto& [phase, seconds] : metrics)
-      std::printf("  %s %.1f ms", phase.c_str(), seconds * 1e3);
-    std::printf("\n");
     add_phase(phase_table, "parx_hyperx_12x8", metrics);
   }
 
@@ -229,9 +217,6 @@ report::ResultSet run(const report::Options& options) {
   // Reaching here means every N-thread result matched (the sweeps throw).
   rs.set("threads_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
-  std::printf(
-      "all parallel routes, transport rounds and mpiGraph cells "
-      "bit-identical to 1-thread runs\n");
   return rs;
 }
 

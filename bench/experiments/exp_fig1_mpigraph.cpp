@@ -1,16 +1,15 @@
 // Figure 1 experiment: mpiGraph observable bandwidth for 28 nodes, three
 // planes (Fat-Tree/ftree 2.26 GiB/s, HyperX/DFSSSP 0.84 GiB/s, HyperX/
-// PARX 1.39 GiB/s in the paper).  Prints the heatmaps and fills the
-// `planes` table plus per-plane mean metrics the claims bind to.
+// PARX 1.39 GiB/s in the paper).  Fills the `planes` table and per-plane
+// mean metrics the claims bind to, then every heatmap cell as the
+// long-form `heatmaps` table.
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "experiments/experiments.hpp"
 #include "routing/dfsssp.hpp"
 #include "sim/flowsim.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/mpigraph.hpp"
 
@@ -24,22 +23,18 @@ struct Plane {
   const mpi::Cluster* cluster;
 };
 
-/// Observability export of the congested plane: peak per-channel
-/// utilisation across all mpiGraph shifts, flow-solver metrics of every
-/// shift, and the DFSSSP routing phase timers.
-void export_trace(const report::Options& options,
-                  const workloads::PaperSystem& system,
+/// Observability export of the congested plane into `trace`: peak
+/// per-channel utilisation across all mpiGraph shifts, flow-solver
+/// metrics of every shift, and the DFSSSP routing phase timers.
+void export_trace(std::uint64_t seed, const workloads::PaperSystem& system,
                   const mpi::Placement& placement, std::int32_t nodes,
-                  std::int64_t bytes) {
+                  std::int64_t bytes, report::ResultSet& trace) {
   const mpi::Cluster& hx = system.hx_dfsssp();
-  report::ResultSet trace;
-  trace.id = "fig1_mpigraph";
-
   sim::FlowSim flows(hx.topo(), hx.link());
   obs::FlowSolveTrace ftrace;
   std::vector<double> peak(static_cast<std::size_t>(hx.topo().num_channels()),
                            0.0);
-  stats::Rng rng(options.seed);
+  stats::Rng rng(seed);
   for (std::int32_t shift = 1; shift < nodes; ++shift) {
     std::vector<sim::Flow> round;
     round.reserve(static_cast<std::size_t>(nodes));
@@ -78,18 +73,12 @@ void export_trace(const report::Options& options,
   for (const auto& [phase, seconds] : timings.entries())
     trace.set("dfsssp_" + phase + "_s", seconds);
   trace.set("dfsssp_num_vls_used", static_cast<double>(rr.num_vls_used));
-
-  write_trace(options, std::move(trace));
 }
 
 report::ResultSet run(const report::Options& options) {
   const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t nodes = options.quick ? 16 : 28;
   report::ResultSet rs;
-
-  std::printf("== Figure 1: mpiGraph bandwidth heatmaps (%d nodes, linear "
-              "placement) ==\n\n",
-              nodes);
 
   const Plane planes[] = {
       {"Fat-Tree with ftree routing", "ft_ftree", &system.ft_ftree()},
@@ -100,17 +89,14 @@ report::ResultSet run(const report::Options& options) {
   const mpi::Placement placement =
       mpi::Placement::linear(nodes,
                              mpi::Placement::whole_machine(system.num_nodes()));
-  const double scale_max =
-      system.ft_ftree().link().bandwidth / static_cast<double>(stats::kGiB);
 
-  stats::TextTable table({"plane", "mean GiB/s (off-diag)", "min", "max",
-                          "paper"});
   report::ResultTable& out = rs.table("planes", {"plane",
                                                  "mean GiB/s (off-diag)",
                                                  "min", "max",
                                                  "paper GiB/s"});
   const char* paper_values[] = {"2.26", "0.84", "1.39"};
-  CsvSink csv(options, {"plane", "sender", "receiver", "gib_per_s"});
+  report::ResultTable heatmaps{
+      "heatmaps", {"plane", "sender", "receiver", "gib_per_s"}, {}};
 
   int idx = 0;
   double means[3] = {0.0, 0.0, 0.0};
@@ -119,13 +105,8 @@ report::ResultSet run(const report::Options& options) {
     opts.seed = options.seed;
     const stats::Heatmap map =
         workloads::mpigraph(*plane.cluster, placement, nodes, opts);
-    std::printf("%s\n%s\n", plane.label, map.to_string(scale_max).c_str());
     const double mean = map.mean_off_diagonal();
     means[idx] = mean;
-    table.add_row({plane.label, stats::format_fixed(mean, 2),
-                   stats::format_fixed(map.min_value(), 2),
-                   stats::format_fixed(map.max_value(), 2),
-                   paper_values[idx]});
     out.add_row({plane.label, stats::format_fixed(mean, 2),
                  stats::format_fixed(map.min_value(), 2),
                  stats::format_fixed(map.max_value(), 2),
@@ -134,17 +115,18 @@ report::ResultSet run(const report::Options& options) {
     ++idx;
     for (std::size_t r = 0; r < map.rows(); ++r)
       for (std::size_t c = 0; c < map.cols(); ++c)
-        csv.add_row({plane.label, std::to_string(c), std::to_string(r),
-                     stats::format_fixed(map.at(r, c), 4)});
+        heatmaps.add_row({plane.label, std::to_string(c), std::to_string(r),
+                          stats::format_fixed(map.at(r, c), 4)});
   }
-  std::printf("%s", table.to_string().c_str());
+  rs.tables.push_back(std::move(heatmaps));
   // The figure's headline: PARX recovers bandwidth DFSSSP loses to the
   // shared-cable hotspot.
   rs.set("parx_gain_over_dfsssp", means[2] / means[1]);
 
-  if (options.trace_path) {
+  if (options.trace != nullptr) {
     workloads::MpiGraphOptions opts;
-    export_trace(options, system, placement, nodes, opts.bytes);
+    export_trace(options.seed, system, placement, nodes, opts.bytes,
+                 *options.trace);
   }
   return rs;
 }

@@ -1,16 +1,15 @@
 // Figure 4 experiment: IMB collective latency, relative gain of each
 // (topology, routing, placement) combination over the Fat-Tree baseline,
 // for Bcast, Gather, Scatter, Reduce, Allreduce and Alltoall over node
-// counts 7..672 and message sizes 1 B..4 MiB.
+// counts 7..672 and message sizes 1 B..4 MiB.  The 24 gain matrices of
+// the figure are the long-form `gains` table.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 
 #include "experiments/experiments.hpp"
 #include "stats/gain.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/imb.hpp"
@@ -38,8 +37,10 @@ report::ResultSet run(const report::Options& options) {
   if (options.quick)
     node_counts.assign({7, 14, 28});
 
-  CsvSink csv(options, {"op", "config", "nodes", "bytes", "tmin_us",
-                        "gain_vs_baseline"});
+  report::ResultTable gains{"gains",
+                            {"op", "config", "nodes", "bytes", "tmin_us",
+                             "gain_vs_baseline"},
+                            {}};
 
   // The dense-allocation corner the figure is famous for: the HyperX/
   // DFSSSP/linear (config index 2) Alltoall column at 14 nodes.
@@ -86,29 +87,17 @@ report::ResultSet run(const report::Options& options) {
 
     for (std::size_t cfg = 1; cfg < system.configs().size(); ++cfg) {
       const auto& config = system.configs()[cfg];
-      std::printf("== Fig. 4 %s: %s (gain vs %s) ==\n",
-                  workloads::to_string(op), config.name.c_str(),
-                  system.baseline().name.c_str());
-      std::vector<std::string> header{"msg size"};
-      for (const std::int32_t n : node_counts)
-        header.push_back(std::to_string(n));
-      stats::TextTable table(header);
       for (const std::int64_t bytes : sizes) {
-        std::vector<std::string> row{stats::format_bytes(bytes)};
         for (const std::int32_t n : node_counts) {
-          if (skipped(op, n, bytes)) {
-            row.push_back(".");
-            continue;
-          }
+          if (skipped(op, n, bytes)) continue;
           const double base = tmin.at({std::size_t{0}, n, bytes});
           const double cand = tmin.at({cfg, n, bytes});
           const double gain = stats::relative_gain(
               base, cand, stats::Direction::kLowerIsBetter);
-          row.push_back(stats::format_gain(gain));
-          csv.add_row({workloads::to_string(op), config.name,
-                       std::to_string(n), std::to_string(bytes),
-                       stats::format_fixed(stats::to_us(cand), 3),
-                       stats::format_gain(gain)});
+          gains.add_row({workloads::to_string(op), config.name,
+                         std::to_string(n), std::to_string(bytes),
+                         stats::format_fixed(stats::to_us(cand), 3),
+                         stats::format_gain(gain)});
           if (cfg == kHxLinear && std::isfinite(gain)) {
             if (op == ImbOp::kAlltoall && n == 14) {
               a2a14.add_row({stats::format_bytes(bytes),
@@ -122,9 +111,7 @@ report::ResultSet run(const report::Options& options) {
               reduce_flat = std::max(reduce_flat, std::abs(gain));
           }
         }
-        table.add_row(row);
       }
-      std::printf("%s\n", table.to_string().c_str());
     }
   }
   if (std::isfinite(a2a_min)) {
@@ -133,6 +120,7 @@ report::ResultSet run(const report::Options& options) {
   }
   rs.set("bcast_hx_linear_max_abs_gain", bcast_flat);
   rs.set("reduce_hx_linear_max_abs_gain", reduce_flat);
+  rs.tables.push_back(std::move(gains));
   return rs;
 }
 

@@ -1,13 +1,12 @@
 // Figure 5a experiment: Baidu DeepBench ring allreduce, average latency
 // per array length (4-byte floats, 0 ... 512 Mi elements), relative gain
-// over the Fat-Tree/ftree/linear baseline for the other four combinations.
-#include <cstdio>
+// over the Fat-Tree/ftree/linear baseline for the other four combinations
+// (the long-form `gains` table).
 #include <map>
 
 #include "experiments/experiments.hpp"
 #include "mpi/collectives.hpp"
 #include "stats/gain.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/imb.hpp"
 
@@ -45,8 +44,10 @@ report::ResultSet run(const report::Options& options) {
   if (options.quick) node_counts.assign({7, 14, 28});
   const auto lengths = array_lengths(options.quick);
 
-  CsvSink csv(options, {"config", "nodes", "array_len", "tavg_s",
-                        "gain_vs_baseline"});
+  report::ResultTable gains{
+      "gains",
+      {"config", "nodes", "array_len", "tavg_s", "gain_vs_baseline"},
+      {}};
 
   std::map<std::tuple<std::size_t, std::int32_t, std::int64_t>, double> best;
   for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
@@ -78,26 +79,17 @@ report::ResultSet run(const report::Options& options) {
 
   for (std::size_t cfg = 1; cfg < system.configs().size(); ++cfg) {
     const auto& config = system.configs()[cfg];
-    std::printf("== Fig. 5a Baidu ring allreduce: %s (gain vs %s) ==\n",
-                config.name.c_str(), system.baseline().name.c_str());
-    std::vector<std::string> header{"array len"};
-    for (const std::int32_t n : node_counts)
-      header.push_back(std::to_string(n));
-    stats::TextTable table(header);
     for (const std::int64_t len : lengths) {
-      std::vector<std::string> row{std::to_string(len)};
       for (const std::int32_t n : node_counts) {
         const double base = best.at({std::size_t{0}, n, len});
         const double cand = best.at({cfg, n, len});
         const double gain = stats::relative_gain(
             base, cand, stats::Direction::kLowerIsBetter);
-        row.push_back(stats::format_gain(gain));
-        csv.add_row({config.name, std::to_string(n), std::to_string(len),
-                     stats::format_fixed(cand, 6), stats::format_gain(gain)});
+        gains.add_row({config.name, std::to_string(n), std::to_string(len),
+                       stats::format_fixed(cand, 6),
+                       stats::format_gain(gain)});
       }
-      table.add_row(row);
     }
-    std::printf("%s\n", table.to_string().c_str());
 
     const double top_gain = stats::relative_gain(
         best.at({std::size_t{0}, n_top, len_top}),
@@ -105,6 +97,7 @@ report::ResultSet run(const report::Options& options) {
     largest.add_row({config.name, stats::format_gain(top_gain)});
     rs.set(std::string(config_key(cfg)) + "_gain_largest", top_gain);
   }
+  rs.tables.push_back(std::move(gains));
   return rs;
 }
 

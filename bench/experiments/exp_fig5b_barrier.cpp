@@ -1,16 +1,15 @@
 // Figure 5b experiment: IMB Barrier latency whiskers per node count for
 // all five combinations.  The headline result: the PARX configuration
 // pays a constant-factor software penalty because the multi-LID bfo PML
-// is far less tuned than ob1.
+// is far less tuned than ob1.  Every run is a row of the `runs` table,
+// and the per-combination whiskers are the `whiskers` table.
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "experiments/experiments.hpp"
 #include "mpi/collectives.hpp"
 #include "stats/gain.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/imb.hpp"
 
@@ -28,16 +27,16 @@ report::ResultSet run(const report::Options& options) {
   if (options.quick) node_counts.assign({7, 14, 28});
   const std::int32_t runs = 10;  // the paper's ten repetitions
 
-  CsvSink csv(options, {"config", "nodes", "run", "latency_us"});
+  report::ResultTable runs_table{
+      "runs", {"config", "nodes", "run", "latency_us"}, {}};
+  report::ResultTable whiskers{"whiskers",
+                               {"config", "nodes", "min", "q25", "median",
+                                "q75", "max", "gain_vs_baseline"},
+                               {}};
   std::vector<std::vector<double>> best_per_config(system.configs().size());
 
-  std::printf("== Fig. 5b IMB Barrier latency [us], whiskers over %d runs "
-              "==\n\n", runs);
   for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
     const auto& config = system.configs()[cfg];
-    std::printf("%s\n", config.name.c_str());
-    stats::TextTable table({"nodes", "min", "q25", "median", "q75", "max",
-                            "gain vs baseline"});
     for (const std::int32_t n : node_counts) {
       std::vector<double> lat_us;
       for (std::int32_t run = 0; run < runs; ++run) {
@@ -48,21 +47,22 @@ report::ResultSet run(const report::Options& options) {
         const double t = transport.execute(
             mpi::collectives::barrier_dissemination(n));
         lat_us.push_back(stats::to_us(t));
-        csv.add_row({config.name, std::to_string(n), std::to_string(run),
-                     stats::format_fixed(stats::to_us(t), 3)});
+        runs_table.add_row({config.name, std::to_string(n),
+                            std::to_string(run),
+                            stats::format_fixed(stats::to_us(t), 3)});
       }
       const stats::Summary s = stats::summarize(lat_us);
       best_per_config[cfg].push_back(s.min);
       const double base = best_per_config[0][best_per_config[cfg].size() - 1];
-      table.add_row({std::to_string(n), stats::format_fixed(s.min, 2),
-                     stats::format_fixed(s.q25, 2),
-                     stats::format_fixed(s.median, 2),
-                     stats::format_fixed(s.q75, 2),
-                     stats::format_fixed(s.max, 2),
-                     stats::format_gain(stats::relative_gain(
-                         base, s.min, stats::Direction::kLowerIsBetter))});
+      whiskers.add_row({config.name, std::to_string(n),
+                        stats::format_fixed(s.min, 2),
+                        stats::format_fixed(s.q25, 2),
+                        stats::format_fixed(s.median, 2),
+                        stats::format_fixed(s.q75, 2),
+                        stats::format_fixed(s.max, 2),
+                        stats::format_gain(stats::relative_gain(
+                            base, s.min, stats::Direction::kLowerIsBetter))});
     }
-    std::printf("%s\n", table.to_string().c_str());
   }
 
   // The headline: PARX/bfo (config 4) slowdown over the baseline, and
@@ -95,6 +95,8 @@ report::ResultSet run(const report::Options& options) {
   rs.set("parx_slowdown_min", slow_min);
   rs.set("parx_slowdown_max", slow_max);
   rs.set("ob1_spread_max", spread_max);
+  rs.tables.push_back(std::move(runs_table));
+  rs.tables.push_back(std::move(whiskers));
   return rs;
 }
 

@@ -3,16 +3,16 @@
 // per node count and combination.  The paper's headline: PARX nearly
 // doubles the 14-node dense-allocation eBB and wins 2-6 % in the mid
 // range, but loses at full scale where global detours add congestion.
+// The whiskers of every (combination, node count) are the `whiskers`
+// table.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <vector>
 
 #include "experiments/experiments.hpp"
 #include "stats/gain.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/ebb.hpp"
 #include "workloads/imb.hpp"
@@ -44,11 +44,10 @@ report::ResultSet run(const report::Options& options) {
   ebb_opts.samples = options.quick ? 50 : 250;  // paper: 1000 (slow but exact)
   ebb_opts.seed = options.seed;
 
-  CsvSink csv(options, {"config", "nodes", "median_gibs", "min", "max",
-                        "gain_vs_baseline"});
-
-  std::printf("== Fig. 5c effective bisection bandwidth [GiB/s per pair], "
-              "%d random bisections ==\n\n", ebb_opts.samples);
+  report::ResultTable whiskers{"whiskers",
+                               {"config", "nodes", "median_gibs", "min", "max",
+                                "gain_vs_baseline", "q25", "q75"},
+                               {}};
 
   // medians[cfg] and counts align row-by-row across configs (the same
   // even-count filter applies everywhere).
@@ -57,9 +56,6 @@ report::ResultSet run(const report::Options& options) {
   std::vector<double> baseline_median;
   for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
     const auto& config = system.configs()[cfg];
-    std::printf("%s\n", config.name.c_str());
-    stats::TextTable table({"nodes", "min", "q25", "median", "q75", "max",
-                            "gain vs baseline"});
     std::size_t row_idx = 0;
     for (const std::int32_t n : node_counts) {
       if (n % 2 != 0 && n != 7) continue;  // eBB needs even node counts
@@ -78,18 +74,14 @@ report::ResultSet run(const report::Options& options) {
       const double base = baseline_median[row_idx++];
       const double gain = stats::relative_gain(
           base, s.median, stats::Direction::kHigherIsBetter);
-      table.add_row({std::to_string(even_n), stats::format_fixed(s.min, 2),
-                     stats::format_fixed(s.q25, 2),
-                     stats::format_fixed(s.median, 2),
-                     stats::format_fixed(s.q75, 2),
-                     stats::format_fixed(s.max, 2),
-                     stats::format_gain(gain)});
-      csv.add_row({config.name, std::to_string(even_n),
-                   stats::format_fixed(s.median, 4),
-                   stats::format_fixed(s.min, 4),
-                   stats::format_fixed(s.max, 4), stats::format_gain(gain)});
+      whiskers.add_row({config.name, std::to_string(even_n),
+                        stats::format_fixed(s.median, 4),
+                        stats::format_fixed(s.min, 4),
+                        stats::format_fixed(s.max, 4),
+                        stats::format_gain(gain),
+                        stats::format_fixed(s.q25, 4),
+                        stats::format_fixed(s.q75, 4)});
     }
-    std::printf("%s\n", table.to_string().c_str());
   }
 
   // The figure's observations, machine-checked.  Row index of the 14-node
@@ -145,6 +137,7 @@ report::ResultSet run(const report::Options& options) {
                stats::format_fixed(baseline_median.front(), 2) + " -> " +
                    stats::format_fixed(baseline_median.back(), 2) +
                    " GiB/s"});
+  rs.tables.push_back(std::move(whiskers));
   return rs;
 }
 

@@ -1,12 +1,11 @@
 // Figure 6j-6l experiment: the x500 benchmarks -- HPL and HPCG compute
 // performance [Gflop/s] and Graph500 traversal speed [GTEPS] -- per node
-// count and combination (higher is better).
+// count and combination (higher is better), each best value a row of the
+// `scores` table.
 #include <algorithm>
-#include <cstdio>
 
 #include "experiments/experiments.hpp"
 #include "stats/gain.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/imb.hpp"
@@ -21,8 +20,9 @@ report::ResultSet run(const report::Options& options) {
   const workloads::PaperSystem& system = shared_system(options.quick);
   const std::int32_t machine = system.num_nodes();
 
-  CsvSink csv(options, {"bench", "config", "nodes", "metric",
-                        "gain_vs_baseline"});
+  report::ResultTable scores{
+      "scores", {"bench", "config", "nodes", "metric", "gain_vs_baseline"},
+      {}};
   report::ResultTable& out =
       rs.table("x500", {"benchmark", "nodes", "baseline",
                         "max spread across configs"});
@@ -35,13 +35,6 @@ report::ResultSet run(const report::Options& options) {
     if (options.quick) node_counts.resize(std::min<std::size_t>(
         node_counts.size(), 3));
 
-    std::printf("== Fig. 6 %s [%s] (higher is better) ==\n",
-                probe.name.c_str(), is_graph ? "GTEPS" : "Gflop/s");
-    std::vector<std::string> header{"config"};
-    for (const std::int32_t n : node_counts)
-      header.push_back(std::to_string(n));
-    stats::TextTable table(header);
-
     // Per node count: baseline metric and the config spread (max/min - 1
     // over all five combinations; the paper finds the x500 codes
     // compute-bound, so the spread stays within a few percent).
@@ -51,7 +44,6 @@ report::ResultSet run(const report::Options& options) {
     for (std::size_t cfg = 0; cfg < system.configs().size(); ++cfg) {
       const auto& config = system.configs()[cfg];
       const std::int32_t reps = reps_for(config, options);
-      std::vector<std::string> row{config.name};
       for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
         const std::int32_t n = node_counts[ni];
         const workloads::AppWorkload app = workloads::make_app(id, n);
@@ -76,17 +68,11 @@ report::ResultSet run(const report::Options& options) {
         const double gain = stats::relative_gain(
             baseline_best[ni], best_metric,
             stats::Direction::kHigherIsBetter);
-        row.push_back(best_metric == 0.0
-                          ? "miss"
-                          : stats::format_fixed(best_metric, 1) + " (" +
-                                stats::format_gain(gain) + ")");
-        csv.add_row({probe.name, config.name, std::to_string(n),
-                     stats::format_fixed(best_metric, 3),
-                     stats::format_gain(gain)});
+        scores.add_row({probe.name, config.name, std::to_string(n),
+                        stats::format_fixed(best_metric, 3),
+                        stats::format_gain(gain)});
       }
-      table.add_row(row);
     }
-    std::printf("%s\n", table.to_string().c_str());
 
     const std::size_t top = node_counts.size() - 1;
     const double top_spread =
@@ -100,6 +86,7 @@ report::ResultSet run(const report::Options& options) {
     rs.set(key + "_top_metric", baseline_best[top]);
     rs.set(key + "_top_spread", top_spread);
   }
+  rs.tables.push_back(std::move(scores));
   return rs;
 }
 

@@ -21,7 +21,6 @@
 // numbers land in the long-form "phases" table.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -38,7 +37,6 @@
 #include "routing/ftree.hpp"
 #include "sim/flowsim.hpp"
 #include "stats/rng.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/hyperx.hpp"
@@ -244,7 +242,7 @@ report::ResultSet run(const report::Options& options) {
   }
 
   // The light phases, one merged set per fabric and the batch sets draw
-  // from their own stream, so the claimed phases' inputs stay fixed.
+  // from their own stream, so the claimed phases' flow sets stay fixed.
   stats::Rng extra_rng = stats::Rng(options.seed).fork();
   const auto add_light_phase = [&](const char* name, const FlowFabric& f,
                                    std::int32_t count, const auto& make) {
@@ -272,11 +270,6 @@ report::ResultSet run(const report::Options& options) {
     return merged_permutations_set(ft, extra_rng, overlays);
   });
 
-  std::printf("== Reference vs indexed vs adaptive flow solver (single "
-              "thread, fastest of %d passes) ==\n\n", reps);
-  stats::TextTable table({"workload", "flows", "levels", "ref Mfz/s",
-                          "indexed Mfz/s", "adaptive Mfz/s", "speedup",
-                          "adaptive / best"});
   report::ResultTable& out =
       rs.table("speedup", {"workload", "flows", "ref Mfz/s", "indexed Mfz/s",
                            "speedup", "bit-identical"});
@@ -317,12 +310,6 @@ report::ResultSet run(const report::Options& options) {
                {"speedup", speedup},
                {"adaptive_freezes_per_sec", ada.freezes_per_sec},
                {"adaptive_time_vs_best", adaptive_vs_best}});
-    table.add_row({phase.label, std::to_string(flows), std::to_string(levels),
-                   stats::format_fixed(ref.freezes_per_sec / 1e6, 2),
-                   stats::format_fixed(idx.freezes_per_sec / 1e6, 2),
-                   stats::format_fixed(ada.freezes_per_sec / 1e6, 2),
-                   stats::format_fixed(speedup, 2) + "x",
-                   stats::format_fixed(adaptive_vs_best, 2) + "x"});
     if (phase.key == nullptr) continue;
     out.add_row({phase.label, std::to_string(flows),
                  stats::format_fixed(ref.freezes_per_sec / 1e6, 2),
@@ -334,7 +321,6 @@ report::ResultSet run(const report::Options& options) {
     rs.set(std::string(phase.key) + "_indexed_freezes_per_sec",
            idx.freezes_per_sec);
   }
-  std::printf("%s\n", table.to_string().c_str());
 
   // --- solve_batch scaling: uniform sets, 1..8 threads ---------------------
   {
@@ -366,9 +352,6 @@ report::ResultSet run(const report::Options& options) {
                      " vs 1-thread: " + check.detail);
       }
       const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
-      std::printf("solve_batch_uniform      threads=%-2d  %8.1f ms  speedup "
-                  "%.2fx\n",
-                  t, seconds * 1e3, speedup);
       add_phase(phase_table, "solve_batch_uniform",
                 {{"threads", static_cast<double>(t)},
                  {"sets", static_cast<double>(batches)},
@@ -382,7 +365,6 @@ report::ResultSet run(const report::Options& options) {
   rs.set("indexed_identical", 1.0);
   rs.set("adaptive_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
-  std::printf("indexed and adaptive cores bit-identical to reference: yes\n");
   return rs;
 }
 

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -34,7 +33,6 @@
 #include "sim/online.hpp"
 #include "sim/pktsim.hpp"
 #include "stats/rng.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fault_injector.hpp"
 #include "topo/hyperx.hpp"
@@ -144,10 +142,6 @@ report::ResultSet run(const report::Options& options) {
   const std::vector<double> delays =
       options.quick ? std::vector<double>{0.0, 10e-6, 50e-6}
                     : std::vector<double>{0.0, 5e-6, 20e-6, 50e-6};
-
-  std::printf("== Online faults, %s / dfsssp: %d cables die at t = %.1f us "
-              "==\n\n",
-              topo.name().c_str(), links_failed, kFaultTime * 1e6);
 
   // Epoch 0: the intact fabric's tables.
   const routing::RerouteOutcome e0 =
@@ -327,16 +321,15 @@ report::ResultSet run(const report::Options& options) {
             "run_batch with retry on differs between 1 and N threads");
   }
 
-  const std::vector<std::string> header{
-      "arm", "delay [us]", "retry", "delivered", "in-flight", "blackhole",
-      "ttl", "retries", "retention", "recovery [us]"};
-  stats::TextTable table(header);
-  report::ResultTable& out = rs.table("retention", header);
+  report::ResultTable& out =
+      rs.table("retention", {"arm", "delay [us]", "retry", "delivered",
+                             "in-flight", "blackhole", "ttl", "retries",
+                             "retention", "recovery [us]"});
   const auto drops = [](const Arm& arm, obs::PktDropCause cause) {
     return arm.result.dropped_by_cause[static_cast<std::size_t>(cause)];
   };
   for (const Arm& arm : arms) {
-    const std::vector<std::string> cells{
+    out.add_row({
         arm.name,
         stats::format_fixed(arm.delay * 1e6, 1),
         arm.retry ? "on" : "off",
@@ -347,11 +340,8 @@ report::ResultSet run(const report::Options& options) {
         std::to_string(drops(arm, obs::PktDropCause::kTtl)),
         std::to_string(arm.result.retries),
         stats::format_fixed(arm.retention, 3),
-        stats::format_fixed(arm.recovery_time * 1e6, 1)};
-    table.add_row(cells);
-    out.add_row(cells);
+        stats::format_fixed(arm.recovery_time * 1e6, 1)});
   }
-  std::printf("%s\n", table.to_string().c_str());
 
   // Every contract above threw if it broke, so the identity records read 1.
   report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
@@ -396,10 +386,6 @@ report::ResultSet run(const report::Options& options) {
               static_cast<double>(e1.census.blackhole_entries)},
              {"cables_failed", static_cast<double>(cables_failed)}});
 
-  std::printf("retry retention gain (min over delays): %+.3f\n",
-              retry_retention_gain);
-  std::printf("typed == reference, inert config bit-identical, "
-              "thread-invariant, no blackhole columns: yes\n");
   rs.set("nofault_identical", 1.0);
   rs.set("engines_identical", 1.0);
   rs.set("retry_retention_gain", retry_retention_gain);

@@ -5,9 +5,10 @@
 //    workloads of both fabrics, the congested hotspot regime the rewrite
 //    targets and DAL-adaptive uniform traffic.  Every typed Result must be
 //    bitwise equal to the reference (sim::first_difference) and run to
-//    completion.  The three static-path workloads form the "speedup"
-//    table the committed claims gate (identity, speedup at or above
-//    parity).
+//    completion.  Each engine is timed for at least kMinTimedSeconds per
+//    workload, so quick-mode speedups measure the engines, not host
+//    noise.  The three static-path workloads form the "speedup" table
+//    the committed claims gate (identity, speedup at or above parity).
 //  - run_batch scaling: DAL replications at 1..8 threads, every batch
 //    bitwise equal to the 1-thread batch.
 //  - Sweep determinism: run_pkt_sweep over static, DAL and Valiant arms
@@ -20,7 +21,6 @@
 // long-form "phases" table.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,7 +33,6 @@
 #include "routing/ftree.hpp"
 #include "sim/adaptive.hpp"
 #include "sim/pktsim.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/hyperx.hpp"
@@ -63,17 +62,30 @@ struct EngineTiming {
   sim::PktSim::Result result;
 };
 
-/// Times `reps` calls of `run` after one warm-up call; the last result is
-/// kept for the identity check.  The typed engine runs warm (one simulator
-/// reused), exactly as the packet-level experiments use it; the reference
-/// engine builds its state afresh on every call.
+/// Least wall time each engine is timed for on each workload.  Quick-mode
+/// workloads run in well under a millisecond, so a fixed count of a few
+/// calls would time host noise instead of the engine.
+constexpr double kMinTimedSeconds = 0.2;
+
+/// Times calls of `run` after one warm-up call, at least `min_reps` of
+/// them and for at least kMinTimedSeconds, and reports the mean; the last
+/// result is kept for the identity check.  Both engines are timed the same
+/// way.  The typed engine runs warm (one simulator reused), exactly as the
+/// packet-level experiments use it; the reference engine builds its state
+/// afresh on every call.
 template <typename Run>
-EngineTiming time_engine(Run&& run, std::int32_t reps) {
+EngineTiming time_engine(Run&& run, std::int32_t min_reps) {
   (void)run();  // warm-up: sizes scratch, touches pages
   EngineTiming t;
   PhaseClock clock;
-  for (std::int32_t r = 0; r < reps; ++r) t.result = run();
-  t.seconds = clock.lap() / reps;
+  double elapsed = 0.0;
+  std::int32_t reps = 0;
+  while (reps < min_reps || elapsed < kMinTimedSeconds) {
+    t.result = run();
+    ++reps;
+    elapsed += clock.lap();
+  }
+  t.seconds = elapsed / reps;
   if (t.seconds > 0.0) {
     t.events_per_sec =
         static_cast<double>(t.result.events_executed) / t.seconds;
@@ -146,13 +158,9 @@ report::ResultSet run(const report::Options& options) {
        hx_dal, uniform},
   };
 
-  std::printf("== Typed vs reference packet engine (single thread, %d reps) "
-              "==\n\n", reps);
-  const std::vector<std::string> header{"workload", "events", "ref Mev/s",
-                                        "typed Mev/s", "speedup",
-                                        "bit-identical"};
-  stats::TextTable table(header);
-  report::ResultTable& out = rs.table("speedup", header);
+  report::ResultTable& out =
+      rs.table("speedup", {"workload", "events", "ref Mev/s", "typed Mev/s",
+                           "speedup", "bit-identical"});
   double min_speedup = 0.0;
   for (const Phase& phase : phases) {
     sim::PktSimConfig cfg;
@@ -178,16 +186,11 @@ report::ResultSet run(const report::Options& options) {
                {"new_events_per_sec", typed.events_per_sec},
                {"new_ns_per_packet", typed.ns_per_packet},
                {"speedup", speedup}});
-    const std::vector<std::string> row{
-        phase.label,
-        std::to_string(typed.result.events_executed),
-        stats::format_fixed(ref.events_per_sec / 1e6, 2),
-        stats::format_fixed(typed.events_per_sec / 1e6, 2),
-        stats::format_fixed(speedup, 2) + "x",
-        "yes"};
-    table.add_row(row);
     if (phase.key == nullptr) continue;
-    out.add_row(row);
+    out.add_row({phase.label, std::to_string(typed.result.events_executed),
+                 stats::format_fixed(ref.events_per_sec / 1e6, 2),
+                 stats::format_fixed(typed.events_per_sec / 1e6, 2),
+                 stats::format_fixed(speedup, 2) + "x", "yes"});
     min_speedup = min_speedup > 0.0 ? std::min(min_speedup, speedup)
                                     : speedup;
     rs.set(std::string(phase.key) + "_speedup", speedup);
@@ -195,7 +198,6 @@ report::ResultSet run(const report::Options& options) {
            typed.events_per_sec);
   }
   rs.set("typed_min_speedup", min_speedup);
-  std::printf("%s\n", table.to_string().c_str());
 
   // --- run_batch scaling: DAL replications, 1..8 threads ------------------
   {
@@ -226,9 +228,6 @@ report::ResultSet run(const report::Options& options) {
                         reference[i], batch[i]);
       }
       const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
-      std::printf("run_batch_dal_uniform    threads=%-2d  %8.1f ms  speedup "
-                  "%.2fx\n",
-                  t, seconds * 1e3, speedup);
       add_phase(phase_table, "run_batch_dal_uniform",
                 {{"threads", static_cast<double>(t)},
                  {"replications", static_cast<double>(replications)},
@@ -279,10 +278,6 @@ report::ResultSet run(const report::Options& options) {
       if (!r.truncated || r.deadlock)
         fail(phase, "a starved-budget replication (arm " + r.arm +
                         ") was not reported as truncated");
-    std::printf("%-24s replications=%-3zu 1T %8.1f ms | 4T %8.1f ms | "
-                "starved budget truncated %zu/%zu\n",
-                phase, serial.size(), serial_s * 1e3, parallel_s * 1e3,
-                capped.size(), capped.size());
     add_phase(phase_table, phase,
               {{"replications", static_cast<double>(serial.size())},
                {"serial_seconds", serial_s},
@@ -293,7 +288,6 @@ report::ResultSet run(const report::Options& options) {
   // Reaching here means every identity check above held.
   rs.set("typed_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
-  std::printf("typed engine bit-identical to reference: yes\n");
   return rs;
 }
 

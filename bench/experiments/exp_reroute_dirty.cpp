@@ -29,7 +29,6 @@
 // additionally self-checks every incremental update against a full
 // recompute; delta timings then include that shadow compute.
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 #include <optional>
 #include <span>
@@ -44,7 +43,6 @@
 #include "routing/ftree.hpp"
 #include "routing/sssp.hpp"
 #include "routing/updown.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/fault_injector.hpp"
@@ -97,12 +95,11 @@ ArmResult run_arm(const Arm& arm, const std::string& tag,
     std::optional<routing::RouteResult> full;
     try {
       full = arm.engine.compute(arm.topo, arm.lids);
-    } catch (const std::exception& ex) {
+    } catch (const std::exception&) {
       // The engine refuses this degraded fabric; the delta path would too.
       router.invalidate();
       add_phase(phase_table, phase + "/failed",
                 {{"stage", static_cast<double>(stage)}});
-      std::printf("note: %s failed to route: %s\n", phase.c_str(), ex.what());
       continue;
     }
     const double full_ms = clock.lap() * 1e3;
@@ -169,10 +166,6 @@ report::ResultSet run(const report::Options& options) {
   opt.switches_per_stage = 0;  // cable attrition
   opt.seed = options.seed;
 
-  std::printf("== Incremental reroute savings (%d stages x %d cables; the "
-              "HyperX schedule then cuts plane dim 0 coord 0) ==\n\n",
-              opt.stages, opt.links_per_stage);
-
   const routing::LidSpace ft_lids =
       routing::LidSpace::consecutive(ft.topo().num_terminals(), 0);
   const routing::LidSpace hx_lids =
@@ -202,28 +195,21 @@ report::ResultSet run(const report::Options& options) {
        core::make_parx_lid_space(hx), plane_fault},
   };
 
-  const std::vector<std::string> header{"fabric / engine", "agg dirty frac",
-                                        "agg recompute frac",
-                                        "delta == full"};
-  stats::TextTable table(header);
-  report::ResultTable& out = rs.table("dirty", header);
+  report::ResultTable& out =
+      rs.table("dirty", {"fabric / engine", "agg dirty frac",
+                         "agg recompute frac", "delta == full"});
   report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
   for (const Arm& arm : arms) {
     const ArmResult r = run_arm(
         arm, arm.topo.name() + "/" + arm.engine.name(), opt, phase_table);
-    const std::vector<std::string> row{
-        arm.label, stats::format_fixed(r.dirty, 4),
-        stats::format_fixed(r.recompute, 4), "yes"};
-    table.add_row(row);
-    out.add_row(row);
+    out.add_row({arm.label, stats::format_fixed(r.dirty, 4),
+                 stats::format_fixed(r.recompute, 4), "yes"});
     rs.set(std::string(arm.key) + "_dirty_fraction", r.dirty);
     rs.set(std::string(arm.key) + "_recompute_fraction", r.recompute);
   }
   // Reaching here means every stage of every arm matched (run_arm throws).
   rs.set("delta_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("delta tables bit-identical to full recompute: yes\n");
   return rs;
 }
 

@@ -15,7 +15,6 @@
 // a fall, or DFSSSP tables that go cyclic, throws naming the fabric,
 // engine and stage -- the two properties the campaign exists to
 // guarantee.
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "routing/ftree.hpp"
 #include "routing/sssp.hpp"
 #include "routing/updown.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fault_injector.hpp"
 #include "workloads/resilience.hpp"
@@ -36,33 +34,12 @@ namespace hxsim::bench {
 
 namespace {
 
-void print_series(const obs::DegradationSeries& series) {
-  stats::TextTable table({"fabric / engine", "stage", "cables", "switches",
-                          "reach", "hops", "inflation", "throughput",
-                          "retention", "CDG", "VLs"});
-  for (const auto& s : series.samples()) {
-    table.add_row({s.fabric + " / " + s.engine, std::to_string(s.stage),
-                   std::to_string(s.cables_failed),
-                   std::to_string(s.switches_failed),
-                   stats::format_fixed(s.reachability, 4),
-                   stats::format_fixed(s.mean_switch_hops, 2),
-                   stats::format_fixed(s.hop_inflation, 2),
-                   stats::format_fixed(s.throughput, 3),
-                   stats::format_fixed(s.retention, 3),
-                   s.engine_failed ? "fail"
-                                   : (s.cdg_acyclic ? "acyclic" : "CYCLE"),
-                   std::to_string(s.vls_used)});
-  }
-  std::printf("%s", table.to_string().c_str());
-}
-
 /// Publishes `series` into `rs`, throwing on a broken guarantee, and adds
 /// one `summary` row per (fabric, engine): intact throughput, throughput
 /// and retention after the `stages` attrition stages, and retention after
 /// the appended plane cut where the schedule has one.
 void record(const obs::DegradationSeries& series, std::int32_t stages,
             report::ResultSet& rs, report::ResultTable& summary) {
-  print_series(series);
   series.publish(rs);
   const auto where = [](const obs::DegradationSample& s) {
     return s.fabric + " / " + s.engine + " stage " + std::to_string(s.stage);
@@ -132,11 +109,6 @@ report::ResultSet run(const report::Options& options) {
     engines.push_back({"updown", &updown, lids});
     engines.push_back({"sssp", &sssp, lids});
     engines.push_back({"dfsssp", &dfsssp, lids});
-
-    std::printf("== %s: %d stages x (%d links + %d switch) per stage ==\n",
-                ft.topo().name().c_str(), ft_opt.schedule.stages,
-                ft_opt.schedule.links_per_stage,
-                ft_opt.schedule.switches_per_stage);
     record(workloads::run_resilience_campaign(ft.topo(), ft.topo().name(),
                                               engines, ft_opt),
            stages, rs, summary);
@@ -164,12 +136,6 @@ report::ResultSet run(const report::Options& options) {
     // footnote-7 lost LIDs and reachability drops by ~1/S_1.
     std::vector<topo::FaultStage> extra(1);
     extra[0].events.push_back(topo::hyperx_plane_fault(hx, 0, 0));
-
-    std::printf("\n== %s: %d stages x (%d links + %d switch), then plane "
-                "fault dim 0 coord 0 ==\n",
-                hx.topo().name().c_str(), hx_opt.schedule.stages,
-                hx_opt.schedule.links_per_stage,
-                hx_opt.schedule.switches_per_stage);
     record(workloads::run_resilience_campaign(hx.topo(), hx.topo().name(),
                                               engines, hx_opt, extra),
            stages, rs, summary);
@@ -189,8 +155,6 @@ report::ResultSet run(const report::Options& options) {
       engines.push_back(
           {std::string("dfsssp-") + workloads::to_string(traffic), &dfsssp,
            lids});
-      std::printf("\n== %s traffic, HyperX/DFSSSP ==\n",
-                  workloads::to_string(traffic));
       record(workloads::run_resilience_campaign(hx.topo(), hx.topo().name(),
                                                 engines, t_opt),
              stages, rs, summary);
@@ -201,12 +165,6 @@ report::ResultSet run(const report::Options& options) {
   rs.set("retention_monotone", 1.0);
   rs.set("dfsssp_acyclic", 1.0);
   rs.tables.push_back(std::move(summary));
-  std::printf("\nretention envelopes monotone: yes\n"
-              "DFSSSP deadlock-free at every fault rate: yes\n");
-  std::printf("\nReading: `retention` is the worst-so-far fraction of the "
-              "intact fabric's delivered bandwidth (operator guarantee); "
-              "`reach` < 1 is footnote 7's lost-LID effect; SSSP showing "
-              "CYCLE on the HyperX is why DFSSSP exists.\n");
   return rs;
 }
 

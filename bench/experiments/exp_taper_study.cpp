@@ -3,11 +3,8 @@
 // counts and the uniform-traffic saturation throughput ("a 2-to-1
 // oversubscription cuts the network cost by more than 50% however reduces
 // the uniform random throughput to 50%").
-#include <cstdio>
-
 #include "experiments/experiments.hpp"
 #include "routing/ftree.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -37,9 +34,6 @@ double uniform_saturation(const mpi::Cluster& cluster, std::uint64_t seed) {
 report::ResultSet run(const report::Options& options) {
   report::ResultSet rs;
 
-  std::printf("== Fat-tree leaf taper study (Section 2.1) ==\n\n");
-  stats::TextTable table({"taper", "leaf uplink cables", "uniform alpha",
-                          "expectation"});
   report::ResultTable& out =
       rs.table("taper", {"taper", "leaf uplink cables", "uniform alpha",
                          "expectation"});
@@ -63,21 +57,12 @@ report::ResultSet run(const report::Options& options) {
     else
       expect = "~1/" + std::to_string(taper) +
                " (x" + std::to_string(taper) + " fewer leaf cables)";
-    table.add_row({std::to_string(taper) + ":1",
-                   std::to_string(leaf_cables),
-                   stats::format_fixed(alpha, 2), expect});
     out.add_row({std::to_string(taper) + ":1", std::to_string(leaf_cables),
                  stats::format_fixed(alpha, 2), expect});
     rs.set("alpha_" + std::to_string(taper) + "to1", alpha);
     rs.set("leaf_cables_" + std::to_string(taper) + "to1",
            static_cast<double>(leaf_cables));
   }
-  std::printf("%s", table.to_string().c_str());
-  std::printf("\n(Paper Section 2.2: the 12x8 HyperX sits at 57.1%% offered "
-              "bisection with uniform alpha ~0.8 under static minimal "
-              "routing -- between the 1:1 and 2:1 trees at a fraction of "
-              "either's cable count; that is the cost argument for the "
-              "direct topology.)\n");
   return rs;
 }
 

@@ -2,12 +2,11 @@
 // congestion on the single cable between two HyperX switches start to
 // dominate latency?  Multi-PingPong on the packet simulator, k = 1..7
 // pairs per switch pair; the knee behind the paper's 512-byte threshold.
-#include <cstdio>
-
+// Every (size, pairs) slowdown is a row of the `slowdown` table; `knee`
+// holds its 7-pair column.
 #include "experiments/experiments.hpp"
 #include "routing/dfsssp.hpp"
 #include "sim/pktsim.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/hyperx.hpp"
 
@@ -28,20 +27,15 @@ report::ResultSet run(const report::Options&) {
   sim::PktSimConfig cfg;
   sim::PktSim pktsim(hx.topo(), cfg);
 
-  std::printf("== Small/large threshold calibration (PktSim, two adjacent "
-              "12x8 switches) ==\n\n");
   std::vector<std::int64_t> sizes;
   for (std::int64_t b = 64; b <= 64 * 1024; b *= 2) sizes.push_back(b);
 
-  std::vector<std::string> header{"msg size"};
-  for (std::int32_t k = 1; k <= 7; ++k)
-    header.push_back(std::to_string(k) + " pairs");
-  stats::TextTable table(header);
   report::ResultTable& knee =
       rs.table("knee", {"msg size", "7-pair slowdown"});
+  report::ResultTable slowdown{
+      "slowdown", {"msg size", "pairs", "slowdown"}, {}};
 
   for (const std::int64_t bytes : sizes) {
-    std::vector<std::string> row{stats::format_bytes(bytes)};
     double solo_latency = 0.0;
     double full_contention = 0.0;
     for (std::int32_t pairs = 1; pairs <= 7; ++pairs) {
@@ -64,9 +58,9 @@ report::ResultSet run(const report::Options&) {
       for (double t : result.completion) worst = std::max(worst, t);
       if (pairs == 1) solo_latency = worst;
       full_contention = worst / solo_latency;
-      row.push_back(stats::format_fixed(full_contention, 2) + "x");
+      slowdown.add_row({stats::format_bytes(bytes), std::to_string(pairs),
+                        stats::format_fixed(full_contention, 2) + "x"});
     }
-    table.add_row(row);
     knee.add_row({stats::format_bytes(bytes),
                   stats::format_fixed(full_contention, 2) + "x"});
     // Metric names stay byte-count keyed: slowdown_7p_512B etc.
@@ -75,11 +69,7 @@ report::ResultSet run(const report::Options&) {
                      : std::to_string(bytes / 1024) + "KiB";
     rs.set("slowdown_7p_" + size_key, full_contention);
   }
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("Reading: with 7 node pairs per switch the contention "
-              "multiplier approaches 7x once messages no longer fit a single "
-              "MTU; sub-512B messages stay within ~1x-2x, hence the paper's "
-              "512-byte PARX threshold.\n");
+  rs.tables.push_back(std::move(slowdown));
   return rs;
 }
 

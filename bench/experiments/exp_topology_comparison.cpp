@@ -3,14 +3,12 @@
 // lengths, deadlock-freedom cost (VLs), and throughput under the uniform
 // and adversarial-shift matrices.
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 
 #include "experiments/experiments.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fat_tree.hpp"
@@ -104,10 +102,6 @@ report::ResultSet run(const report::Options& options) {
                                mpi::make_ob1())});
   }
 
-  std::printf("== 672-node topology comparison (paper intro: fat-tree vs. "
-              "the low-diameter alternatives) ==\n\n");
-  stats::TextTable table({"plane", "switches", "cables", "hops med/max",
-                          "VLs", "uniform alpha", "shift alpha"});
   report::ResultTable& out =
       rs.table("planes", {"plane", "switches", "cables", "hops med/max",
                           "VLs", "uniform alpha", "shift alpha"});
@@ -115,27 +109,19 @@ report::ResultSet run(const report::Options& options) {
     const stats::Summary h = hops(*plane.cluster, options.seed);
     const double uniform = saturation(*plane.cluster, false, options.seed);
     const double shift = saturation(*plane.cluster, true, options.seed);
-    const std::vector<std::string> row{
-        plane.name, std::to_string(plane.topology->num_switches()),
-        std::to_string(plane.topology->num_switch_links()),
-        stats::format_fixed(h.median, 0) + "/" +
-            stats::format_fixed(h.max, 0),
-        std::to_string(plane.cluster->route().num_vls_used),
-        stats::format_fixed(uniform, 2), stats::format_fixed(shift, 2)};
-    table.add_row(row);
-    out.add_row(row);
+    out.add_row({plane.name, std::to_string(plane.topology->num_switches()),
+                 std::to_string(plane.topology->num_switch_links()),
+                 stats::format_fixed(h.median, 0) + "/" +
+                     stats::format_fixed(h.max, 0),
+                 std::to_string(plane.cluster->route().num_vls_used),
+                 stats::format_fixed(uniform, 2),
+                 stats::format_fixed(shift, 2)});
     rs.set(plane.key + "_switches", plane.topology->num_switches());
     rs.set(plane.key + "_cables", plane.topology->num_switch_links());
     rs.set(plane.key + "_median_hops", h.median);
     rs.set(plane.key + "_uniform_alpha", uniform);
     rs.set(plane.key + "_shift_alpha", shift);
   }
-  std::printf("%s", table.to_string().c_str());
-  std::printf(
-      "\nReading: the direct topologies buy 1/10th the switches and ~1/10th "
-      "the cables at the cost of adversarial-shift throughput under static "
-      "minimal routing -- the trade the paper quantifies, and the reason "
-      "both need adaptive routing (or PARX-style tricks) in production.\n");
   return rs;
 }
 

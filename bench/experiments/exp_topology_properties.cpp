@@ -1,11 +1,8 @@
 // Section 2 experiment: switch/terminal/cable counts of both planes, the
 // HyperX bisection ratio (paper: 57.1 %), the missing-cable degradation,
 // and routed path-length statistics per engine.
-#include <cstdio>
-
 #include "experiments/experiments.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/paper_system.hpp"
 
@@ -35,8 +32,8 @@ report::ResultSet run(const report::Options& options) {
   const auto& hx = system.hyperx();
   report::ResultSet rs;
 
-  std::printf("== Topology properties (Section 2) ==\n\n");
-  stats::TextTable t({"property", "Fat-Tree", "HyperX", "paper"});
+  report::ResultTable& t =
+      rs.table("properties", {"property", "Fat-Tree", "HyperX", "paper"});
   t.add_row({"switches", std::to_string(ft.topo().num_switches()),
              std::to_string(hx.topo().num_switches()),
              "972 (3x324) / 96"});
@@ -55,7 +52,6 @@ report::ResultSet run(const report::Options& options) {
   t.add_row({"connected",
              ft.topo().switches_connected() ? "yes" : "NO",
              hx.topo().switches_connected() ? "yes" : "NO", "yes / yes"});
-  std::printf("%s\n", t.to_string().c_str());
 
   rs.set("ft_switches", ft.topo().num_switches());
   rs.set("hx_switches", hx.topo().num_switches());
@@ -69,12 +65,6 @@ report::ResultSet run(const report::Options& options) {
   rs.set("ft_connected", ft.topo().switches_connected() ? 1.0 : 0.0);
   rs.set("hx_connected", hx.topo().switches_connected() ? 1.0 : 0.0);
 
-  report::ResultTable& props =
-      rs.table("properties", {"property", "Fat-Tree", "HyperX", "paper"});
-  for (const auto& row : t.rows()) props.add_row(row);
-
-  std::printf("Routed switch-hop statistics (1000 random pairs):\n");
-  stats::TextTable p({"plane/routing", "min", "median", "max", "VLs"});
   report::ResultTable& hops =
       rs.table("hops", {"plane/routing", "min", "median", "max", "VLs"});
   struct Row {
@@ -94,20 +84,12 @@ report::ResultSet run(const report::Options& options) {
     const stats::Summary s =
         path_lengths(*row.cluster, options.seed, 1000, row.bytes);
     const std::int32_t vls = row.cluster->route().num_vls_used;
-    p.add_row({row.name, stats::format_fixed(s.min, 0),
-               stats::format_fixed(s.median, 0),
-               stats::format_fixed(s.max, 0), std::to_string(vls)});
     hops.add_row({row.name, stats::format_fixed(s.min, 0),
                   stats::format_fixed(s.median, 0),
                   stats::format_fixed(s.max, 0), std::to_string(vls)});
     rs.set(std::string(row.key) + "_median_hops", s.median);
     rs.set(std::string(row.key) + "_vls", vls);
   }
-  std::printf("%s", p.to_string().c_str());
-  std::printf(
-      "\n(paper: DFSSSP needs 3 VLs on the 12x8, PARX 5-8; our greedy\n"
-      " Pearce-Kelly layering packs the same path sets into fewer lanes,\n"
-      " which only helps -- fewer lanes than the QDR budget of 8)\n");
   return rs;
 }
 

@@ -3,13 +3,11 @@
 // provide ~100% throughput for uniform random traffic; worst-case traffic
 // only achieves ~50%") on the un-degraded planes.
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "core/quadrant.hpp"
 #include "experiments/experiments.hpp"
 #include "sim/flowsim.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 #include "workloads/paper_system.hpp"
 
@@ -109,14 +107,8 @@ report::ResultSet run(const report::Options& options) {
     return demands;
   };
 
-  std::printf("== Saturation throughput per traffic matrix (Section 2.2) "
-              "==\n\n");
-  std::printf("HyperX offered bisection: %.1f%% of injection bandwidth\n\n",
-              hx.bisection_ratio() * 100.0);
   rs.set("hx_bisection_ratio", hx.bisection_ratio());
 
-  stats::TextTable table({"traffic matrix", "FT alpha", "HX alpha",
-                          "FT mean", "HX mean", "paper's expectation"});
   report::ResultTable& out =
       rs.table("matrix", {"traffic matrix", "FT alpha", "HX alpha",
                           "FT mean", "HX mean", "paper's expectation"});
@@ -145,8 +137,6 @@ report::ResultSet run(const report::Options& options) {
     auto fmt = [](double v) {
       return v > 0.0 ? stats::format_fixed(v, 2) : std::string("-");
     };
-    table.add_row({row.name, fmt(ft_a), fmt(hx_a), fmt(ft_m), fmt(hx_m),
-                   row.expect});
     out.add_row({row.name, fmt(ft_a), fmt(hx_a), fmt(ft_m), fmt(hx_m),
                  row.expect});
     rs.set(std::string(row.key) + "_ft_alpha", ft_a);
@@ -154,10 +144,6 @@ report::ResultSet run(const report::Options& options) {
     if (ft_m > 0.0) rs.set(std::string(row.key) + "_ft_mean", ft_m);
     if (hx_m > 0.0) rs.set(std::string(row.key) + "_hx_mean", hx_m);
   }
-  std::printf("%s", table.to_string().c_str());
-  std::printf("\n(Static routing keeps permutations below the adaptive "
-              "ideal -- Hoefler et al.'s 'multistage switches are not "
-              "crossbars' effect, which the paper cites as [30].)\n");
   return rs;
 }
 

@@ -1,15 +1,17 @@
 // Registry of the experiments (bench/experiments/exp_<id>.cpp): every
 // paper figure/table plus the repo-level contracts, one measurement core
 // each.  bench/repro_pipeline is the only runner: `--only <id>` runs one
-// experiment (with its --csv/--trace outputs), no --only runs them all in
-// one process, folds the ResultSets into REPRO.json, checks the committed
-// claims/ tables and regenerates EXPERIMENTS.md.
+// experiment, no --only runs them all in one process, folds the
+// ResultSets into REPRO.json, checks the committed claims/ tables and
+// regenerates EXPERIMENTS.md.
 //
-// Experiments print a human-readable report to stdout *and* fill a
-// structured ResultSet (metrics the claims bind to, tables the renderer
-// embeds in the docs).  The repo-level experiments throw, naming the
-// phase, when an identity contract breaks, so a run fails even without
-// the claims check.
+// An experiment only fills a structured ResultSet: metrics the claims
+// bind to, and tables -- its figure data in long form, which the pipeline
+// prints, stores, writes as CSV (--csv) and the renderer embeds in the
+// docs.  It writes nothing to stdout or to files; --trace hands it a
+// second ResultSet (report::Options::trace) to fill.  The repo-level
+// experiments throw, naming the phase, when an identity contract breaks,
+// so a run fails even without the claims check.
 #pragma once
 
 #include "bench_common.hpp"

@@ -7,14 +7,18 @@
 //                    [--no-baseline] [--render] [--md path] [--list]
 //
 // The one way to run an experiment: `--only <id>` runs a single
-// registered experiment (bench/experiments/), with --csv/--trace passed
-// through to it.  Without --only it runs every registered experiment in
-// one process, folds the ResultSets into a ResultStore written as
-// REPRO.json, then evaluates the committed claims/ tables against the
-// measured metrics and exits non-zero listing every violation (measured
-// vs expected band).  An experiment that throws (the repo-level ones do
-// on any broken identity contract, naming the phase) fails the run even
-// under --no-claims.
+// registered experiment (bench/experiments/).  Without --only it runs
+// every registered experiment in one process, folds the ResultSets into a
+// ResultStore written as REPRO.json, then evaluates the committed claims/
+// tables against the measured metrics and exits non-zero listing every
+// violation (measured vs expected band).  An experiment that throws (the
+// repo-level ones do on any broken identity contract, naming the phase)
+// fails the run even under --no-claims.
+// Experiments write nothing themselves: the pipeline prints each
+// ResultSet (metrics, then every table).  With one --only experiment,
+// --csv writes each of its tables as <stem>_<table>.csv, and --trace its
+// trace ResultSet as a result store plus the same per-table CSVs; an
+// experiment that fills no trace fails --trace.
 // With --render the EXPERIMENTS.md generated blocks are regenerated from
 // the result store -- from the committed full-scale baseline in --quick
 // mode (CI-sized runs must not rewrite paper-scale tables), from the
@@ -56,6 +60,8 @@ struct PipelineArgs {
   std::vector<std::string> only;
   std::string out_path;
   std::string from_path;
+  std::string csv_path;
+  std::string trace_path;
   std::string claims_dir = HXSIM_SOURCE_DIR "/claims";
   std::string baseline_path = HXSIM_SOURCE_DIR "/REPRO.json";
   std::string md_path = HXSIM_SOURCE_DIR "/EXPERIMENTS.md";
@@ -75,8 +81,8 @@ void usage(std::FILE* out, const char* argv0) {
       "  --seed n        base RNG seed (default 1)\n"
       "  --reps n        repetitions per measurement (default 3)\n"
       "  --threads n     worker threads (default: hardware)\n"
-      "  --csv path      machine-readable dump of the one --only "
-      "experiment\n"
+      "  --csv path      one <stem>_<table>.csv per table of the one "
+      "--only experiment\n"
       "  --trace path    observability export of the one --only "
       "experiment\n"
       "  --out path      result store to write (default: REPRO.json in "
@@ -135,11 +141,11 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
     } else if (a == "--csv") {
       const char* v = value();
       if (!v) return false;
-      args.options.csv_path = v;
+      args.csv_path = v;
     } else if (a == "--trace") {
       const char* v = value();
       if (!v) return false;
-      args.options.trace_path = v;
+      args.trace_path = v;
     } else if (a == "--out") {
       const char* v = value();
       if (!v) return false;
@@ -178,11 +184,11 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
     }
   }
   // Per-experiment outputs need exactly one measured experiment to own them.
-  if ((args.options.csv_path || args.options.trace_path) &&
+  if ((!args.csv_path.empty() || !args.trace_path.empty()) &&
       (args.only.size() != 1 || !args.from_path.empty())) {
     std::fprintf(stderr,
                  "%s: %s needs exactly one --only experiment and no --from\n",
-                 argv[0], args.options.csv_path ? "--csv" : "--trace");
+                 argv[0], !args.csv_path.empty() ? "--csv" : "--trace");
     print_usage();
     return false;
   }
@@ -199,6 +205,18 @@ bool selected(const PipelineArgs& args, const std::string& id) {
   for (const std::string& o : args.only)
     if (o == id) return true;
   return false;
+}
+
+/// The run log of one experiment: its metrics, then every table, all
+/// through the one text renderer.
+void print_result_set(const report::ResultSet& rs) {
+  report::ResultTable metrics{"metrics", {"metric", "value"}, {}};
+  for (const auto& [name, value] : rs.metrics)
+    metrics.add_row({name, report::format_metric(value)});
+  std::printf("%s", report::render_text_table(metrics).c_str());
+  for (const report::ResultTable& table : rs.tables)
+    std::printf("\n%s\n%s", table.id.c_str(),
+                report::render_text_table(table).c_str());
 }
 
 /// Claims whose experiment was not part of a --only run must not fire as
@@ -238,6 +256,8 @@ int main(int argc, char** argv) {
 
   // --- measure (or load) --------------------------------------------------
   report::ResultStore store;
+  report::ResultSet trace;  // filled under --trace by the one experiment
+  if (!args.trace_path.empty()) args.options.trace = &trace;
   bool run_failed = false;
   if (!args.from_path.empty()) {
     try {
@@ -266,8 +286,10 @@ int main(int argc, char** argv) {
                   e.paper_ref.c_str());
       std::fflush(stdout);
       const auto t0 = std::chrono::steady_clock::now();
+      bool ran = false;
       try {
         store.experiments.push_back(registry.run(e, args.options));
+        ran = true;
       } catch (const std::exception& ex) {
         run_failed = true;
         std::fprintf(stderr, "FAILED: %s: %s\n", e.id.c_str(), ex.what());
@@ -275,17 +297,35 @@ int main(int argc, char** argv) {
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
+      if (ran) print_result_set(store.experiments.back());
       std::printf("### %s done in %.1f s\n\n", e.id.c_str(), secs);
       std::fflush(stdout);
+    }
+    // --trace on an experiment that exports none must not pass silently.
+    if (!args.trace_path.empty() && !store.experiments.empty() &&
+        trace.metrics.empty() && trace.tables.empty()) {
+      std::fprintf(stderr, "%s: --trace: experiment '%s' exports no trace\n",
+                   argv[0], store.experiments.front().id.c_str());
+      return 1;
     }
     try {
       store.write_json(args.out_path);
       std::printf("wrote %s (%zu experiments, %s mode)\n",
                   args.out_path.c_str(), store.experiments.size(),
                   std::string(report::to_string(store.mode)).c_str());
+      // --csv and --trace name exactly one --only experiment.
+      if (!store.experiments.empty() && !args.csv_path.empty()) {
+        bench::write_table_csvs(store.experiments.front(), args.csv_path);
+        std::printf("wrote %zu table CSVs for %s\n",
+                    store.experiments.front().tables.size(),
+                    args.csv_path.c_str());
+      }
+      if (!store.experiments.empty() && !args.trace_path.empty()) {
+        bench::write_trace(args.trace_path, args.options, std::move(trace));
+        std::printf("wrote trace %s\n", args.trace_path.c_str());
+      }
     } catch (const std::exception& ex) {
-      std::fprintf(stderr, "%s: cannot write %s: %s\n", argv[0],
-                   args.out_path.c_str(), ex.what());
+      std::fprintf(stderr, "%s: %s\n", argv[0], ex.what());
       return 1;
     }
   }

@@ -9,8 +9,8 @@
 
 #include "bench_common.hpp"
 #include "mpi/cluster.hpp"
+#include "report/render.hpp"
 #include "routing/dfsssp.hpp"
-#include "stats/table.hpp"
 #include "topo/hyperx.hpp"
 #include "workloads/capacity.hpp"
 
@@ -73,12 +73,12 @@ int main(int argc, char** argv) {
 
   std::printf("capacity window: %.1f h, placement: %s\n\n", hours,
               place_arg.c_str());
-  stats::TextTable table({"app", "nodes", "runs completed"});
+  report::ResultTable table{"runs", {"app", "nodes", "runs completed"}, {}};
   for (std::size_t j = 0; j < jobs.size(); ++j)
     table.add_row({result.app_names[j],
                    std::to_string(jobs[j].placement.num_ranks()),
                    std::to_string(result.runs_completed[j])});
   table.add_row({"TOTAL", "176", std::to_string(result.total())});
-  std::printf("%s", table.to_string().c_str());
+  std::printf("%s", report::render_text_table(table).c_str());
   return 0;
 }

@@ -25,9 +25,12 @@ const Experiment* Registry::find(std::string_view id) const {
 ResultSet Registry::run(const Experiment& experiment,
                         const Options& options) const {
   ResultSet rs = experiment.run(options);
-  rs.id = experiment.id;
-  rs.title = experiment.title;
-  rs.paper_ref = experiment.paper_ref;
+  for (ResultSet* out : {&rs, options.trace}) {
+    if (out == nullptr) continue;
+    out->id = experiment.id;
+    out->title = experiment.title;
+    out->paper_ref = experiment.paper_ref;
+  }
   return rs;
 }
 

@@ -8,13 +8,13 @@
 // tables against it (claims.hpp) and regenerates the EXPERIMENTS.md
 // result tables (render.hpp).
 //
-// Experiments print a human-readable report to stdout; the ResultSet is
-// the machine-readable subset of the same run.
+// An experiment writes nothing itself: the ResultSet it returns is its
+// whole output.  repro_pipeline prints it, stores it and writes every
+// file from it (--out, --csv, --trace).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,8 +30,10 @@ struct Options {
   std::uint64_t seed = 1;
   std::int32_t reps = 3;
   std::int32_t threads = 0;  // 0: hardware_concurrency
-  std::optional<std::string> csv_path;
-  std::optional<std::string> trace_path;
+  /// Set when the run exports an observability trace (--trace): the
+  /// experiment fills it beside its ResultSet, or leaves it empty if it
+  /// has none.  Tracing never changes the ResultSet.
+  ResultSet* trace = nullptr;
 };
 
 struct Experiment {
@@ -52,7 +54,8 @@ class Registry {
   }
 
   /// Runs `experiment` and stamps id/title/paper_ref into the ResultSet
-  /// (so individual run() bodies cannot drift from their registration).
+  /// and into options.trace, if set (so individual run() bodies cannot
+  /// drift from their registration).
   [[nodiscard]] ResultSet run(const Experiment& experiment,
                               const Options& options) const;
 

@@ -1,5 +1,6 @@
 #include "report/render.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hxsim::report {
@@ -24,17 +25,44 @@ std::string escape_cell(std::string_view cell) {
 
 std::string render_markdown_table(const ResultTable& table) {
   std::string out;
+  const auto append_row = [&out](const std::vector<std::string>& cells) {
+    out += "|";
+    for (const std::string& cell : cells)
+      out.append(" ").append(escape_cell(cell)).append(" |");
+    out += "\n";
+  };
+  append_row(table.columns);
   out += "|";
-  for (const std::string& col : table.columns)
-    out += " " + escape_cell(col) + " |";
-  out += "\n|";
   for (std::size_t c = 0; c < table.columns.size(); ++c) out += "---|";
   out += "\n";
-  for (const auto& row : table.rows) {
-    out += "|";
-    for (const std::string& cell : row) out += " " + escape_cell(cell) + " |";
-    out += "\n";
+  for (const auto& row : table.rows) append_row(row);
+  return out;
+}
+
+std::string render_text_table(const ResultTable& table) {
+  std::vector<std::size_t> widths(table.columns.size());
+  for (std::size_t c = 0; c < widths.size(); ++c) {
+    widths[c] = table.columns[c].size();
+    for (const auto& row : table.rows)
+      widths[c] = std::max(widths[c], row[c].size());
   }
+  std::string out;
+  const auto append_row = [&](const std::vector<std::string>& cells) {
+    const std::size_t start = out.size();
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (c != 0) out.append(2, ' ');
+      out.append(cells[c]).append(widths[c] - cells[c].size(), ' ');
+    }
+    // Trim trailing padding for clean diffs.
+    while (out.size() > start && out.back() == ' ') out.pop_back();
+    out += "\n";
+  };
+  append_row(table.columns);
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < widths.size(); ++c)
+    total += widths[c] + (c != 0 ? 2 : 0);
+  out.append(total, '-').append("\n");
+  for (const auto& row : table.rows) append_row(row);
   return out;
 }
 
@@ -92,8 +120,8 @@ std::string render_experiments_md(std::string_view markdown,
 
     const std::string_view old_content =
         markdown.substr(content_start, end - content_start);
-    const std::string new_content =
-        "\n" + render_markdown_table(*table);
+    std::string new_content = "\n";
+    new_content += render_markdown_table(*table);
     ++local.blocks;
     if (old_content != new_content) ++local.changed;
 

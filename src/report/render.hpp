@@ -13,6 +13,10 @@
 // block with the markdown rendering of the referenced table and leaves
 // all other bytes untouched.  Rendering is deterministic, so a second
 // render of its own output is byte-identical (idempotence is tested).
+//
+// render_text_table() is the plain-text twin: repro_pipeline prints every
+// metric and table of a ResultSet through it, so the run log shows
+// exactly what the store holds.
 #pragma once
 
 #include <string>
@@ -30,6 +34,11 @@ struct RenderStats {
 /// Renders one ResultTable as a GitHub-flavoured markdown pipe table
 /// (cells escape '|', '*' and '\').
 [[nodiscard]] std::string render_markdown_table(const ResultTable& table);
+
+/// Renders one ResultTable as aligned plain text (the pipeline log): the
+/// header, a dashed rule, then one line per row, columns two spaces apart
+/// and padded to the widest cell, trailing blanks trimmed.
+[[nodiscard]] std::string render_text_table(const ResultTable& table);
 
 /// Regenerates every marked block of `markdown` from `store`.  Throws
 /// std::runtime_error on an unterminated block, a nested begin, a

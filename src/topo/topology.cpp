@@ -123,11 +123,13 @@ std::string Topology::to_dot() const {
   for (const Channel& c : channels_) {
     // Emit each cable once, from its lower-id direction.
     if (c.id > c.reverse) continue;
-    std::string style = c.enabled ? "" : " [style=dashed]";
     auto label = [](Endpoint e) {
-      return (e.is_switch() ? "s" : "t") + std::to_string(e.index);
+      std::string out(1, e.is_switch() ? 's' : 't');
+      return out.append(std::to_string(e.index));
     };
-    dot += "  " + label(c.src) + " -- " + label(c.dst) + style + ";\n";
+    dot.append("  ").append(label(c.src)).append(" -- ").append(label(c.dst));
+    if (!c.enabled) dot += " [style=dashed]";
+    dot += ";\n";
   }
   dot += "}\n";
   return dot;

@@ -136,7 +136,7 @@ TEST(Quadrant, RuleMapping) {
   EXPECT_EQ(removed_half_for_lid_index(1), Half::kRight);
   EXPECT_EQ(removed_half_for_lid_index(2), Half::kTop);
   EXPECT_EQ(removed_half_for_lid_index(3), Half::kBottom);
-  EXPECT_THROW(removed_half_for_lid_index(4), std::out_of_range);
+  EXPECT_THROW((void)removed_half_for_lid_index(4), std::out_of_range);
 }
 
 // --- Table 1 -----------------------------------------------------------------
@@ -237,8 +237,10 @@ TEST(LidChoice, RandomPickCoversBothOptions) {
 }
 
 TEST(LidChoice, RejectsBadQuadrants) {
-  EXPECT_THROW(parx_lid_options(-1, 0, MsgClass::kSmall), std::out_of_range);
-  EXPECT_THROW(parx_lid_options(0, 4, MsgClass::kLarge), std::out_of_range);
+  EXPECT_THROW((void)parx_lid_options(-1, 0, MsgClass::kSmall),
+               std::out_of_range);
+  EXPECT_THROW((void)parx_lid_options(0, 4, MsgClass::kLarge),
+               std::out_of_range);
 }
 
 // --- demand matrix -----------------------------------------------------------

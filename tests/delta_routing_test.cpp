@@ -152,9 +152,10 @@ TEST_P(DeltaRoutingTest, BitIdenticalAcrossFaultStagesAndRevert) {
     EXPECT_EQ(stats.columns_total,
               static_cast<std::int64_t>(lids_.all_lids().size()));
     EXPECT_LE(stats.columns_changed, stats.columns_recomputed);
-    if (!stats.full_recompute)
+    if (!stats.full_recompute) {
       EXPECT_EQ(stats.dirty_lids.size(),
                 static_cast<std::size_t>(stats.columns_changed));
+    }
   }
 
   // Revert: re-enabling channels is not coverable by membership tracking,

@@ -203,9 +203,10 @@ TEST_P(CollectiveSizes, RoundCountsAreLogarithmic) {
             ceil_log2(n));
   EXPECT_EQ(static_cast<std::int32_t>(col::bcast_binomial(n, 8).size()),
             ceil_log2(n));
-  if (n > 1)
+  if (n > 1) {
     EXPECT_EQ(static_cast<std::int32_t>(col::allreduce_ring(n, 8).size()),
               2 * (n - 1));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSizes,

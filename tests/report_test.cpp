@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <limits>
 #include <regex>
@@ -268,6 +269,15 @@ TEST(Render, MarkdownTableEscapesCells) {
             "| x\\*y | back\\\\slash |\n");
 }
 
+TEST(Render, TextTableAlignsColumns) {
+  ResultTable t{"tab", {"a", "long-header"}, {}};
+  t.add_row({"wide-cell", "x"});
+  EXPECT_EQ(render_text_table(t),
+            "a          long-header\n"
+            "----------------------\n"
+            "wide-cell  x\n");
+}
+
 TEST(Render, RegeneratesBlocksAndIsIdempotent) {
   const ResultStore store = sample_store();
   const std::string doc =
@@ -373,7 +383,8 @@ TEST(Registry, CoversEveryExperimentSource) {
 
 TEST(Registry, TraceIsALoadableStoreWithOneCsvPerTable) {
   // --trace writes the experiment's trace as a one-experiment result
-  // store (what `repro_pipeline --from` loads) plus <stem>_<table>.csv.
+  // store (what `repro_pipeline --from` loads) plus <stem>_<table>.csv,
+  // through the pipeline's writer.
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "hxsim_trace_test";
   fs::remove_all(dir);
@@ -383,10 +394,13 @@ TEST(Registry, TraceIsALoadableStoreWithOneCsvPerTable) {
   ASSERT_NE(exp, nullptr);
   Options options;
   options.quick = true;
-  options.trace_path = (dir / "fig1.json").string();
+  ResultSet filled;
+  options.trace = &filled;
   (void)registry.run(*exp, options);
+  const std::string path = (dir / "fig1.json").string();
+  bench::write_trace(path, options, std::move(filled));
 
-  const ResultStore store = ResultStore::read_json(*options.trace_path);
+  const ResultStore store = ResultStore::read_json(path);
   EXPECT_EQ(store.mode, RunMode::kQuick);
   ASSERT_EQ(store.experiments.size(), 1u);
   const ResultSet& trace = store.experiments.front();
@@ -405,6 +419,40 @@ TEST(Registry, TraceIsALoadableStoreWithOneCsvPerTable) {
   EXPECT_EQ(csvs, trace.tables.size());
   EXPECT_NE(trace.find("flow_solver_solves"), nullptr);
   EXPECT_NE(trace.find("dfsssp_spf_trees_s"), nullptr);
+  fs::remove_all(dir);
+}
+
+TEST(Registry, CsvWritesEveryTableInOrder) {
+  // --csv writes one <stem>_<table>.csv per table of the ResultSet: the
+  // header is the table's columns, the rows follow in order, and every
+  // cell goes through stats::CsvWriter's escaping.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hxsim_csv_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ResultSet rs;
+  rs.set("ignored", 1.0);
+  ResultTable first{"first", {"x", "y, z"}, {}};
+  first.add_row({"1", "say \"hi\""});
+  first.add_row({"2", "plain"});
+  rs.tables.push_back(std::move(first));
+  rs.table("second", {"only"}).add_row({"a,b"});
+  bench::write_table_csvs(rs, (dir / "out.csv").string());
+
+  const auto lines = [](const fs::path& path) {
+    std::ifstream in(path);
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  };
+  EXPECT_EQ(lines(dir / "out_first.csv"),
+            (std::vector<std::string>{"x,\"y, z\"", "1,\"say \"\"hi\"\"\"",
+                                      "2,plain"}));
+  EXPECT_EQ(lines(dir / "out_second.csv"),
+            (std::vector<std::string>{"only", "\"a,b\""}));
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            2);
   fs::remove_all(dir);
 }
 

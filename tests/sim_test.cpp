@@ -136,7 +136,7 @@ TEST(FlowSim, NoChannelOversubscribed) {
 // These cases are referenced from the epsilon comment in flowsim.cpp.
 
 /// Every invariant the epsilon analysis promises, checked in one place.
-void expect_fair_allocation(const Topology& topo, const FlowSim& sim,
+void expect_fair_allocation(const Topology& topo,
                             const std::vector<Flow>& flows,
                             const std::vector<double>& rates,
                             const std::vector<double>& cap_of_channel) {
@@ -174,7 +174,7 @@ TEST(FlowSim, SaturationEpsilonDenormalCapacityKeepsRatesNonNegative) {
   flows.push_back(Flow{{d.topo.terminal_up(0), d.ab,
                         d.topo.terminal_down(2)}, 1});
   const auto rates = sim.fair_rates(flows);
-  expect_fair_allocation(d.topo, sim, flows, rates, caps);
+  expect_fair_allocation(d.topo, flows, rates, caps);
   EXPECT_DOUBLE_EQ(rates[1], 1e-300);
   EXPECT_DOUBLE_EQ(rates[0], 1.0);  // 1.0 - 1e-300 rounds to 1.0
 }
@@ -201,7 +201,7 @@ TEST(FlowSim, SaturationEpsilonFullyFrozenLoadedChannel) {
   flows.push_back(Flow{{d.topo.terminal_up(1), d.ab,
                         d.topo.terminal_down(3)}, 1});
   const auto rates = sim.fair_rates(flows);
-  expect_fair_allocation(d.topo, sim, flows, rates, caps);
+  expect_fair_allocation(d.topo, flows, rates, caps);
   EXPECT_DOUBLE_EQ(rates[0], 0.5);
   EXPECT_DOUBLE_EQ(rates[1], 0.5);
   EXPECT_DOUBLE_EQ(rates[2], 1.0);  // own up-link caps the cable residual
@@ -226,7 +226,7 @@ TEST(FlowSim, SaturationEpsilonNonRepresentableSharesStayConsistent) {
   flows.push_back(Flow{{d.topo.terminal_up(0), d.topo.terminal_down(1)}, 1});
   flows.push_back(Flow{{d.topo.terminal_up(0), d.topo.terminal_down(2)}, 1});
   const auto rates = sim.fair_rates(flows);
-  expect_fair_allocation(d.topo, sim, flows, rates, caps);
+  expect_fair_allocation(d.topo, flows, rates, caps);
   for (NodeId i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(rates[i], 0.1 / 4.0);
 }
 
@@ -292,9 +292,8 @@ TEST(FlowSim, SolveActiveRejectsSizeMismatch) {
 
 // --- PktSim --------------------------------------------------------------------
 
-PktMessage make_msg(const Topology& t, NodeId src, NodeId dst,
-                    std::int64_t bytes, std::vector<ChannelId> path,
-                    std::int8_t vl = 0) {
+PktMessage make_msg(NodeId src, NodeId dst, std::int64_t bytes,
+                    std::vector<ChannelId> path, std::int8_t vl = 0) {
   PktMessage m;
   m.src = src;
   m.dst = dst;
@@ -310,7 +309,7 @@ TEST(PktSim, DeliversEveryPacketExactlyOnce) {
   std::vector<PktMessage> msgs;
   for (NodeId i = 0; i < 4; ++i) {
     const Flow f = d.flow(i, 4 + i, 10000);
-    msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
+    msgs.push_back(make_msg(i, 4 + i, f.bytes, f.channels));
   }
   const auto result = sim.run(msgs);
   EXPECT_FALSE(result.deadlock);
@@ -327,7 +326,7 @@ TEST(PktSim, IdleNetworkLatencyMatchesModel) {
   const std::int64_t bytes = 256;  // single packet
   const Flow f = d.flow(0, 4, bytes);
   const auto result =
-      sim.run(std::vector<PktMessage>{make_msg(d.topo, 0, 4, bytes, f.channels)});
+      sim.run(std::vector<PktMessage>{make_msg(0, 4, bytes, f.channels)});
   ASSERT_FALSE(result.deadlock);
   // Store-and-forward per hop: 3 channels, each serialization + hop delay.
   const double expect =
@@ -341,12 +340,12 @@ TEST(PktSim, SharedCableHalvesThroughput) {
   PktSim sim(d.topo, cfg);
   const std::int64_t bytes = 1 << 20;
   std::vector<PktMessage> solo{
-      make_msg(d.topo, 0, 4, bytes, d.flow(0, 4, bytes).channels)};
+      make_msg(0, 4, bytes, d.flow(0, 4, bytes).channels)};
   const double t_solo = sim.run(solo).completion[0];
 
   std::vector<PktMessage> pair{
-      make_msg(d.topo, 0, 4, bytes, d.flow(0, 4, bytes).channels),
-      make_msg(d.topo, 1, 5, bytes, d.flow(1, 5, bytes).channels)};
+      make_msg(0, 4, bytes, d.flow(0, 4, bytes).channels),
+      make_msg(1, 5, bytes, d.flow(1, 5, bytes).channels)};
   const auto both = sim.run(pair);
   const double t_shared =
       std::max(both.completion[0], both.completion[1]);
@@ -451,7 +450,7 @@ TEST(PktSim, RejectsPathNotStartingAtSourceUpChannel) {
   std::vector<ChannelId> path{d.topo.terminal_up(1), d.ab,
                               d.topo.terminal_down(4)};
   EXPECT_THROW((void)sim.run(std::vector<PktMessage>{
-                   make_msg(d.topo, 0, 4, 100, path)}),
+                   make_msg(0, 4, 100, path)}),
                std::invalid_argument);
 }
 
@@ -462,7 +461,7 @@ TEST(PktSim, RejectsDisconnectedPath) {
   std::vector<ChannelId> path{d.topo.terminal_up(0), d.ba,
                               d.topo.terminal_down(4)};
   EXPECT_THROW((void)sim.run(std::vector<PktMessage>{
-                   make_msg(d.topo, 0, 4, 100, path)}),
+                   make_msg(0, 4, 100, path)}),
                std::invalid_argument);
 }
 
@@ -473,7 +472,7 @@ TEST(PktSim, RejectsTruncatedPath) {
   // the old unchecked `++hop` walk would have read past the end.
   std::vector<ChannelId> path{d.topo.terminal_up(0), d.ab};
   EXPECT_THROW((void)sim.run(std::vector<PktMessage>{
-                   make_msg(d.topo, 0, 4, 100, path)}),
+                   make_msg(0, 4, 100, path)}),
                std::invalid_argument);
 }
 
@@ -484,7 +483,7 @@ TEST(PktSim, RejectsWrongDestinationTerminal) {
   std::vector<ChannelId> path{d.topo.terminal_up(0), d.ab,
                               d.topo.terminal_down(5)};
   EXPECT_THROW((void)sim.run(std::vector<PktMessage>{
-                   make_msg(d.topo, 0, 4, 100, path)}),
+                   make_msg(0, 4, 100, path)}),
                std::invalid_argument);
 }
 
@@ -492,8 +491,8 @@ TEST(PktSim, RejectsOutOfRangeChannelAndNamesTheMessage) {
   const Dumbbell d;
   PktSim sim(d.topo, PktSimConfig{});
   const Flow ok = d.flow(0, 4, 100);
-  std::vector<PktMessage> msgs{make_msg(d.topo, 0, 4, 100, ok.channels),
-                               make_msg(d.topo, 1, 5, 100, {9999})};
+  std::vector<PktMessage> msgs{make_msg(0, 4, 100, ok.channels),
+                               make_msg(1, 5, 100, {9999})};
   try {
     (void)sim.run(msgs);
     FAIL() << "expected std::invalid_argument";
@@ -510,7 +509,7 @@ TEST(PktSim, RejectsMessageVlOutOfRange) {
   const Flow f = d.flow(0, 4, 100);
   EXPECT_THROW(
       (void)sim.run(std::vector<PktMessage>{
-          make_msg(d.topo, 0, 4, 100, f.channels, 5)}),
+          make_msg(0, 4, 100, f.channels, 5)}),
       std::invalid_argument);
 }
 
@@ -575,7 +574,7 @@ TEST(PktSim, MaxEventsTruncationIsNotDeadlock) {
   std::vector<PktMessage> msgs;
   for (NodeId i = 0; i < 4; ++i) {
     const Flow f = d.flow(i, 4 + i, 10000);
-    msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
+    msgs.push_back(make_msg(i, 4 + i, f.bytes, f.channels));
   }
   const auto result = sim.run(msgs, /*max_events=*/3);
   EXPECT_TRUE(result.truncated);
@@ -600,7 +599,7 @@ TEST(PktSim, TraceRestoresEveryCreditAfterADrainedRun) {
     const auto dst = static_cast<NodeId>(4 + rng.next_below(4));
     const Flow f = d.flow(src, dst, 1 + static_cast<std::int64_t>(
                                             rng.next_below(16 * 1024)));
-    auto m = make_msg(d.topo, src, dst, f.bytes, f.channels,
+    auto m = make_msg(src, dst, f.bytes, f.channels,
                       static_cast<std::int8_t>(rng.next_below(4)));
     m.inject_time = rng.uniform() * 1e-5;
     msgs.push_back(std::move(m));
@@ -677,7 +676,7 @@ TEST(PktSim, TracingIsBitIdenticalOnMixedTraffic) {
     std::vector<ChannelId> path{d.topo.terminal_up(src)};
     if (!same_switch) path.push_back(src < 4 ? d.ab : d.ba);
     path.push_back(d.topo.terminal_down(dst));
-    auto m = make_msg(d.topo, src, dst,
+    auto m = make_msg(src, dst,
                       1 + static_cast<std::int64_t>(rng.next_below(8 * 1024)),
                       std::move(path),
                       static_cast<std::int8_t>(rng.next_below(4)));
@@ -1235,7 +1234,7 @@ TEST(PktSimEngines, ReferenceEngineMatchesTypedOnDumbbell) {
   std::vector<PktMessage> msgs;
   for (NodeId i = 0; i < 4; ++i) {
     const Flow f = d.flow(i, 4 + i, 10000);
-    msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
+    msgs.push_back(make_msg(i, 4 + i, f.bytes, f.channels));
   }
   PktSim typed(d.topo, PktSimConfig{});
   const auto rt = typed.run(msgs);
@@ -1251,7 +1250,7 @@ TEST(PktSimEngines, WarmRunsAreRepeatable) {
   std::vector<PktMessage> msgs;
   for (NodeId i = 0; i < 4; ++i) {
     const Flow f = d.flow(i, 4 + i, 50000);
-    msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
+    msgs.push_back(make_msg(i, 4 + i, f.bytes, f.channels));
   }
   PktSim sim(d.topo, PktSimConfig{});
   const auto first = sim.run(msgs);

@@ -11,7 +11,6 @@
 #include "stats/heatmap.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 #include "stats/units.hpp"
 
 namespace hxsim::stats {
@@ -154,21 +153,6 @@ TEST(Gain, FormatMatchesPaperCells) {
   EXPECT_EQ(format_gain(std::numeric_limits<double>::infinity()), "+Inf");
   EXPECT_EQ(format_gain(-std::numeric_limits<double>::infinity()), "-Inf");
   EXPECT_EQ(format_gain(0.0), "+0.00");
-}
-
-TEST(Table, AlignsColumns) {
-  TextTable t({"a", "long-header"});
-  t.add_row({"wide-cell", "x"});
-  const std::string out = t.to_string();
-  EXPECT_NE(out.find("a          long-header"), std::string::npos);
-  EXPECT_NE(out.find("wide-cell  x"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 1u);
-}
-
-TEST(Table, PadsShortRows) {
-  TextTable t({"a", "b", "c"});
-  t.add_row({"1"});
-  EXPECT_NO_THROW((void)t.to_string());
 }
 
 TEST(Heatmap, MeanAndOffDiagonal) {

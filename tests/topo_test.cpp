@@ -312,8 +312,11 @@ TEST(Dragonfly, BalancedCaseHasExactlyOneLinkPerPair) {
   p.groups = 5;
   const Dragonfly df(p);
   for (std::int32_t a = 0; a < 5; ++a)
-    for (std::int32_t b = 0; b < 5; ++b)
-      if (a != b) EXPECT_EQ(df.global_links_between(a, b), 1);
+    for (std::int32_t b = 0; b < 5; ++b) {
+      if (a != b) {
+        EXPECT_EQ(df.global_links_between(a, b), 1);
+      }
+    }
   // Local 5 x C(4,2) = 30 + global C(5,2) = 10.
   EXPECT_EQ(df.topo().num_switch_links(), 40);
 }

@@ -202,8 +202,11 @@ TEST(MpiGraph, DiagonalStaysZeroAndCellsAreFilled) {
   const stats::Heatmap map = mpigraph(cluster, p, 8);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(map.at(i, i), 0.0);
-    for (std::size_t j = 0; j < 8; ++j)
-      if (i != j) EXPECT_GT(map.at(i, j), 0.0);
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (i != j) {
+        EXPECT_GT(map.at(i, j), 0.0);
+      }
+    }
   }
 }
 
