@@ -16,26 +16,6 @@ const workloads::PaperSystem& shared_system(bool small_scale) {
   return *slot;
 }
 
-topo::FatTreeParams campaign_fat_tree_params(bool quick) {
-  if (!quick) return topo::paper_fat_tree_params();
-  topo::FatTreeParams p;
-  p.arity = 6;
-  p.levels = 3;
-  p.leaf_terminals = 4;
-  p.populated_leaves = 24;  // 96 nodes
-  p.name = "fat-tree-6ary3-small";
-  return p;
-}
-
-topo::HyperXParams campaign_hyperx_params(bool quick) {
-  if (!quick) return topo::paper_hyperx_params();
-  topo::HyperXParams p;
-  p.dims = {6, 4};
-  p.terminals_per_switch = 4;  // 96 nodes
-  p.name = "hyperx-6x4-small";
-  return p;
-}
-
 void register_all_experiments(report::Registry& registry) {
   registry.add(fig1_mpigraph_experiment());
   registry.add(table1_rules_experiment());

@@ -2,9 +2,9 @@
 // reference filler, the one measurement core of the flow-solver contract.
 //
 //  - Engine phases, single thread: the reference, indexed and adaptive
-//    cores take turns pass by pass over a phase's flow sets, through the
-//    solve_active fault-stage path on caller scratch, and each keeps its
-//    fastest warm pass -- light sets solve in well under a millisecond,
+//    cores take turns pass by pass over a phase's flow sets, through
+//    solve_active on caller scratch (mpi::RoundRunner's path), and each
+//    keeps its fastest warm pass -- light sets solve in well under a millisecond,
 //    where a burst of host noise would otherwise land on whichever core
 //    happened to be running.  The congested phases (several permutations
 //    or eBB samples overlaid into one set, hundreds of filling levels)

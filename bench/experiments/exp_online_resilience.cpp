@@ -123,15 +123,7 @@ struct Arm {
 report::ResultSet run(const report::Options& options) {
   report::ResultSet rs;
 
-  topo::HyperXParams params;
-  if (options.quick) {
-    params.dims = {6, 4};
-    params.terminals_per_switch = 4;  // 96 nodes
-    params.name = "hyperx-6x4-small";
-  } else {
-    params = topo::paper_hyperx_params();
-  }
-  topo::HyperX hx(params);
+  topo::HyperX hx(workloads::PaperSystem::hyperx_params(options.quick));
   topo::Topology& topo = hx.topo();
   const routing::LidSpace lids =
       routing::LidSpace::consecutive(topo.num_terminals(), 0);

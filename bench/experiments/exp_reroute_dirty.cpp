@@ -1,33 +1,27 @@
-// Repo-level experiment: the incremental-reroute contract.
+// Repo-level experiment: routing churn under cable attrition.
 //
 // A seeded cable-attrition schedule runs on both paper planes -- every
 // fat-tree engine (ftree, Up*/Down*, SSSP, DFSSSP) and every HyperX engine
 // (Up*/Down*, SSSP, DFSSSP, PARX), the HyperX schedule ending with a
-// dimension-plane fault as the bulk-damage extreme.  Every stage is
-// rerouted twice, both timed: from scratch (engine.compute on the degraded
-// fabric) and through routing::DeltaRouter, which recomputes only the
-// destination trees whose previous SPF tree used a channel the stage
-// disabled.  The schedule models the operational attrition cadence the
-// incremental path exists for -- a few cables at a time, the way the
-// paper's fabric accumulated its 197 cable faults -- because a
-// whole-switch stage at paper scale dirties every tree (the resilience
-// campaign covers that regime through the same DeltaRouter).
+// dimension-plane fault as the bulk-damage extreme.  Every stage is routed
+// from scratch (engine.compute on the degraded fabric, timed), and its LFT
+// columns are diffed against the previous stage's tables: a destination
+// LID's column changed when any switch forwards it differently.  The
+// schedule models the operational attrition cadence -- a few cables at a
+// time, the way the paper's fabric accumulated its 197 cable faults --
+// because a whole-switch stage at paper scale changes every column (the
+// resilience campaign covers that regime).
 //
-// Two fractions per stage: the dirty fraction (LFT columns changed /
-// total) is the machine- and strategy-independent measure of how much
-// routing state a stage touched; the recompute fraction (Dijkstras re-run
-// / total) is the work the engine's delta strategy spent.  The "dirty"
-// table aggregates them over the cable-attrition stages; the long-form
-// "phases" table holds every stage's wall times and fractions.
+// The dirty fraction (changed columns / total) is the machine-independent
+// measure of how much routing state a stage touched.  The "dirty" table
+// aggregates it over the cable-attrition stages; the long-form "phases"
+// table holds every stage's wall time, column counts and fraction.
 //
-// Checks: the delta tables must be bit-identical to the full recompute at
-// every stage, and each engine's aggregate dirty fraction must stay below
-// 1.0 (incrementality saved work); either failure throws, naming the
-// fabric, engine and stage.  An engine refusing a degraded fabric (PARX
-// out of VLs) is not a delta-layer defect: the stage is recorded as failed
-// and the router invalidated.  Under HXSIM_VERIFY_DELTA=1 the DeltaRouter
-// additionally self-checks every incremental update against a full
-// recompute; delta timings then include that shadow compute.
+// Check: each engine's aggregate dirty fraction must stay below 1.0, or
+// the experiment throws, naming the fabric and engine.  An engine refusing
+// a degraded fabric (PARX out of VLs) is recorded as a failed stage; the
+// stage after it has no tables to diff against and counts every column as
+// changed.
 #include <cstdint>
 #include <exception>
 #include <optional>
@@ -38,7 +32,6 @@
 
 #include "core/parx.hpp"
 #include "experiments/experiments.hpp"
-#include "routing/delta.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
 #include "routing/sssp.hpp"
@@ -62,103 +55,95 @@ struct Arm {
   std::span<const topo::FaultStage> extra;
 };
 
-struct ArmResult {
-  double dirty = 1.0;      // aggregate changed-tree fraction (attrition)
-  double recompute = 1.0;  // aggregate Dijkstra fraction (attrition)
-};
+/// Destination LIDs whose LFT column differs at any switch.
+std::int64_t changed_columns(const routing::LidSpace& lids,
+                             const routing::ForwardingTables& before,
+                             const routing::ForwardingTables& after) {
+  std::int64_t changed = 0;
+  for (const routing::Lid dlid : lids.all_lids()) {
+    for (topo::SwitchId sw = 0; sw < after.num_switches(); ++sw) {
+      if (before.next(sw, dlid) != after.next(sw, dlid)) {
+        ++changed;
+        break;
+      }
+    }
+  }
+  return changed;
+}
 
 /// Runs one arm's schedule stage by stage, records every stage and the
-/// cable-attrition aggregate in `phase_table` under `tag`, and reverts the
-/// fabric.
-ArmResult run_arm(const Arm& arm, const std::string& tag,
-                  const topo::FaultSchedule::Options& opt,
-                  report::ResultTable& phase_table) {
+/// cable-attrition aggregate in `phase_table` under `tag`, reverts the
+/// fabric and returns the aggregate dirty fraction.
+double run_arm(const Arm& arm, const std::string& tag,
+               const topo::FaultSchedule::Options& opt,
+               report::ResultTable& phase_table) {
   topo::FaultSchedule schedule = topo::FaultSchedule::plan(arm.topo, opt);
   const std::int32_t attrition_stages = schedule.num_stages();
   for (const topo::FaultStage& stage : arm.extra)
     schedule.append_stage(stage);
-  routing::DeltaRouter router(arm.engine);
+  const auto columns = static_cast<std::int64_t>(arm.lids.all_lids().size());
+  std::optional<routing::RouteResult> previous;
   std::int64_t changed = 0;
-  std::int64_t recomputed = 0;
   std::int64_t total = 0;
   double full_ms_sum = 0.0;
-  double delta_ms_sum = 0.0;
 
   for (std::int32_t stage = 0; stage <= schedule.num_stages(); ++stage) {
-    routing::DeltaUpdate update;
-    if (stage > 0) {
-      topo::FaultReport report = schedule.apply_stage(arm.topo, stage - 1);
-      update.disabled = std::move(report.disabled_channels);
-    }
+    if (stage > 0) (void)schedule.apply_stage(arm.topo, stage - 1);
     const std::string phase = tag + "/stage" + std::to_string(stage);
     PhaseClock clock;
-    std::optional<routing::RouteResult> full;
+    std::optional<routing::RouteResult> route;
     try {
-      full = arm.engine.compute(arm.topo, arm.lids);
+      route = arm.engine.compute(arm.topo, arm.lids);
     } catch (const std::exception&) {
-      // The engine refuses this degraded fabric; the delta path would too.
-      router.invalidate();
+      previous.reset();  // the engine refuses this degraded fabric
       add_phase(phase_table, phase + "/failed",
                 {{"stage", static_cast<double>(stage)}});
       continue;
     }
     const double full_ms = clock.lap() * 1e3;
-    routing::DeltaStats stats;
-    const routing::RouteResult& delta =
-        stage == 0 ? router.reroute_full(arm.topo, arm.lids)
-                   : router.reroute(arm.topo, arm.lids, update, &stats);
-    const double delta_ms = clock.lap() * 1e3;
-    if (!(delta == *full))
-      throw std::runtime_error(
-          phase + ": delta tables diverge from the full recompute");
 
+    // Stage 0 is the baseline, with nothing to diff against.
+    std::int64_t stage_total = 0;
+    std::int64_t stage_changed = 0;
+    if (stage > 0) {
+      stage_total = columns;
+      stage_changed = previous ? changed_columns(arm.lids, previous->tables,
+                                                 route->tables)
+                               : columns;
+    }
     if (stage > 0 && stage <= attrition_stages) {
-      changed += stats.full_recompute ? stats.columns_total
-                                      : stats.columns_changed;
-      recomputed += stats.columns_recomputed;
-      total += stats.columns_total;
+      changed += stage_changed;
+      total += stage_total;
       full_ms_sum += full_ms;
-      delta_ms_sum += delta_ms;
     }
     add_phase(phase_table, phase,
               {{"stage", static_cast<double>(stage)},
                {"full_ms", full_ms},
-               {"delta_ms", delta_ms},
-               {"dirty_fraction", stage == 0 ? 1.0 : stats.dirty_fraction()},
-               {"recompute_fraction",
-                stage == 0 ? 1.0 : stats.recompute_fraction()},
-               {"columns_total", static_cast<double>(stats.columns_total)},
-               {"columns_recomputed",
-                static_cast<double>(stats.columns_recomputed)},
-               {"columns_changed", static_cast<double>(stats.columns_changed)},
-               {"full_recompute", stats.full_recompute ? 1.0 : 0.0}});
+               {"dirty_fraction",
+                stage == 0 ? 1.0
+                           : static_cast<double>(stage_changed) /
+                                 static_cast<double>(stage_total)},
+               {"columns_total", static_cast<double>(stage_total)},
+               {"columns_changed", static_cast<double>(stage_changed)}});
+    previous = std::move(route);
   }
   schedule.revert(arm.topo);
 
-  ArmResult out;
-  if (total > 0) {
-    out.dirty = static_cast<double>(changed) / static_cast<double>(total);
-    out.recompute =
-        static_cast<double>(recomputed) / static_cast<double>(total);
-    if (out.dirty >= 1.0)
-      throw std::runtime_error(
-          tag + ": every cable-attrition stage dirtied every tree "
-                "(incrementality saved nothing)");
-    add_phase(phase_table, tag + "/aggregate",
-              {{"dirty_fraction", out.dirty},
-               {"recompute_fraction", out.recompute},
-               {"full_ms", full_ms_sum},
-               {"delta_ms", delta_ms_sum},
-               {"speedup",
-                delta_ms_sum > 0.0 ? full_ms_sum / delta_ms_sum : 0.0}});
-  }
-  return out;
+  if (total == 0) return 1.0;
+  const double dirty =
+      static_cast<double>(changed) / static_cast<double>(total);
+  if (dirty >= 1.0)
+    throw std::runtime_error(
+        tag + ": every cable-attrition stage changed every LFT column");
+  add_phase(phase_table, tag + "/aggregate",
+            {{"dirty_fraction", dirty}, {"full_ms", full_ms_sum}});
+  return dirty;
 }
 
 report::ResultSet run(const report::Options& options) {
   report::ResultSet rs;
-  topo::FatTree ft(campaign_fat_tree_params(options.quick));
-  topo::HyperX hx(campaign_hyperx_params(options.quick));
+  topo::FatTree ft(workloads::PaperSystem::fat_tree_params(options.quick));
+  topo::HyperX hx(workloads::PaperSystem::hyperx_params(options.quick));
 
   topo::FaultSchedule::Options opt;
   opt.stages = options.quick ? 3 : 5;
@@ -196,19 +181,14 @@ report::ResultSet run(const report::Options& options) {
   };
 
   report::ResultTable& out =
-      rs.table("dirty", {"fabric / engine", "agg dirty frac",
-                         "agg recompute frac", "delta == full"});
+      rs.table("dirty", {"fabric / engine", "agg dirty frac"});
   report::ResultTable phase_table{"phases", {"phase", "metric", "value"}, {}};
   for (const Arm& arm : arms) {
-    const ArmResult r = run_arm(
+    const double dirty = run_arm(
         arm, arm.topo.name() + "/" + arm.engine.name(), opt, phase_table);
-    out.add_row({arm.label, stats::format_fixed(r.dirty, 4),
-                 stats::format_fixed(r.recompute, 4), "yes"});
-    rs.set(std::string(arm.key) + "_dirty_fraction", r.dirty);
-    rs.set(std::string(arm.key) + "_recompute_fraction", r.recompute);
+    out.add_row({arm.label, stats::format_fixed(dirty, 4)});
+    rs.set(std::string(arm.key) + "_dirty_fraction", dirty);
   }
-  // Reaching here means every stage of every arm matched (run_arm throws).
-  rs.set("delta_identical", 1.0);
   rs.tables.push_back(std::move(phase_table));
   return rs;
 }
@@ -216,8 +196,7 @@ report::ResultSet run(const report::Options& options) {
 }  // namespace
 
 report::Experiment reroute_dirty_experiment() {
-  return {"reroute_dirty",
-          "Incremental reroute dirty fractions and delta identity",
+  return {"reroute_dirty", "Routing churn under cable attrition",
           "repo (delta-SPF contract)", run};
 }
 

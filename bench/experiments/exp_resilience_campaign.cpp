@@ -75,8 +75,8 @@ void record(const obs::DegradationSeries& series, std::int32_t stages,
 report::ResultSet run(const report::Options& options) {
   report::ResultSet rs;
   const bool quick = options.quick;
-  topo::FatTree ft(campaign_fat_tree_params(quick));
-  topo::HyperX hx(campaign_hyperx_params(quick));
+  topo::FatTree ft(workloads::PaperSystem::fat_tree_params(quick));
+  topo::HyperX hx(workloads::PaperSystem::hyperx_params(quick));
 
   workloads::ResilienceOptions opt;
   opt.schedule.stages = quick ? 3 : 5;

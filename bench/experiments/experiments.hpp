@@ -16,8 +16,6 @@
 
 #include "bench_common.hpp"
 #include "report/experiment.hpp"
-#include "topo/fat_tree.hpp"
-#include "topo/hyperx.hpp"
 
 namespace hxsim::bench {
 
@@ -25,12 +23,6 @@ namespace hxsim::bench {
 /// the process (building the 972-switch tree's routings costs seconds;
 /// the pipeline would otherwise pay it 10+ times).
 [[nodiscard]] const workloads::PaperSystem& shared_system(bool small_scale);
-
-/// Fabrics of the fault campaigns (reroute_dirty, resilience_campaign):
-/// the paper planes, or 96-node stand-ins (6-ary-3 tree, 6x4 HyperX) in
-/// quick mode.
-[[nodiscard]] topo::FatTreeParams campaign_fat_tree_params(bool quick);
-[[nodiscard]] topo::HyperXParams campaign_hyperx_params(bool quick);
 
 // One factory per experiment, defined in exp_<id>.cpp.
 report::Experiment fig1_mpigraph_experiment();

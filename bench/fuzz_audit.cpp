@@ -7,9 +7,9 @@
 //     multi-stage fault schedules, seeded traffic) and runs every
 //     invariant oracle over each: typed-vs-reference PktSim bit-identity,
 //     packet conservation + trace consistency, 1-vs-4-thread sweep
-//     determinism, DeltaRouter-vs-full-recompute identity per fault
-//     stage, deadlock-freedom + route-census audits of the shipped
-//     tables, and flow-solve max-min invariants.  On the first failure
+//     determinism, online-fault identity, deadlock-freedom +
+//     route-census audits of the shipped tables per fault stage, and
+//     flow-solve max-min invariants.  On the first failure
 //     the scenario is greedily shrunk while the failing oracle still
 //     rejects it, a repro file is written to FILE (default
 //     fuzz_repro.txt), and the exit status is 1.

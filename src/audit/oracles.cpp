@@ -9,7 +9,6 @@
 
 #include "audit/naive_layering.hpp"
 #include "audit/reference_pktsim.hpp"
-#include "routing/delta.hpp"
 #include "sim/adaptive.hpp"
 #include "stats/rng.hpp"
 
@@ -229,19 +228,6 @@ OracleResult check_trace_consistency(const topo::Topology& topo,
     }
   }
   return oracle_pass();
-}
-
-OracleResult check_route_results_equal(const routing::RouteResult& a,
-                                       const routing::RouteResult& b,
-                                       const std::string& context) {
-  if (a == b) return oracle_pass();
-  std::string why = "route results differ";
-  if (!(a.tables == b.tables)) why = "forwarding tables differ";
-  else if (!(a.vls == b.vls)) why = "VL maps differ";
-  else if (a.num_vls_used != b.num_vls_used) why = "num_vls_used differ";
-  else if (a.unreachable_entries != b.unreachable_entries)
-    why = "unreachable_entries differ";
-  return oracle_fail(context + ": " + why);
 }
 
 OracleResult check_shipped_tables(const topo::Topology& topo,
@@ -659,89 +645,6 @@ OracleResult oracle_online_fault(const Scenario& s) {
   return oracle_pass();
 }
 
-OracleResult oracle_delta_identity(const Scenario& s) {
-  Fabric f = build_fabric(s);
-  const auto engine = make_engine(s, f);
-  routing::DeltaRouter delta(*engine);
-  try {
-    (void)delta.reroute_full(f.topo(), *f.lids);
-  } catch (const std::exception& e) {
-    return skip(std::string("engine refused: ") + e.what());
-  }
-  {
-    const ComputedRoute fresh = try_compute(s, f);
-    if (!fresh.route)
-      return oracle_fail(
-          "baseline: tracked compute succeeded but a fresh compute threw: " +
-          fresh.refusal);
-    const OracleResult check = check_route_results_equal(
-        delta.result(), *fresh.route, "baseline");
-    if (!check.pass) return check;
-  }
-
-  std::vector<topo::ChannelId> all_disabled;
-  for (std::int32_t i = 0; i < f.faults.num_stages(); ++i) {
-    const topo::FaultReport report = f.faults.apply_stage(f.topo(), i);
-    all_disabled.insert(all_disabled.end(),
-                        report.disabled_channels.begin(),
-                        report.disabled_channels.end());
-    routing::DeltaUpdate update;
-    update.disabled = report.disabled_channels;
-
-    std::string delta_err;
-    bool delta_threw = false;
-    try {
-      (void)delta.reroute(f.topo(), *f.lids, update);
-    } catch (const std::exception& e) {
-      delta_threw = true;
-      delta_err = e.what();
-    }
-    const ComputedRoute fresh = try_compute(s, f);
-    const bool fresh_threw = !fresh.route.has_value();
-    if (delta_threw != fresh_threw) {
-      std::ostringstream os;
-      os << "stage " << i << ": delta "
-         << (delta_threw ? "threw (" + delta_err + ")" : "succeeded")
-         << " but fresh compute "
-         << (fresh_threw ? "threw (" + fresh.refusal + ")" : "succeeded");
-      return oracle_fail(os.str());
-    }
-    if (delta_threw) continue;  // deterministic refusal on both sides
-    std::ostringstream ctx;
-    ctx << "stage " << i;
-    const OracleResult check = check_route_results_equal(
-        delta.result(), *fresh.route, ctx.str());
-    if (!check.pass) return check;
-  }
-
-  if (!all_disabled.empty()) {
-    // Revert: a re-enable update must take the full-recompute fallback
-    // and land bit-identical to a fresh compute on the restored fabric.
-    f.faults.revert(f.topo());
-    routing::DeltaUpdate update;
-    update.enabled = all_disabled;
-    std::string delta_err;
-    bool delta_threw = false;
-    try {
-      (void)delta.reroute(f.topo(), *f.lids, update);
-    } catch (const std::exception& e) {
-      delta_threw = true;
-      delta_err = e.what();
-    }
-    const ComputedRoute fresh = try_compute(s, f);
-    if (delta_threw != !fresh.route.has_value())
-      return oracle_fail("revert: delta and fresh compute disagree on "
-                         "whether the fabric routes (" +
-                         delta_err + fresh.refusal + ")");
-    if (!delta_threw) {
-      const OracleResult check = check_route_results_equal(
-          delta.result(), *fresh.route, "revert");
-      if (!check.pass) return check;
-    }
-  }
-  return oracle_pass();
-}
-
 OracleResult oracle_table_audit(const Scenario& s) {
   Fabric f = build_fabric(s);
   std::vector<char> sw_alive(
@@ -918,7 +821,6 @@ constexpr OracleEntry kOracles[] = {
     {"pkt_conservation", oracle_pkt_conservation},
     {"sweep_determinism", oracle_sweep_determinism},
     {"online_fault", oracle_online_fault},
-    {"delta_identity", oracle_delta_identity},
     {"table_audit", oracle_table_audit},
     {"flow_invariants", oracle_flow_invariants},
     {"flowsim_engine_identity", oracle_flowsim_engine_identity},

@@ -19,8 +19,6 @@
 //                        fault events; mid-run faults with retry hold the
 //                        typed/reference identity and run_batch
 //                        thread-count invariance, drops conserved
-//      delta_identity    DeltaRouter vs fresh full recompute, per fault
-//                        stage and through the revert/re-enable fallback
 //      table_audit       verify_deadlock_freedom + route_census on the
 //                        shipped tables, per fault stage, scoped to each
 //                        engine's actual guarantee (sssp is not
@@ -105,11 +103,6 @@ struct OracleResult {
 [[nodiscard]] OracleResult check_trace_consistency(
     const topo::Topology& topo, const sim::PktSimConfig& config,
     const sim::PktSim::Result& r, const obs::PktTrace& trace);
-
-/// Field-wise RouteResult equality (the DeltaRouter bit-identity check).
-[[nodiscard]] OracleResult check_route_results_equal(
-    const routing::RouteResult& a, const routing::RouteResult& b,
-    const std::string& context);
 
 /// What a scenario's engine guarantees on the current fabric state.
 struct TableExpectations {

@@ -1,11 +1,11 @@
 // Fuzz-audit scenarios: seeded random (fabric, engine, faults, traffic)
 // tuples and their deterministic repro format.
 //
-// The repo holds three pairs of independently-implemented pipelines to
-// bit-identity (typed vs reference PktSim, DeltaRouter vs full recompute,
-// warm vs cold flow solves), but hand-picked paper fabrics exercise only a
-// sliver of the input space -- exactly how the seed's latent bugs (per-VL
-// occupancy misattribution, truncation conflated with deadlock) survived.
+// The repo holds two pairs of independently-implemented pipelines to
+// bit-identity (typed vs reference PktSim, warm vs cold flow solves), but
+// hand-picked paper fabrics exercise only a sliver of the input space --
+// exactly how the seed's latent bugs (per-VL occupancy misattribution,
+// truncation conflated with deadlock) survived.
 // A Scenario is one randomly drawn point of that space: a HyperX lattice
 // or (tapered, possibly part-populated) fat-tree within size bounds, a
 // routing engine valid for that fabric, a multi-stage FaultSchedule, and

@@ -30,9 +30,7 @@ std::pair<std::vector<topo::NodeId>, std::size_t> parx_dest_order(
 }
 
 /// Edge-weight update after routing one (destination, LIDx) column:
-/// demand-weighted for listed destinations, +1 per path otherwise.  Shared
-/// by compute and the delta prefix replay, which re-derives the sequential
-/// weight evolution from cached trees without re-running any Dijkstra.
+/// demand-weighted for listed destinations, +1 per path otherwise.
 void add_parx_load(const topo::Topology& topo, const DemandMatrix& demands,
                    const ParxOptions& options, const routing::SpfResult& tree,
                    topo::SwitchId dest_sw, topo::NodeId nd, bool is_listed,
@@ -66,9 +64,8 @@ ParxEngine::ParxEngine(const topo::HyperX& hx, DemandMatrix demands,
   validate_parx_topology(hx);
 }
 
-routing::RouteResult ParxEngine::compute_impl(const topo::Topology& topo,
-                                              const routing::LidSpace& lids,
-                                              routing::TreeTrackState* track) {
+routing::RouteResult ParxEngine::compute(const topo::Topology& topo,
+                                         const routing::LidSpace& lids) {
   if (&hx_->topo() != &topo)
     throw std::invalid_argument("ParxEngine: topology is not the HyperX");
   if (lids.lmc() != kParxLmc)
@@ -80,16 +77,12 @@ routing::RouteResult ParxEngine::compute_impl(const topo::Topology& topo,
   res.tables = routing::ForwardingTables(topo.num_switches(), lids.max_lid());
 
   const auto [order, listed] = parx_dest_order(topo, demands_);
-  const auto lids_per = static_cast<std::size_t>(lids.lids_per_terminal());
-  if (track != nullptr) {
-    track->valid = false;
-    track->columns.resize(order.size() * lids_per);
-  }
+  const auto lids_per = lids.lids_per_terminal();
 
   std::vector<double> weight(static_cast<std::size_t>(topo.num_channels()),
                              1.0);
   routing::SpfScratch scratch;
-  routing::SpfResult local_tree;
+  routing::SpfResult tree;
   obs::PhaseClock clock;
   double spf_seconds = 0.0;
   double load_seconds = 0.0;
@@ -99,32 +92,18 @@ routing::RouteResult ParxEngine::compute_impl(const topo::Topology& topo,
     const bool is_listed = rank < listed;
     const topo::SwitchId dest_sw = topo.attach_switch(nd);
 
-    for (std::int32_t x = 0;
-         x < static_cast<std::int32_t>(lids_per); ++x) {
+    for (std::int32_t x = 0; x < lids_per; ++x) {
       // Create the temporary graph I* by removing links per rules R1-R4.
       routing::ChannelFilter filter;
       if (options_.use_link_pruning) filter = parx_prune_filter(*hx_, x);
       const routing::Lid dlid = lids.lid(nd, x);
 
-      routing::SpfResult* tree = &local_tree;
-      routing::ChannelBitmap* member = nullptr;
-      if (track != nullptr) {
-        routing::TreeColumnState& col =
-            track->columns[rank * lids_per + static_cast<std::size_t>(x)];
-        col.dlid = dlid;
-        tree = &col.tree;
-        member = &col.member;
-      }
-      routing::spf_to(topo, dest_sw, weight, filter, scratch, *tree, member);
-      const std::int64_t unreachable = routing::apply_tree_to_tables(
-          topo, *tree, nd, dlid, res.tables);
-      res.unreachable_entries += unreachable;
-      if (track != nullptr)
-        track->columns[rank * lids_per + static_cast<std::size_t>(x)]
-            .unreachable = unreachable;
+      routing::spf_to(topo, dest_sw, weight, filter, scratch, tree);
+      res.unreachable_entries +=
+          routing::apply_tree_to_tables(topo, tree, nd, dlid, res.tables);
       if (timings_ != nullptr) spf_seconds += clock.lap();
 
-      add_parx_load(topo, demands_, options_, *tree, dest_sw, nd, is_listed,
+      add_parx_load(topo, demands_, options_, tree, dest_sw, nd, is_listed,
                     weight);
       if (timings_ != nullptr) load_seconds += clock.lap();
     }
@@ -138,97 +117,7 @@ routing::RouteResult ParxEngine::compute_impl(const topo::Topology& topo,
   // virtual LIDs) to a virtual lane without creating a CDG cycle.
   routing::DfssspEngine::assign_vls(topo, lids, res.tables, options_.max_vls,
                                     res, /*threads=*/0, timings_);
-  if (track != nullptr) track->valid = true;
   return res;
-}
-
-routing::RouteResult ParxEngine::compute(const topo::Topology& topo,
-                                         const routing::LidSpace& lids) {
-  return compute_impl(topo, lids, nullptr);
-}
-
-routing::RouteResult ParxEngine::compute_tracked(
-    const topo::Topology& topo, const routing::LidSpace& lids) {
-  return compute_impl(topo, lids, &track_);
-}
-
-routing::DeltaStats ParxEngine::update_tracked(
-    const topo::Topology& topo, const routing::LidSpace& lids,
-    const routing::DeltaUpdate& update, routing::RouteResult& io) {
-  routing::DeltaStats stats;
-  if (!track_.valid || !update.enabled.empty()) {
-    stats.full_recompute = true;
-    io = compute_tracked(topo, lids);
-    stats.columns_total = static_cast<std::int64_t>(track_.columns.size());
-    stats.columns_recomputed = stats.columns_total;
-    stats.columns_changed = stats.columns_total;
-    return stats;
-  }
-
-  const auto n = track_.columns.size();
-  stats.columns_total = static_cast<std::int64_t>(n);
-  std::size_t first = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (track_.columns[i].member.intersects(update.disabled)) {
-      first = i;
-      break;
-    }
-  }
-  if (first == n) return stats;  // no tree used a disabled channel
-
-  const auto [order, listed] = parx_dest_order(topo, demands_);
-  const auto lids_per = static_cast<std::size_t>(lids.lids_per_terminal());
-
-  // Algorithm 1 updates weights after every single column (batch 1), so
-  // the clean-reuse window ends exactly at the first dirty column: replay
-  // the weight evolution of [0, first) from the cached trees, then rerun
-  // the sequential loop from there.
-  std::vector<double> weight(static_cast<std::size_t>(topo.num_channels()),
-                             1.0);
-  routing::SpfScratch scratch;
-  routing::SpfResult tree;
-  routing::ChannelBitmap member;
-  obs::PhaseClock clock;
-  double spf_seconds = 0.0;
-  double load_seconds = 0.0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rank = i / lids_per;
-    const auto x = static_cast<std::int32_t>(i % lids_per);
-    const topo::NodeId nd = order[rank];
-    const bool is_listed = rank < listed;
-    const topo::SwitchId dest_sw = topo.attach_switch(nd);
-    routing::TreeColumnState& col = track_.columns[i];
-
-    if (i >= first) {
-      ++stats.columns_recomputed;
-      routing::ChannelFilter filter;
-      if (options_.use_link_pruning) filter = parx_prune_filter(*hx_, x);
-      routing::spf_to(topo, dest_sw, weight, filter, scratch, tree, &member);
-      const bool changed = tree.out_channel != col.tree.out_channel;
-      std::swap(col.tree, tree);
-      std::swap(col.member, member);
-      if (changed) {
-        col.unreachable = routing::apply_tree_to_tables(topo, col.tree, nd,
-                                                        col.dlid, io.tables);
-        stats.dirty_lids.push_back(col.dlid);
-        ++stats.columns_changed;
-      }
-    }
-    if (timings_ != nullptr) spf_seconds += clock.lap();
-    add_parx_load(topo, demands_, options_, col.tree, dest_sw, nd, is_listed,
-                  weight);
-    if (timings_ != nullptr) load_seconds += clock.lap();
-  }
-  if (timings_ != nullptr) {
-    timings_->add("spf_trees", spf_seconds);
-    timings_->add("parx_load", load_seconds);
-  }
-  io.unreachable_entries = track_.total_unreachable();
-  if (stats.columns_changed > 0)
-    routing::DfssspEngine::assign_vls(topo, lids, io.tables, options_.max_vls,
-                                      io, /*threads=*/0, timings_);
-  return stats;
 }
 
 }  // namespace hxsim::core

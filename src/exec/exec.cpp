@@ -35,9 +35,9 @@ ThreadPool::ThreadPool(std::int32_t threads)
     : num_threads_(threads == 0 ? default_threads() : threads) {
   if (num_threads_ < 1)
     throw std::invalid_argument("ThreadPool: thread count must be >= 1");
-  // Workers spawn lazily in ensure_workers(): per-stage delta reroutes
-  // routinely run parallel_for over a handful of dirty trees (or none),
-  // and must not pay num_threads-1 thread spawns for it.
+  // Workers spawn lazily in ensure_workers(): a pool whose parallel_for
+  // calls cover one index or none must not pay num_threads-1 thread
+  // spawns for them.
 }
 
 void ThreadPool::ensure_workers() {

@@ -43,8 +43,8 @@ class ThreadPool {
   /// threads == 0 picks default_threads(); threads == 1 runs inline with
   /// no OS threads.  Worker threads are spawned lazily by the first
   /// parallel_for with more than one index and live until destruction, so
-  /// pools that end up doing tiny jobs (a delta reroute with an empty
-  /// dirty set) never pay the thread-spawn cost.
+  /// pools that end up doing tiny jobs (one index, or none) never pay the
+  /// thread-spawn cost.
   explicit ThreadPool(std::int32_t threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -93,10 +93,8 @@ class ThreadPool {
 template <typename T>
 class ScratchArena {
  public:
-  explicit ScratchArena(std::int32_t workers)
-      : slots_(static_cast<std::size_t>(workers)) {}
   explicit ScratchArena(const ThreadPool& pool)
-      : ScratchArena(pool.num_threads()) {}
+      : slots_(static_cast<std::size_t>(pool.num_threads())) {}
 
   [[nodiscard]] T& local(std::int32_t worker) {
     return slots_[static_cast<std::size_t>(worker)];

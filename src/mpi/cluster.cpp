@@ -100,18 +100,6 @@ routing::Lid Cluster::select_dlid(topo::NodeId src, topo::NodeId dst,
                   });
 }
 
-routing::Lid Cluster::select_path(topo::NodeId src, topo::NodeId dst,
-                                  std::int64_t bytes, stats::Rng& rng,
-                                  std::vector<topo::ChannelId>& path) const {
-  const core::LidChoice listed =
-      listed_lids(lids_, parx_selection_, src, dst, bytes);
-  return try_lids(lids_, listed, dst, draw_first(listed, rng),
-                  [&](routing::Lid lid) {
-                    return route_.tables.path_into(*topo_, lids_, src, lid,
-                                                   path);
-                  });
-}
-
 std::optional<NetMessage> Cluster::route_message(topo::NodeId src,
                                                  topo::NodeId dst,
                                                  std::int64_t bytes,
@@ -122,7 +110,8 @@ std::optional<NetMessage> Cluster::route_message(topo::NodeId src,
   msg.bytes = bytes;
   if (src == dst) return msg;  // loopback: no fabric involvement
 
-  const routing::Lid dlid = select_path(src, dst, bytes, rng, msg.path);
+  const routing::Lid dlid = walk_path(
+      src, dst, bytes, draw_lid_index(src, dst, bytes, rng), msg.path);
   if (dlid == routing::kInvalidLid) return std::nullopt;
   msg.vl = route_.vls.vl(topo_->attach_switch(src), dlid);
   return msg;

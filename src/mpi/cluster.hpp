@@ -14,7 +14,7 @@
 //  - PARX/bfo picks the destination LID per Table 1 and message size, with
 //    reachability fallback across the four LIDs (faulty fabrics); the LFT
 //    walk that proves a candidate reachable is also the message's path
-//    (select_path), so each candidate is walked once.
+//    (walk_path), so each candidate is walked once.
 //
 // The transport range-checks each round and makes its Table-1 draws in
 // message order (draw_lid_index); its RoundRunner (mpi/round_runner.hpp)
@@ -90,18 +90,8 @@ class Cluster {
                                          std::int64_t bytes,
                                          stats::Rng& rng) const;
 
-  /// select_dlid() and the LFT walk of its pick in one: each candidate LID
-  /// is walked once, in select_dlid's order and with its RNG draws, and
-  /// the walk that succeeds is left in `path` (cleared first; empty when
-  /// no LID routes).  Returns the chosen LID, kInvalidLid if none routes.
-  /// Equal to walk_path(src, dst, bytes, draw_lid_index(src, dst, bytes,
-  /// rng), path).
-  [[nodiscard]] routing::Lid select_path(
-      topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
-      stats::Rng& rng, std::vector<topo::ChannelId>& path) const;
-
   /// The one RNG draw of LID selection: the index x of dst's LIDx that
-  /// select_dlid and select_path try first.  With Table-1 selection it is
+  /// select_dlid and walk_path try first.  With Table-1 selection it is
   /// Table 1's pick, drawn from `rng` exactly when the cell lists two
   /// options; otherwise it is 0 and nothing is drawn.  Whether it draws
   /// never depends on reachability.
@@ -110,16 +100,20 @@ class Cluster {
                                            std::int64_t bytes,
                                            stats::Rng& rng) const;
 
-  /// select_path from a drawn first index, touching no RNG: tries dst's
-  /// LID `first`, then Table 1's other listed LID, then dst's remaining
-  /// LIDs in index order, and leaves the walk that succeeds in `path`.
-  /// Reads `bytes` only through its Table-1 size class.
+  /// select_dlid() and the LFT walk of its pick in one, from a drawn first
+  /// index and touching no RNG: tries dst's LID `first`, then Table 1's
+  /// other listed LID, then dst's remaining LIDs in index order, walking
+  /// each candidate once.  The walk that succeeds is left in `path`
+  /// (cleared first; empty when no LID routes).  Returns the chosen LID,
+  /// kInvalidLid if none routes.  Reads `bytes` only through its Table-1
+  /// size class.
   [[nodiscard]] routing::Lid walk_path(
       topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
       std::int8_t first, std::vector<topo::ChannelId>& path) const;
 
   /// Fully routed network message (empty path for src == dst);
-  /// std::nullopt when unroutable.  Built on select_path().
+  /// std::nullopt when unroutable.  Draws with draw_lid_index(), then
+  /// walks with walk_path().
   [[nodiscard]] std::optional<NetMessage> route_message(
       topo::NodeId src, topo::NodeId dst, std::int64_t bytes,
       stats::Rng& rng) const;

@@ -122,17 +122,6 @@ Schedule scatter_binomial(std::int32_t n, std::int64_t bytes,
   return s;
 }
 
-Schedule scatter_linear(std::int32_t n, std::int64_t bytes,
-                        std::int32_t root) {
-  check_n(n);
-  Schedule s;
-  Round round;
-  for (std::int32_t i = 0; i < n; ++i)
-    if (i != root) round.push_back(RankMsg{root, i, bytes});
-  if (!round.empty()) s.push_back(std::move(round));
-  return s;
-}
-
 Schedule allreduce_recursive_doubling(std::int32_t n, std::int64_t bytes) {
   check_n(n);
   Schedule s;

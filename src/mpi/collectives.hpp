@@ -43,10 +43,6 @@ namespace hxsim::mpi::collectives {
 [[nodiscard]] Schedule scatter_binomial(std::int32_t n, std::int64_t bytes,
                                         std::int32_t root = 0);
 
-/// Linear scatter: root sends each rank its block in one round.
-[[nodiscard]] Schedule scatter_linear(std::int32_t n, std::int64_t bytes,
-                                      std::int32_t root = 0);
-
 /// Recursive-doubling allreduce with the MPICH pre/post remainder steps
 /// for non-power-of-two rank counts.
 [[nodiscard]] Schedule allreduce_recursive_doubling(std::int32_t n,

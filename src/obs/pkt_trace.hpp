@@ -138,11 +138,6 @@ class PktTrace {
   [[nodiscard]] std::int64_t drops(PktDropCause cause) const noexcept {
     return drops_[static_cast<std::size_t>(cause)];
   }
-  [[nodiscard]] std::int64_t total_drops() const noexcept {
-    std::int64_t sum = 0;
-    for (const std::int64_t d : drops_) sum += d;
-    return sum;
-  }
   [[nodiscard]] std::int64_t retries() const noexcept { return retries_; }
   [[nodiscard]] std::int64_t abandoned() const noexcept { return abandoned_; }
 

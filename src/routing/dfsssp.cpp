@@ -98,35 +98,11 @@ void DfssspEngine::assign_vls(const topo::Topology& topo, const LidSpace& lids,
 
 RouteResult DfssspEngine::compute(const topo::Topology& topo,
                                   const LidSpace& lids) {
-  SsspEngine base(threads_, batch_);
+  SsspEngine base(threads_);
   base.set_timings(timings_);
   RouteResult res = base.compute(topo, lids);
   assign_vls(topo, lids, res.tables, max_vls_, res, threads_, timings_);
   return res;
-}
-
-RouteResult DfssspEngine::compute_tracked(const topo::Topology& topo,
-                                          const LidSpace& lids) {
-  if (!delta_base_) delta_base_ = std::make_unique<SsspEngine>(threads_, batch_);
-  delta_base_->set_timings(timings_);
-  RouteResult res = delta_base_->compute_tracked(topo, lids);
-  assign_vls(topo, lids, res.tables, max_vls_, res, threads_, timings_);
-  return res;
-}
-
-DeltaStats DfssspEngine::update_tracked(const topo::Topology& topo,
-                                        const LidSpace& lids,
-                                        const DeltaUpdate& update,
-                                        RouteResult& io) {
-  if (!delta_base_) delta_base_ = std::make_unique<SsspEngine>(threads_, batch_);
-  delta_base_->set_timings(timings_);
-  DeltaStats stats = delta_base_->update_tracked(topo, lids, update, io);
-  // A full fallback rebuilt io from scratch (default VlMap), so the lanes
-  // must be re-laid either way; an update that changed no LFT entry keeps
-  // the previous stage's layering verbatim.
-  if (stats.full_recompute || stats.columns_changed > 0)
-    assign_vls(topo, lids, io.tables, max_vls_, io, threads_, timings_);
-  return stats;
 }
 
 }  // namespace hxsim::routing

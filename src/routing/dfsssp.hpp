@@ -14,42 +14,23 @@
 // std::runtime_error, recorded as an engine-failed sample).
 #pragma once
 
-#include <memory>
-
-#include "routing/delta.hpp"
 #include "routing/engine.hpp"
 #include "routing/sssp.hpp"
 
 namespace hxsim::routing {
 
-class DfssspEngine final : public RoutingEngine, public DeltaCapable {
+class DfssspEngine final : public RoutingEngine {
  public:
   /// max_vls: hardware virtual-lane budget (paper: 8 on QDR InfiniBand).
-  /// threads == 0 uses exec::default_threads(); the SSSP batch size is
-  /// forwarded so results stay bit-identical across thread counts.
-  explicit DfssspEngine(std::int32_t max_vls = 8, std::int32_t threads = 0,
-                        std::int32_t batch = SsspEngine::kDefaultBatch)
-      : max_vls_(max_vls), threads_(threads), batch_(batch) {}
+  /// threads == 0 uses exec::default_threads(); the SSSP base pass batches
+  /// destinations by SsspEngine::kBatch, so results stay bit-identical
+  /// across thread counts.
+  explicit DfssspEngine(std::int32_t max_vls = 8, std::int32_t threads = 0)
+      : max_vls_(max_vls), threads_(threads) {}
 
   [[nodiscard]] std::string name() const override { return "dfsssp"; }
   [[nodiscard]] RouteResult compute(const topo::Topology& topo,
                                     const LidSpace& lids) override;
-
-  // DeltaCapable.  The per-destination phase delegates to a persistent
-  // tracked SsspEngine (suffix recompute, see sssp.hpp); the VL placement
-  // is inherently global but cheap, so it simply re-runs over the patched
-  // tables whenever any LFT column changed -- and is skipped entirely when
-  // the update left the tables untouched (identical tables => identical
-  // layering).  Plain compute() uses a throwaway base engine and never
-  // disturbs the tracked state.
-  [[nodiscard]] RouteResult compute_tracked(const topo::Topology& topo,
-                                            const LidSpace& lids) override;
-  DeltaStats update_tracked(const topo::Topology& topo, const LidSpace& lids,
-                            const DeltaUpdate& update,
-                            RouteResult& io) override;
-  void invalidate_tracking() noexcept override {
-    if (delta_base_) delta_base_->invalidate_tracking();
-  }
 
   /// Attaches a phase-timer sink (not owned; nullptr detaches): compute()
   /// accumulates the SSSP phases ("spf_trees", "table_merge") plus the VL
@@ -73,10 +54,7 @@ class DfssspEngine final : public RoutingEngine, public DeltaCapable {
  private:
   std::int32_t max_vls_;
   std::int32_t threads_;
-  std::int32_t batch_;
   obs::PhaseTimings* timings_ = nullptr;
-  /// Holds the tracked SSSP tree state across fault stages.
-  std::unique_ptr<SsspEngine> delta_base_;
 };
 
 }  // namespace hxsim::routing

@@ -17,9 +17,8 @@ std::int64_t apply_tree_to_tables(const topo::Topology& topo,
     }
     const auto out = tree.out_channel[static_cast<std::size_t>(sw)];
     if (out == topo::kInvalidChannel) ++unreachable;
-    // Write kInvalidChannel explicitly: the delta-rerouting layer patches
-    // columns of a *populated* table in place, and a switch that just lost
-    // its route must not keep last stage's stale entry.
+    // Written even when invalid, so the column holds this tree alone
+    // whatever the table held before.
     tables.set(sw, dlid, out);
   }
   return unreachable;

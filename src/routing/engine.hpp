@@ -4,8 +4,9 @@
 // virtual-lane map, mirroring what an OpenSM routing engine produces for an
 // InfiniBand fabric.  Engines are constructed with whatever topology
 // metadata they need (the ftree engine needs the tree structure, PARX needs
-// the HyperX lattice); compute() may be called repeatedly, e.g. after fault
-// injection or with a new demand profile.
+// the HyperX lattice and its demand profile); compute() may be called
+// repeatedly, e.g. once per fault stage, and keeps no state between calls
+// that changes its result.
 #pragma once
 
 #include <cstdint>

@@ -69,9 +69,8 @@ void clear_dest_weights(FtreeScratch& sc) {
 
 }  // namespace
 
-RouteResult FtreeEngine::compute_impl(const topo::Topology& topo,
-                                      const LidSpace& lids,
-                                      TreeTrackState* track) {
+RouteResult FtreeEngine::compute(const topo::Topology& topo,
+                                 const LidSpace& lids) {
   if (&tree_->topo() != &topo)
     throw std::invalid_argument("FtreeEngine: topology is not the tree");
 
@@ -90,10 +89,6 @@ RouteResult FtreeEngine::compute_impl(const topo::Topology& topo,
   // output identical for any thread count.
   const std::vector<Lid> all = lids.all_lids();
   std::vector<std::int64_t> unreachable(all.size(), 0);
-  if (track != nullptr) {
-    track->valid = false;
-    track->columns.resize(all.size());
-  }
 
   exec::ThreadPool pool(threads_);
   exec::ScratchArena<FtreeScratch> arena(pool);
@@ -105,74 +100,15 @@ RouteResult FtreeEngine::compute_impl(const topo::Topology& topo,
         const Lid dlid = all[static_cast<std::size_t>(d)];
         const LidSpace::Owner owner = lids.owner(dlid);
         set_dest_weights(*tree_, dlid, root_digit0_bound, sc);
-
-        if (track != nullptr) {
-          TreeColumnState& col = track->columns[static_cast<std::size_t>(d)];
-          col.dlid = dlid;
-          updown_spf_to(topo, topo.attach_switch(owner.node), rank, sc.weight,
-                        {}, sc.spf, col.tree, &col.member);
-          col.unreachable = apply_tree_to_tables(topo, col.tree, owner.node,
-                                                 dlid, res.tables);
-          unreachable[static_cast<std::size_t>(d)] = col.unreachable;
-        } else {
-          updown_spf_to(topo, topo.attach_switch(owner.node), rank, sc.weight,
-                        {}, sc.spf, sc.tree);
-          unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
-              topo, sc.tree, owner.node, dlid, res.tables);
-        }
-
+        updown_spf_to(topo, topo.attach_switch(owner.node), rank, sc.weight,
+                      {}, sc.spf, sc.tree);
+        unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
+            topo, sc.tree, owner.node, dlid, res.tables);
         clear_dest_weights(sc);
       });
 
   for (const std::int64_t u : unreachable) res.unreachable_entries += u;
-  if (track != nullptr) track->valid = true;
   return res;
-}
-
-RouteResult FtreeEngine::compute(const topo::Topology& topo,
-                                 const LidSpace& lids) {
-  return compute_impl(topo, lids, nullptr);
-}
-
-RouteResult FtreeEngine::compute_tracked(const topo::Topology& topo,
-                                         const LidSpace& lids) {
-  return compute_impl(topo, lids, &track_);
-}
-
-DeltaStats FtreeEngine::update_tracked(const topo::Topology& topo,
-                                       const LidSpace& lids,
-                                       const DeltaUpdate& update,
-                                       RouteResult& io) {
-  if (&tree_->topo() != &topo)
-    throw std::invalid_argument("FtreeEngine: topology is not the tree");
-  if (!track_.valid || !update.enabled.empty()) {
-    DeltaStats stats;
-    stats.full_recompute = true;
-    io = compute_tracked(topo, lids);
-    stats.columns_total = static_cast<std::int64_t>(track_.columns.size());
-    stats.columns_recomputed = stats.columns_total;
-    stats.columns_changed = stats.columns_total;
-    return stats;
-  }
-
-  const std::vector<std::int32_t> rank = tree_ranks(*tree_);
-  const std::int32_t root_digit0_bound =
-      tree_->arity() / tree_->params().taper;
-  const std::int32_t nthreads =
-      threads_ == 0 ? exec::default_threads() : threads_;
-  exec::ScratchArena<FtreeScratch> arena(nthreads);
-
-  return delta_detail::update_independent_columns(
-      topo, lids, update, io, track_, threads_,
-      [&](const TreeColumnState& col, std::int32_t worker, SpfResult& tree,
-          ChannelBitmap& member) {
-        FtreeScratch& sc = arena.local(worker);
-        const LidSpace::Owner owner = lids.owner(col.dlid);
-        set_dest_weights(*tree_, col.dlid, root_digit0_bound, sc);
-        updown_spf_to(topo, topo.attach_switch(owner.node), rank, sc.weight,
-                      {}, sc.spf, tree, &member);
-        clear_dest_weights(sc);
-      });
 }
 
 }  // namespace hxsim::routing

@@ -21,13 +21,12 @@
 // destination LID to keep paths short and deadlock-free.
 #pragma once
 
-#include "routing/delta.hpp"
 #include "routing/engine.hpp"
 #include "topo/fat_tree.hpp"
 
 namespace hxsim::routing {
 
-class FtreeEngine final : public RoutingEngine, public DeltaCapable {
+class FtreeEngine final : public RoutingEngine {
  public:
   /// The tree must outlive the engine.  Destinations are routed fully
   /// independently (per-destination weights), so compute() parallelises
@@ -40,23 +39,9 @@ class FtreeEngine final : public RoutingEngine, public DeltaCapable {
   [[nodiscard]] RouteResult compute(const topo::Topology& topo,
                                     const LidSpace& lids) override;
 
-  // DeltaCapable.  Ranks and per-destination weights derive from the
-  // static tree structure (levels, digits), never from fault state, so
-  // every update goes through the per-column membership fast path.
-  [[nodiscard]] RouteResult compute_tracked(const topo::Topology& topo,
-                                            const LidSpace& lids) override;
-  DeltaStats update_tracked(const topo::Topology& topo, const LidSpace& lids,
-                            const DeltaUpdate& update,
-                            RouteResult& io) override;
-  void invalidate_tracking() noexcept override { track_.valid = false; }
-
  private:
-  RouteResult compute_impl(const topo::Topology& topo, const LidSpace& lids,
-                           TreeTrackState* track);
-
   const topo::FatTree* tree_;
   std::int32_t threads_;
-  TreeTrackState track_;
 };
 
 }  // namespace hxsim::routing

@@ -53,8 +53,7 @@ HeapEntry heap_pop(std::vector<HeapEntry>& heap) {
 
 void spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
             std::span<const double> channel_weight,
-            const ChannelFilter& filter, SpfScratch& scratch, SpfResult& out,
-            ChannelBitmap* membership) {
+            const ChannelFilter& filter, SpfScratch& scratch, SpfResult& out) {
   const auto n = static_cast<std::size_t>(topo.num_switches());
   auto& cost = scratch.cost0;
   auto& heap = scratch.heap;
@@ -91,17 +90,6 @@ void spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
   }
   for (std::size_t v = 0; v < n; ++v)
     if (!(cost[v] == kUnreached)) out.dist[v] = static_cast<double>(cost[v].hops);
-
-  if (membership != nullptr) {
-    // Membership == the final parent channels: removing any non-parent
-    // edge cannot improve a cost, and the min-channel-id tie-break only
-    // ever switches to a *present* smaller candidate, so the tree is
-    // provably unchanged unless one of these channels goes down.
-    membership->reset(topo.num_channels());
-    for (std::size_t v = 0; v < n; ++v)
-      if (out.out_channel[v] != topo::kInvalidChannel)
-        membership->set(out.out_channel[v]);
-  }
 }
 
 SpfResult spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
@@ -117,7 +105,7 @@ void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
                    std::span<const std::int32_t> rank,
                    std::span<const double> channel_weight,
                    const ChannelFilter& filter, SpfScratch& scratch,
-                   SpfResult& out, ChannelBitmap* membership) {
+                   SpfResult& out) {
   const auto n = static_cast<std::size_t>(topo.num_switches());
   // State 0: still inside the forward-down segment (walking backward from
   // the destination); state 1: inside the forward-up segment.
@@ -192,18 +180,6 @@ void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
     if ((*cost[best])[v] == kUnreached) continue;
     out.dist[v] = static_cast<double>((*cost[best])[v].hops);
     out.out_channel[v] = (*parent[best])[v];
-  }
-
-  if (membership != nullptr) {
-    // Both phases' parents matter: the emitted out-channel of a state-1
-    // switch sits on a chain built from state-0 *and* state-1 parents, so
-    // losing an internal state-1 edge can re-route a column whose visible
-    // out-channels never touched it.
-    membership->reset(topo.num_channels());
-    for (int s = 0; s < 2; ++s)
-      for (std::size_t v = 0; v < n; ++v)
-        if ((*parent[s])[v] != topo::kInvalidChannel)
-          membership->set((*parent[s])[v]);
   }
 }
 

@@ -76,53 +76,13 @@ struct SpfResult {
 /// function admits everything.
 using ChannelFilter = std::function<bool(topo::ChannelId)>;
 
-/// Per-destination channel-membership set, recorded by the SPF cores for
-/// the incremental rerouting layer (routing/delta.hpp).  Bit `ch` is set
-/// iff the tree's final parent structure references directed channel `ch`;
-/// disabling any channel *outside* the set provably leaves the tree
-/// unchanged (removing unused edges cannot shorten a path, and the
-/// min-channel-id tie-break never prefers an absent candidate), so a fault
-/// stage only needs to recompute destinations whose bitmap intersects the
-/// disabled set.  For updown_spf_to() the set is the union of *both*
-/// internal parent arrays (all-down and up-segment states), because the
-/// emitted out-channels depend on both chains.
-class ChannelBitmap {
- public:
-  /// Clears and (re)sizes for `num_channels` channels; reuses storage.
-  void reset(std::int64_t num_channels) {
-    words_.assign(static_cast<std::size_t>((num_channels + 63) / 64), 0);
-  }
-  void set(topo::ChannelId ch) {
-    words_[static_cast<std::size_t>(ch) >> 6] |=
-        std::uint64_t{1} << (static_cast<std::uint32_t>(ch) & 63u);
-  }
-  [[nodiscard]] bool test(topo::ChannelId ch) const {
-    return (words_[static_cast<std::size_t>(ch) >> 6] >>
-            (static_cast<std::uint32_t>(ch) & 63u)) &
-           1u;
-  }
-  /// True iff any of `chans` is a member.
-  [[nodiscard]] bool intersects(std::span<const topo::ChannelId> chans) const {
-    for (const topo::ChannelId ch : chans)
-      if (test(ch)) return true;
-    return false;
-  }
-  [[nodiscard]] bool empty() const noexcept { return words_.empty(); }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
 /// Weighted shortest paths from every switch to dest_sw.
 /// channel_weight may be empty (all weights 1) or sized num_channels().
 /// The scratch overload reuses both the scratch buffers and `out`'s
 /// vectors, so a hot loop performs no allocations after warm-up.
-/// `membership`, when given, receives the tree's channel set (here: the
-/// final out-channels -- see ChannelBitmap).
 void spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
             std::span<const double> channel_weight,
-            const ChannelFilter& filter, SpfScratch& scratch, SpfResult& out,
-            ChannelBitmap* membership = nullptr);
+            const ChannelFilter& filter, SpfScratch& scratch, SpfResult& out);
 
 [[nodiscard]] SpfResult spf_to(const topo::Topology& topo,
                                topo::SwitchId dest_sw,
@@ -132,13 +92,12 @@ void spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
 /// Up*/Down*-legal shortest paths from every switch to dest_sw.
 /// `rank` is per switch; a forward hop u->v is "up" iff rank[v] < rank[u],
 /// "down" iff rank[v] > rank[u] (equal ranks: up iff v < u).  A legal path
-/// is up* down*.  `membership`, when given, receives the union of both
-/// phases' parent channels (see ChannelBitmap).
+/// is up* down*.
 void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
                    std::span<const std::int32_t> rank,
                    std::span<const double> channel_weight,
                    const ChannelFilter& filter, SpfScratch& scratch,
-                   SpfResult& out, ChannelBitmap* membership = nullptr);
+                   SpfResult& out);
 
 [[nodiscard]] SpfResult updown_spf_to(const topo::Topology& topo,
                                       topo::SwitchId dest_sw,

@@ -1,8 +1,6 @@
 #include "routing/sssp.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <utility>
 
 #include "exec/exec.hpp"
 #include "routing/spf.hpp"
@@ -13,9 +11,7 @@ namespace {
 
 /// The weight contribution of one routed destination tree: +#terminals(s)
 /// on every channel of s's path toward dest_sw, i.e. +1 per source port
-/// whose traffic to the destination crosses the channel.  Shared by the
-/// compute merge phase and the delta prefix replay (which re-derives the
-/// weight evolution from cached trees without re-running any Dijkstra).
+/// whose traffic to the destination crosses the channel.
 void add_tree_load(const topo::Topology& topo, const SpfResult& tree,
                    topo::SwitchId dest_sw, std::vector<double>& weight) {
   for (topo::SwitchId s = 0; s < topo.num_switches(); ++s) {
@@ -34,11 +30,8 @@ void add_tree_load(const topo::Topology& topo, const SpfResult& tree,
 
 }  // namespace
 
-RouteResult SsspEngine::compute_impl(const topo::Topology& topo,
-                                     const LidSpace& lids,
-                                     TreeTrackState* track) {
-  if (batch_ < 1) throw std::invalid_argument("SsspEngine: batch must be >= 1");
-
+RouteResult SsspEngine::compute(const topo::Topology& topo,
+                                const LidSpace& lids) {
   RouteResult res;
   res.tables = ForwardingTables(topo.num_switches(), lids.max_lid());
   res.num_vls_used = 1;
@@ -52,17 +45,12 @@ RouteResult SsspEngine::compute_impl(const topo::Topology& topo,
 
   const std::vector<Lid> all = lids.all_lids();
   const auto n = static_cast<std::int64_t>(all.size());
-  const auto batch = static_cast<std::int64_t>(batch_);
+  constexpr std::int64_t batch = kBatch;
 
   exec::ThreadPool pool(threads_);
   exec::ScratchArena<SpfScratch> scratch(pool);
-  std::vector<SpfResult> trees;
-  if (track != nullptr) {
-    track->valid = false;
-    track->columns.resize(static_cast<std::size_t>(n));
-  } else {
-    trees.resize(static_cast<std::size_t>(std::min<std::int64_t>(batch, n)));
-  }
+  std::vector<SpfResult> trees(
+      static_cast<std::size_t>(std::min<std::int64_t>(batch, n)));
 
   obs::PhaseClock clock;
   double spf_seconds = 0.0;
@@ -77,17 +65,8 @@ RouteResult SsspEngine::compute_impl(const topo::Topology& topo,
     pool.parallel_for(m, [&](std::int64_t i, std::int32_t worker) {
       const Lid dlid = all[static_cast<std::size_t>(base + i)];
       const LidSpace::Owner owner = lids.owner(dlid);
-      const topo::SwitchId dest_sw = topo.attach_switch(owner.node);
-      if (track != nullptr) {
-        TreeColumnState& col =
-            track->columns[static_cast<std::size_t>(base + i)];
-        col.dlid = dlid;
-        spf_to(topo, dest_sw, weight, {}, scratch.local(worker), col.tree,
-               &col.member);
-      } else {
-        spf_to(topo, dest_sw, weight, {}, scratch.local(worker),
-               trees[static_cast<std::size_t>(i)]);
-      }
+      spf_to(topo, topo.attach_switch(owner.node), weight, {},
+             scratch.local(worker), trees[static_cast<std::size_t>(i)]);
     });
     if (timings_ != nullptr) spf_seconds += clock.lap();
 
@@ -95,18 +74,10 @@ RouteResult SsspEngine::compute_impl(const topo::Topology& topo,
     for (std::int64_t i = 0; i < m; ++i) {
       const Lid dlid = all[static_cast<std::size_t>(base + i)];
       const LidSpace::Owner owner = lids.owner(dlid);
-      const topo::SwitchId dest_sw = topo.attach_switch(owner.node);
-      const SpfResult& tree =
-          track != nullptr
-              ? track->columns[static_cast<std::size_t>(base + i)].tree
-              : trees[static_cast<std::size_t>(i)];
-      const std::int64_t unreachable =
+      const SpfResult& tree = trees[static_cast<std::size_t>(i)];
+      res.unreachable_entries +=
           apply_tree_to_tables(topo, tree, owner.node, dlid, res.tables);
-      res.unreachable_entries += unreachable;
-      if (track != nullptr)
-        track->columns[static_cast<std::size_t>(base + i)].unreachable =
-            unreachable;
-      add_tree_load(topo, tree, dest_sw, weight);
+      add_tree_load(topo, tree, topo.attach_switch(owner.node), weight);
     }
     if (timings_ != nullptr) merge_seconds += clock.lap();
   }
@@ -114,112 +85,7 @@ RouteResult SsspEngine::compute_impl(const topo::Topology& topo,
     timings_->add("spf_trees", spf_seconds);
     timings_->add("table_merge", merge_seconds);
   }
-  if (track != nullptr) track->valid = true;
   return res;
-}
-
-RouteResult SsspEngine::compute(const topo::Topology& topo,
-                                const LidSpace& lids) {
-  return compute_impl(topo, lids, nullptr);
-}
-
-RouteResult SsspEngine::compute_tracked(const topo::Topology& topo,
-                                        const LidSpace& lids) {
-  return compute_impl(topo, lids, &track_);
-}
-
-DeltaStats SsspEngine::update_tracked(const topo::Topology& topo,
-                                      const LidSpace& lids,
-                                      const DeltaUpdate& update,
-                                      RouteResult& io) {
-  DeltaStats stats;
-  if (!track_.valid || !update.enabled.empty()) {
-    stats.full_recompute = true;
-    io = compute_tracked(topo, lids);
-    stats.columns_total = static_cast<std::int64_t>(track_.columns.size());
-    stats.columns_recomputed = stats.columns_total;
-    stats.columns_changed = stats.columns_total;
-    return stats;
-  }
-
-  const auto n = static_cast<std::int64_t>(track_.columns.size());
-  stats.columns_total = n;
-
-  std::vector<char> col_dirty(static_cast<std::size_t>(n), 0);
-  std::int64_t first = n;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (track_.columns[static_cast<std::size_t>(i)].member.intersects(
-            update.disabled)) {
-      col_dirty[static_cast<std::size_t>(i)] = 1;
-      if (first == n) first = i;
-    }
-  }
-  if (first == n) return stats;  // no tree used a disabled channel
-
-  const auto batch = static_cast<std::int64_t>(batch_);
-  const std::int64_t b0 = (first / batch) * batch;
-
-  // Replay the weight evolution of the clean prefix [0, b0) from the
-  // cached trees; they are provably what a full recompute would produce
-  // there (membership-clean under unchanged incoming weights), so the
-  // weight state at b0 matches the full run's snapshot exactly.
-  std::vector<double> weight(static_cast<std::size_t>(topo.num_channels()),
-                             1.0);
-  auto dest_switch = [&](std::int64_t i) {
-    const LidSpace::Owner owner =
-        lids.owner(track_.columns[static_cast<std::size_t>(i)].dlid);
-    return topo.attach_switch(owner.node);
-  };
-  for (std::int64_t i = 0; i < b0; ++i)
-    add_tree_load(topo, track_.columns[static_cast<std::size_t>(i)].tree,
-                  dest_switch(i), weight);
-
-  exec::ThreadPool pool(threads_);
-  exec::ScratchArena<SpfScratch> scratch(pool);
-  const auto slots =
-      static_cast<std::size_t>(std::min<std::int64_t>(batch, n - b0));
-  std::vector<SpfResult> trees(slots);
-  std::vector<ChannelBitmap> members(slots);
-  std::vector<char> redo(slots, 0);
-
-  for (std::int64_t base = b0; base < n; base += batch) {
-    const std::int64_t m = std::min(batch, n - base);
-    // The first touched batch still sees the tracked run's weight snapshot,
-    // so its clean columns can be reused; every later batch's snapshot may
-    // have diverged and is recomputed wholesale.
-    for (std::int64_t i = 0; i < m; ++i)
-      redo[static_cast<std::size_t>(i)] =
-          base == b0 ? col_dirty[static_cast<std::size_t>(base + i)]
-                     : char{1};
-    pool.parallel_for(m, [&](std::int64_t i, std::int32_t worker) {
-      if (!redo[static_cast<std::size_t>(i)]) return;
-      spf_to(topo, dest_switch(base + i), weight, {}, scratch.local(worker),
-             trees[static_cast<std::size_t>(i)],
-             &members[static_cast<std::size_t>(i)]);
-    });
-
-    // Serial merge in LID order, mirroring compute_impl.
-    for (std::int64_t i = 0; i < m; ++i) {
-      TreeColumnState& col = track_.columns[static_cast<std::size_t>(base + i)];
-      if (redo[static_cast<std::size_t>(i)]) {
-        ++stats.columns_recomputed;
-        SpfResult& tree = trees[static_cast<std::size_t>(i)];
-        const bool changed = tree.out_channel != col.tree.out_channel;
-        std::swap(col.tree, tree);
-        std::swap(col.member, members[static_cast<std::size_t>(i)]);
-        if (changed) {
-          const LidSpace::Owner owner = lids.owner(col.dlid);
-          col.unreachable = apply_tree_to_tables(topo, col.tree, owner.node,
-                                                 col.dlid, io.tables);
-          stats.dirty_lids.push_back(col.dlid);
-          ++stats.columns_changed;
-        }
-      }
-      add_tree_load(topo, col.tree, dest_switch(base + i), weight);
-    }
-  }
-  io.unreachable_entries = track_.total_unreachable();
-  return stats;
 }
 
 }  // namespace hxsim::routing

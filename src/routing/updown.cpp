@@ -47,9 +47,8 @@ std::vector<std::int32_t> UpDownEngine::compute_ranks(
   return ranks;
 }
 
-RouteResult UpDownEngine::compute_impl(const topo::Topology& topo,
-                                       const LidSpace& lids,
-                                       TreeTrackState* track) {
+RouteResult UpDownEngine::compute(const topo::Topology& topo,
+                                  const LidSpace& lids) {
   ranks_ = compute_ranks(topo);
 
   RouteResult res;
@@ -60,10 +59,6 @@ RouteResult UpDownEngine::compute_impl(const topo::Topology& topo,
   // each index writes only its own LFT column and unreachable slot.
   const std::vector<Lid> all = lids.all_lids();
   std::vector<std::int64_t> unreachable(all.size(), 0);
-  if (track != nullptr) {
-    track->valid = false;
-    track->columns.resize(all.size());
-  }
 
   struct Scratch {
     SpfScratch spf;
@@ -77,87 +72,13 @@ RouteResult UpDownEngine::compute_impl(const topo::Topology& topo,
         Scratch& sc = arena.local(worker);
         const Lid dlid = all[static_cast<std::size_t>(d)];
         const LidSpace::Owner owner = lids.owner(dlid);
-        if (track != nullptr) {
-          TreeColumnState& col = track->columns[static_cast<std::size_t>(d)];
-          col.dlid = dlid;
-          updown_spf_to(topo, topo.attach_switch(owner.node), ranks_, {}, {},
-                        sc.spf, col.tree, &col.member);
-          col.unreachable = apply_tree_to_tables(topo, col.tree, owner.node,
-                                                 dlid, res.tables);
-          unreachable[static_cast<std::size_t>(d)] = col.unreachable;
-        } else {
-          updown_spf_to(topo, topo.attach_switch(owner.node), ranks_, {}, {},
-                        sc.spf, sc.tree);
-          unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
-              topo, sc.tree, owner.node, dlid, res.tables);
-        }
+        updown_spf_to(topo, topo.attach_switch(owner.node), ranks_, {}, {},
+                      sc.spf, sc.tree);
+        unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
+            topo, sc.tree, owner.node, dlid, res.tables);
       });
   for (const std::int64_t u : unreachable) res.unreachable_entries += u;
-  if (track != nullptr) track->valid = true;
   return res;
-}
-
-RouteResult UpDownEngine::compute(const topo::Topology& topo,
-                                  const LidSpace& lids) {
-  return compute_impl(topo, lids, nullptr);
-}
-
-RouteResult UpDownEngine::compute_tracked(const topo::Topology& topo,
-                                          const LidSpace& lids) {
-  RouteResult res = compute_impl(topo, lids, &track_);
-  track_ranks_ = ranks_;
-  return res;
-}
-
-DeltaStats UpDownEngine::update_tracked(const topo::Topology& topo,
-                                        const LidSpace& lids,
-                                        const DeltaUpdate& update,
-                                        RouteResult& io) {
-  std::vector<std::int32_t> fresh = compute_ranks(topo);
-  // Rank changes confined to switches with no enabled switch links are
-  // harmless: updown_spf_to only reads the ranks of endpoints of enabled
-  // channels, so an isolated switch's (sink) rank is never consulted and
-  // every surviving column's tree is unaffected.  Rank shifts at any
-  // still-connected switch (root migration, BFS distance change) genuinely
-  // reorient up/down legality and force the full fallback.
-  bool ranks_compatible = track_.valid && update.enabled.empty();
-  if (ranks_compatible) {
-    for (topo::SwitchId sw = 0; sw < topo.num_switches(); ++sw) {
-      if (fresh[static_cast<std::size_t>(sw)] ==
-          track_ranks_[static_cast<std::size_t>(sw)])
-        continue;
-      if (!topo.switch_neighbors(sw).empty()) {
-        ranks_compatible = false;
-        break;
-      }
-    }
-  }
-  if (!ranks_compatible) {
-    DeltaStats stats;
-    stats.full_recompute = true;
-    io = compute_tracked(topo, lids);
-    stats.columns_total = static_cast<std::int64_t>(track_.columns.size());
-    stats.columns_recomputed = stats.columns_total;
-    stats.columns_changed = stats.columns_total;
-    return stats;
-  }
-  // Adopt the fresh ranks (they differ only at isolated switches) so dirty
-  // columns recompute under exactly the rank vector a full compute() would
-  // use -- keeping delta tables bit-identical to a from-scratch run.
-  track_ranks_ = std::move(fresh);
-  ranks_ = track_ranks_;
-
-  const std::int32_t nthreads =
-      threads_ == 0 ? exec::default_threads() : threads_;
-  exec::ScratchArena<SpfScratch> arena(nthreads);
-  return delta_detail::update_independent_columns(
-      topo, lids, update, io, track_, threads_,
-      [&](const TreeColumnState& col, std::int32_t worker, SpfResult& tree,
-          ChannelBitmap& member) {
-        const LidSpace::Owner owner = lids.owner(col.dlid);
-        updown_spf_to(topo, topo.attach_switch(owner.node), track_ranks_, {},
-                      {}, arena.local(worker), tree, &member);
-      });
 }
 
 }  // namespace hxsim::routing

@@ -13,12 +13,11 @@
 // throughput column of bench/resilience_campaign and the engine matrix.
 #pragma once
 
-#include "routing/delta.hpp"
 #include "routing/engine.hpp"
 
 namespace hxsim::routing {
 
-class UpDownEngine final : public RoutingEngine, public DeltaCapable {
+class UpDownEngine final : public RoutingEngine {
  public:
   /// root < 0 selects the highest-degree switch (lowest id on ties).
   /// Destinations are independent (unit weights), so compute()
@@ -31,17 +30,6 @@ class UpDownEngine final : public RoutingEngine, public DeltaCapable {
   [[nodiscard]] RouteResult compute(const topo::Topology& topo,
                                     const LidSpace& lids) override;
 
-  // DeltaCapable.  Destinations are fully independent given the rank
-  // vector, so updates go through the membership-bitmap fast path -- but
-  // the ranks themselves depend on fabric connectivity (BFS from the
-  // root), so any fault that changes a rank forces a full recompute.
-  [[nodiscard]] RouteResult compute_tracked(const topo::Topology& topo,
-                                            const LidSpace& lids) override;
-  DeltaStats update_tracked(const topo::Topology& topo, const LidSpace& lids,
-                            const DeltaUpdate& update,
-                            RouteResult& io) override;
-  void invalidate_tracking() noexcept override { track_.valid = false; }
-
   /// BFS ranks used by the last compute() (exposed for tests).
   [[nodiscard]] const std::vector<std::int32_t>& ranks() const noexcept {
     return ranks_;
@@ -50,16 +38,10 @@ class UpDownEngine final : public RoutingEngine, public DeltaCapable {
  private:
   [[nodiscard]] std::vector<std::int32_t> compute_ranks(
       const topo::Topology& topo) const;
-  RouteResult compute_impl(const topo::Topology& topo, const LidSpace& lids,
-                           TreeTrackState* track);
 
   topo::SwitchId root_;
   std::int32_t threads_;
   std::vector<std::int32_t> ranks_;
-  // Tracked delta state: the columns of the last compute_tracked(), plus
-  // the rank vector they were routed against.
-  TreeTrackState track_;
-  std::vector<std::int32_t> track_ranks_;
 };
 
 }  // namespace hxsim::routing

@@ -99,8 +99,8 @@ struct RouteAudit {
 };
 
 /// Audits an existing RouteResult (deadlock freedom + path census) without
-/// recomputing or copying it -- the incremental campaign path, where the
-/// result lives inside a routing::DeltaRouter and is patched in place.
+/// recomputing or copying it -- the resilience campaign's per-stage check
+/// of each engine's fresh compute().
 [[nodiscard]] RouteAudit audit_route(const topo::Topology& topo,
                                      const LidSpace& lids,
                                      const RouteResult& route,

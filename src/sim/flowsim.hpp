@@ -4,10 +4,10 @@
 // per-link fair share; FlowSim computes the exact max-min allocation by
 // progressive filling.  fair_rates() solves one flow set, solve_batch()
 // many independent sets on worker threads (a fresh pool and scratch per
-// call), and solve_active() re-solves a caller's set on a warm,
-// caller-owned scratch (mpi::RoundRunner's rounds -- the transport's,
-// mpiGraph's shifts and eBB's samples -- and the resilience campaign's
-// fault stages).  This is the engine behind the
+// call; the resilience campaign's traffic samples), and solve_active()
+// re-solves a caller's set on a warm, caller-owned scratch
+// (mpi::RoundRunner's rounds -- the transport's, mpiGraph's shifts and
+// eBB's samples).  This is the engine behind the
 // bandwidth-dominated experiments (Figure 1 heatmaps, eBB, large-message
 // collectives): congestion arises purely from routed paths sharing
 // channels, which is the effect the paper studies.  The event_queue.hpp
@@ -147,13 +147,12 @@ class FlowSim {
 
   /// fair_rates() restricted to the `active` subset of `flows` (same
   /// length; rate entries of inactive flows are left untouched and their
-  /// paths are neither validated nor inspected).  This is the fault-stage
-  /// reuse entry point: a campaign keeps one Flow vector per traffic set
-  /// alive across stages, deactivates pairs whose destination became
-  /// unreachable (their slots may hold stale paths over dead cables), and
-  /// re-solves in place.  Rates over the active subset are bit-identical
-  /// to fair_rates() on a compacted copy.  `scratch` is caller-owned and
-  /// reusable across solves and stages.
+  /// paths are neither validated nor inspected).  Rates over the active
+  /// subset are bit-identical to fair_rates() or solve_batch() on a
+  /// compacted copy that keeps the active flows in order: solving only a
+  /// traffic sample's routable pairs gives the same bits as solving the
+  /// whole sample in place with the lost pairs inactive.  `scratch` is
+  /// caller-owned and reusable across solves.
   void solve_active(std::span<const Flow> flows, std::span<const char> active,
                     std::span<double> rate, SolveScratch& scratch,
                     obs::FlowSolveRecord* record = nullptr) const;

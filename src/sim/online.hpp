@@ -43,8 +43,8 @@
 namespace hxsim::sim {
 
 /// Channels that die mid-run at `time`.  Both directions of a failing
-/// cable must be listed (timed_faults() derives them from a FaultReport's
-/// disabled_channels shape).
+/// cable must be listed (timed_faults() lists each cable and its
+/// reverse).
 struct PktTimedFault {
   double time = 0.0;
   std::vector<topo::ChannelId> channels;

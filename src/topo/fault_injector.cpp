@@ -115,8 +115,6 @@ FaultReport FaultSchedule::apply_stage(Topology& topo, std::int32_t i) const {
       if (!topo.channel(ch).enabled) continue;  // appended stages may overlap
       topo.disable_link(ch);
       report.disabled_links.push_back(ch);
-      report.disabled_channels.push_back(ch);
-      report.disabled_channels.push_back(topo.channel(ch).reverse);
       any_new = true;
     }
     if (ev.kind == FaultKind::kSwitch && any_new) ++report.switches_failed;
@@ -132,9 +130,6 @@ FaultReport FaultSchedule::apply_through(Topology& topo,
     report.disabled_links.insert(report.disabled_links.end(),
                                  r.disabled_links.begin(),
                                  r.disabled_links.end());
-    report.disabled_channels.insert(report.disabled_channels.end(),
-                                    r.disabled_channels.begin(),
-                                    r.disabled_channels.end());
     report.switches_failed += r.switches_failed;
     report.skipped_for_connectivity += r.skipped_for_connectivity;
   }

@@ -71,11 +71,6 @@ struct FaultStage {
 struct FaultReport {
   /// Forward channel id of every disabled cable, in disable order.
   std::vector<ChannelId> disabled_links;
-  /// *Both* directions of every disabled cable, in disable order -- the
-  /// shape the incremental rerouting layer consumes (routing/delta.hpp
-  /// tracks directed channel memberships), so a report plugs straight into
-  /// a DeltaUpdate without re-deriving reverse ids.
-  std::vector<ChannelId> disabled_channels;
   /// Switch events that newly disabled at least one cable.  Events whose
   /// cables were all already down (overlapping appended stages, replays)
   /// do not count, mirroring how disabled_links only lists new damage.

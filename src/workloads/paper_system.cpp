@@ -8,9 +8,7 @@
 
 namespace hxsim::workloads {
 
-namespace {
-
-topo::FatTreeParams tree_params(bool small_scale) {
+topo::FatTreeParams PaperSystem::fat_tree_params(bool small_scale) {
   if (!small_scale) return topo::paper_fat_tree_params();
   topo::FatTreeParams p;
   p.arity = 6;
@@ -21,7 +19,7 @@ topo::FatTreeParams tree_params(bool small_scale) {
   return p;
 }
 
-topo::HyperXParams hyperx_params(bool small_scale) {
+topo::HyperXParams PaperSystem::hyperx_params(bool small_scale) {
   if (!small_scale) return topo::paper_hyperx_params();
   topo::HyperXParams p;
   p.dims = {6, 4};
@@ -30,10 +28,8 @@ topo::HyperXParams hyperx_params(bool small_scale) {
   return p;
 }
 
-}  // namespace
-
 PaperSystem::PaperSystem(SystemOptions options) : options_(options) {
-  ft_ = std::make_unique<topo::FatTree>(tree_params(options.small_scale));
+  ft_ = std::make_unique<topo::FatTree>(fat_tree_params(options.small_scale));
   hx_ = std::make_unique<topo::HyperX>(hyperx_params(options.small_scale));
   if (options.with_faults) {
     const std::int32_t scale = options.small_scale ? 8 : 1;

@@ -40,6 +40,12 @@ class PaperSystem {
  public:
   explicit PaperSystem(SystemOptions options = {});
 
+  /// The planes' fabrics: the paper's 18-ary 3-tree and 12x8 HyperX, or
+  /// with `small_scale` the 96-node stand-ins (a 6-ary 3-tree with 24
+  /// populated leaves, a 6x4 HyperX), before any cable is removed.
+  [[nodiscard]] static topo::FatTreeParams fat_tree_params(bool small_scale);
+  [[nodiscard]] static topo::HyperXParams hyperx_params(bool small_scale);
+
   struct Config {
     std::string name;              // e.g. "HyperX / PARX / clustered"
     const mpi::Cluster* cluster = nullptr;

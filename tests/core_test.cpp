@@ -496,31 +496,6 @@ TEST_F(ParxSuite, PhaseTimingsAreObservationalOnly) {
     EXPECT_GE(seconds, 0.0) << name;
   }
   EXPECT_EQ(names, kPhases);
-
-  // The tracked path: a timed delta update ships the untimed update's
-  // tables and accumulates into the same four phases.
-  ParxEngine tracked_plain(hx_);
-  ParxEngine tracked_timed(hx_);
-  obs::PhaseTimings tracked_phases;
-  tracked_timed.set_timings(&tracked_phases);
-  RouteResult plain_io = tracked_plain.compute_tracked(hx_.topo(), lids_);
-  RouteResult timed_io = tracked_timed.compute_tracked(hx_.topo(), lids_);
-  topo::FaultSchedule::Options opt;
-  opt.links_per_stage = 2;
-  opt.seed = 5;
-  const topo::FaultReport report =
-      topo::FaultSchedule::plan(hx_.topo(), opt).apply_stage(hx_.topo(), 0);
-  routing::DeltaUpdate update;
-  update.disabled = report.disabled_channels;
-  (void)tracked_plain.update_tracked(hx_.topo(), lids_, update, plain_io);
-  const routing::DeltaStats stats =
-      tracked_timed.update_tracked(hx_.topo(), lids_, update, timed_io);
-  EXPECT_GT(stats.columns_changed, 0);
-  EXPECT_EQ(timed_io, plain_io);
-  names.clear();
-  for (const auto& [name, seconds] : tracked_phases.entries())
-    names.push_back(name);
-  EXPECT_EQ(names, kPhases);
 }
 
 TEST(Parx, RejectsOddTopology) {

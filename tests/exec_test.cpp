@@ -187,14 +187,17 @@ TEST(ExecDeterminism, UpDownOnSmallHyperX) {
 
 TEST(ExecDeterminism, SsspBatchIsThreadInvariantButBatchSensitive) {
   // The guarantee is "same batch size => same result at any thread
-  // count"; different batch sizes are different (documented) algorithms.
+  // count"; a different batch size would be a different (documented)
+  // algorithm, so the batch is the fixed SsspEngine::kBatch.  3 threads
+  // split each batch unevenly.
+  static_assert(routing::SsspEngine::kBatch == 8);
   const topo::HyperX hx(topo::small_hyperx_params());
   const auto lids =
       routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
-  routing::SsspEngine b8t1(1, 8), b8t4(4, 8), b1t1(1, 1), b1t4(4, 1);
-  const auto r8 = b8t1.compute(hx.topo(), lids);
-  EXPECT_TRUE(r8 == b8t4.compute(hx.topo(), lids));
-  EXPECT_TRUE(b1t1.compute(hx.topo(), lids) == b1t4.compute(hx.topo(), lids));
+  routing::SsspEngine t1(1), t3(3), t4(4);
+  const auto r1 = t1.compute(hx.topo(), lids);
+  EXPECT_TRUE(r1 == t3.compute(hx.topo(), lids));
+  EXPECT_TRUE(r1 == t4.compute(hx.topo(), lids));
 }
 
 // --- FlowSim batch solver ----------------------------------------------------

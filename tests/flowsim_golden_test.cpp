@@ -5,7 +5,8 @@
 // both paper fabrics (small HyperX under DFSSSP, small fat-tree under
 // ftree), three traffic shapes (uniform random permutations, mpiGraph-
 // style shifts, eBB-style bisections), at 1 and 4 solver threads, through
-// the cold fair_rates path and the warm solve_active fault-stage path.
+// the cold fair_rates path and the warm solve_active path (flows
+// deactivated stage by stage).
 // Merged permutations drive the adaptive core across its rescan-to-indexed
 // handoff.  The saturation-epsilon regression scenarios from sim_test.cpp
 // are re-run here on every core and compared bitwise against kReference:

@@ -513,35 +513,27 @@ TEST(Transport, CountsRoundsThatReuseThePreviousRates) {
 
 // --- the fused LFT walk ----------------------------------------------------------
 
-/// select_path() against the two-step route it replaces -- select_dlid()
-/// then ForwardingTables::path() -- and against the transport's split
-/// route -- draw_lid_index() then walk_path() -- over every (src, dst)
-/// pair and both sides of the 512-byte Table-1 threshold: same LID, same
-/// channels, and the same RNG draws.  Counts the pairs that fell back past
-/// Table 1's listed LIDs and those with no routable LID at all.
+/// The transport's split route -- draw_lid_index() then walk_path() --
+/// against the two-step route it replaces -- select_dlid() then
+/// ForwardingTables::path() -- over every (src, dst) pair and both sides
+/// of the 512-byte Table-1 threshold: same LID, same channels, and the
+/// same RNG draws.  Counts the pairs that fell back past Table 1's listed
+/// LIDs and those with no routable LID at all.
 void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
                                std::int64_t& past_table1,
                                std::int64_t& unroutable) {
   const std::int32_t n = cluster.num_nodes();
   stats::Rng two_step_rng(17);
-  stats::Rng fused_rng(17);
   stats::Rng split_rng(17);
   std::vector<topo::ChannelId> path;
-  std::vector<topo::ChannelId> split_path;
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
       for (const std::int64_t bytes : {8LL, 512LL, 513LL, 128LL << 10}) {
         const routing::Lid want =
             cluster.select_dlid(src, dst, bytes, two_step_rng);
-        const routing::Lid got =
-            cluster.select_path(src, dst, bytes, fused_rng, path);
-        ASSERT_EQ(got, want) << name << " " << src << " -> " << dst << " "
-                             << bytes << " B";
         const std::int8_t first =
             cluster.draw_lid_index(src, dst, bytes, split_rng);
-        ASSERT_EQ(cluster.walk_path(src, dst, bytes, first, split_path), want)
-            << name << " " << src << " -> " << dst << " " << bytes << " B";
-        ASSERT_EQ(split_path, path)
+        ASSERT_EQ(cluster.walk_path(src, dst, bytes, first, path), want)
             << name << " " << src << " -> " << dst << " " << bytes << " B";
         if (want == routing::kInvalidLid) {
           EXPECT_TRUE(path.empty()) << name;
@@ -567,9 +559,7 @@ void expect_fused_walk_matches(const Cluster& cluster, const std::string& name,
       }
     }
   }
-  const std::uint64_t two_step_state = two_step_rng.next();
-  EXPECT_EQ(fused_rng.next(), two_step_state) << name << ": RNG state";
-  EXPECT_EQ(split_rng.next(), two_step_state) << name << ": RNG state";
+  EXPECT_EQ(split_rng.next(), two_step_rng.next()) << name << ": RNG state";
 }
 
 TEST(Cluster, FusedWalkMatchesSelectDlidThenPath) {

@@ -458,7 +458,7 @@ TEST(Registry, CsvWritesEveryTableInOrder) {
 
 TEST(Registry, RunStampsIdentityAndProducesMetrics) {
   // The cheapest registered experiment end-to-end: small fabrics, no
-  // PaperSystem.  Also pins the repo-level delta-routing contract.
+  // PaperSystem.  Also pins the repo-level routing-churn contract.
   const report::Registry& registry = bench::global_registry();
   const Experiment* exp = registry.find("reroute_dirty");
   ASSERT_NE(exp, nullptr);
@@ -469,10 +469,10 @@ TEST(Registry, RunStampsIdentityAndProducesMetrics) {
   EXPECT_EQ(rs.id, "reroute_dirty");
   EXPECT_EQ(rs.title, exp->title);
   EXPECT_EQ(rs.paper_ref, exp->paper_ref);
-  ASSERT_NE(rs.find("delta_identical"), nullptr);
-  EXPECT_DOUBLE_EQ(*rs.find("delta_identical"), 1.0);
   ASSERT_NE(rs.find("ftree_dirty_fraction"), nullptr);
   EXPECT_LT(*rs.find("ftree_dirty_fraction"), 1.0);
+  ASSERT_NE(rs.find("hx_dfsssp_dirty_fraction"), nullptr);
+  EXPECT_LT(*rs.find("hx_dfsssp_dirty_fraction"), 1.0);
   ASSERT_FALSE(rs.tables.empty());
   EXPECT_EQ(rs.tables[0].id, "dirty");
 }

@@ -1,6 +1,6 @@
 // Golden digests of the paper planes' routing output.
 //
-// delta_routing_test and the fuzz audit compare the code with itself: a
+// The thread-count tests and the fuzz audit compare the code with itself: a
 // change to the VL placement that still yields *a* valid layering passes
 // them.  The committed constants below pin the exact output of every
 // PaperSystem plane -- each LFT entry, each VL entry, num_vls_used and
