@@ -69,12 +69,12 @@ struct VlFifo {
   std::int32_t len;
 };
 
-/// Engine scratch, reused across runs: the event heap and every flat array
-/// keep their capacity, so a warm run() allocates nothing per event (and
-/// only the returned Result per run).  Channel state is split SoA-style:
-/// per-channel arrays (busy/rr/q_mask) and per-channel x VL arrays
-/// (credits, FIFOs) are contiguous, so try_start/arrive touch a handful of
-/// cache lines instead of a vector-of-deques forest.
+/// Engine scratch, reused across runs: the event core (heap and lanes) and
+/// every flat array keep their capacity, so a warm run() allocates nothing
+/// per event (and only the returned Result per run).  Channel state is
+/// split SoA-style: per-channel arrays (busy/rr/q_mask) and per-channel x
+/// VL arrays (credits, FIFOs) are contiguous, so try_start/arrive touch a
+/// handful of cache lines instead of a vector-of-deques forest.
 struct PktScratch {
   FlatEventHeap<Ev> events;
   std::vector<PktNode> pool;  // pre-sized: segments are countable up front
@@ -264,14 +264,23 @@ class TypedEngine {
       s_.retries_left.assign(messages.size(), online_->retry.max_retries);
     }
 
+    // Reserve-ahead for the event core's heap.  It holds what is scheduled
+    // at an absolute time -- the fault feed and one inject per message,
+    // all scheduled below -- plus retry backoffs and segment delays that
+    // find no free lane, which the slack of 64 covers until the heap grows
+    // amortised.  The in-flight window of xmit-done and arrive events
+    // rides the lanes.  Heap and lane rings keep their capacity across
+    // runs, so a warm scratch never re-reserves.
+    const std::size_t faults = online_ != nullptr ? online_->faults.size() : 0;
+    s_.events.reserve(faults + messages.size() + 64);
+
     // Fault events are scheduled before any inject so they carry lower
     // sequence numbers: at an equal timestamp the channel dies first, then
     // traffic routes around it -- as in the reference engine.
-    if (online_ != nullptr)
-      for (std::size_t f = 0; f < online_->faults.size(); ++f)
-        s_.events.schedule(
-            online_->faults[f].time,
-            Ev::make(EvKind::kFault, static_cast<std::int32_t>(f), -1));
+    for (std::size_t f = 0; f < faults; ++f)
+      s_.events.schedule(
+          online_->faults[f].time,
+          Ev::make(EvKind::kFault, static_cast<std::int32_t>(f), -1));
 
     std::int64_t total_segments = 0;
     for (std::size_t m = 0; m < messages.size(); ++m) {
@@ -301,12 +310,6 @@ class TypedEngine {
     // inject time.  Retransmissions (and only they) grow it later.
     s_.pool.resize(static_cast<std::size_t>(total_segments));
     pool_used_ = 0;
-    // Reserve-ahead for the event heap: pending events are bounded by the
-    // not-yet-injected messages plus the in-flight window of every channel
-    // (one xmit-done and a short arrival pipeline each).  The bound is
-    // heuristic -- the heap grows amortised if exceeded -- but a warm
-    // scratch keeps whatever capacity the workload actually needed.
-    s_.events.reserve(messages.size() + 4 * nch + 64);
   }
 
   PktSim::Result run(std::size_t max_events) {

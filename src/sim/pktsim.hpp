@@ -24,17 +24,19 @@
 //    channel); malformed paths throw instead of walking out of bounds.
 //
 // Engine: one typed zero-allocation core -- POD event records
-// ({kInject, kXmitDone, kArrive}) on a flat 4-ary heap, packets in a pool
-// pre-sized from message bytes/MTU, per-VL FIFOs threaded intrusively
-// through that pool, and channel state split into flat per-channel /
-// per-channel-x-VL arrays.  All of that scratch lives in the PktSim object
-// and is reused across run() calls, so a warm engine performs zero heap
-// allocations per event.  The seed std::function engine lives on as a
-// feature-frozen oracle in the audit library (audit/reference_pktsim.hpp);
-// the golden suite in tests/pktsim_golden_test.cpp, the fuzz audit and the
-// pktsim_speedup experiment hold the two to byte equality
-// (first_difference below), and committed digests pin what the two derive
-// alike through the detail:: functions below.
+// ({kInject, kXmitDone, kArrive}) on sim::FlatEventHeap (FIFO lanes for
+// the fixed-delay xmit-done and arrive events over a flat 4-ary heap for
+// the rest), packets in a pool pre-sized from message bytes/MTU, per-VL
+// FIFOs threaded intrusively through that pool, and channel state split
+// into flat per-channel / per-channel-x-VL arrays.  All of that scratch
+// lives in the PktSim object and is reused across run() calls, so a warm
+// engine performs zero heap allocations per event.  The seed
+// std::function engine lives on as a feature-frozen oracle in the audit
+// library (audit/reference_pktsim.hpp); the golden suite in
+// tests/pktsim_golden_test.cpp, the fuzz audit and the pktsim_speedup
+// experiment hold the two to byte equality (first_difference below), and
+// committed digests pin what the two derive alike through the detail::
+// functions below.
 //
 // Replication: run_batch() fans independent message sets across an
 // exec::ThreadPool, one engine instance (and scratch) per worker, results

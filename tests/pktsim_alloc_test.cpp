@@ -1,9 +1,9 @@
 // Steady-state allocation audit of the typed packet engine.
 //
 // The engine's contract: after a first (cold) run sizes the scratch --
-// event heap, packet pool, channel arrays -- a warm run() performs ZERO
-// heap allocations per event; the only per-run allocations are the
-// returned Result (one completion vector).  Asserted here with a counting
+// event heap and lanes, packet pool, channel arrays -- a warm run()
+// performs ZERO heap allocations per event; the only per-run allocations
+// are the returned Result (one completion vector).  Asserted here with a counting
 // global operator new: the warm-run allocation delta must be a small
 // constant, and -- the per-event part -- must not change when the event
 // count quadruples.
@@ -112,6 +112,55 @@ TEST(PktSimAllocations, WarmStaticRunIsAllocationFreePerEvent) {
   ASSERT_EQ(r_large.packets_delivered, r_large.packets_total);
   // ...same allocation count: nothing allocates per event.  The small
   // constant is the returned Result (completion vector and friends).
+  EXPECT_EQ(warm_small, warm_large);
+  EXPECT_LE(warm_small, 8);
+}
+
+TEST(PktSimAllocations, WarmHeapOverflowRunIsAllocationFreePerEvent) {
+  // Two message sizes that are not MTU multiples: with the full segments
+  // they schedule six distinct delays (serialization, and serialization
+  // plus hop latency, per segment size), more than the event core has
+  // FIFO lanes, so tail events that meet busy lanes overflow onto its
+  // heap.  Each source queues four messages, alternating sizes with its
+  // neighbour, so both tail sizes are in flight while full segments are.
+  Topology topo("dumbbell");
+  const SwitchId a = topo.add_switch();
+  const SwitchId b = topo.add_switch();
+  const auto [ab, ba] = topo.connect(a, b);
+  (void)ba;
+  for (int i = 0; i < 4; ++i) topo.add_terminal(a);
+  for (int i = 0; i < 4; ++i) topo.add_terminal(b);
+
+  const std::int64_t mtu = PktSimConfig{}.link.mtu;
+  auto traffic = [&](std::int64_t segments) {
+    std::vector<PktMessage> msgs;
+    for (NodeId i = 0; i < 4; ++i) {
+      for (std::int64_t k = 0; k < 4; ++k) {
+        PktMessage m;
+        m.src = i;
+        m.dst = 4 + i;
+        m.bytes = segments * mtu - ((i + k) % 2 == 0 ? 100 : 700);
+        m.path = {topo.terminal_up(i), ab, topo.terminal_down(4 + i)};
+        msgs.push_back(std::move(m));
+      }
+    }
+    return msgs;
+  };
+  const auto small = traffic(16);
+  const auto large = traffic(64);
+
+  PktSim sim(topo, PktSimConfig{});
+  (void)sim.run(large);
+  (void)sim.run(small);
+
+  PktSim::Result r_small;
+  PktSim::Result r_large;
+  const long long warm_small = allocs_during([&] { r_small = sim.run(small); });
+  const long long warm_large = allocs_during([&] { r_large = sim.run(large); });
+
+  ASSERT_GE(r_large.events_executed, 3 * r_small.events_executed);
+  ASSERT_EQ(r_small.packets_delivered, r_small.packets_total);
+  ASSERT_EQ(r_large.packets_delivered, r_large.packets_total);
   EXPECT_EQ(warm_small, warm_large);
   EXPECT_LE(warm_small, 8);
 }

@@ -2,12 +2,12 @@
 // the bench/experiments registry the reproduction pipeline runs.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
 #include <limits>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -120,15 +120,15 @@ TEST(ResultStore, ParseRejectsGarbage) {
 
 Claim make_claim(Direction dir, double expected, double band,
                  Scope scope = Scope::kBoth) {
-  Claim c;
-  c.id = "c";
-  c.experiment = "exp1";
-  c.metric = "metric_a";
-  c.direction = dir;
-  c.expected = expected;
-  c.band = band;
-  c.scope = scope;
-  return c;
+  return Claim{.id = "c",
+               .experiment = "exp1",
+               .metric = "metric_a",
+               .direction = dir,
+               .expected = expected,
+               .band = band,
+               .scope = scope,
+               .paper_ref = {},
+               .note = {}};
 }
 
 TEST(Claims, DirectionSemantics) {
@@ -368,11 +368,20 @@ TEST(Registry, CoversEveryExperimentSource) {
   std::ostringstream buf;
   buf << cmake.rdbuf();
   const std::string text = buf.str();
-  const std::regex source_re(R"(experiments/exp_(\w+)\.cpp)");
+  // Each "experiments/exp_<id>.cpp", <id> a run of word characters.
+  const std::string prefix = "experiments/exp_";
+  const auto word = [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_';
+  };
   std::set<std::string> ids;
-  for (std::sregex_iterator it(text.begin(), text.end(), source_re), end;
-       it != end; ++it)
-    ids.insert((*it)[1]);
+  for (std::size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const std::size_t begin = at + prefix.size();
+    std::size_t end = begin;
+    while (end < text.size() && word(text[end])) ++end;
+    if (end > begin && text.compare(end, 4, ".cpp") == 0)
+      ids.insert(text.substr(begin, end - begin));
+  }
   const report::Registry& registry = bench::global_registry();
   EXPECT_EQ(ids.size(), registry.experiments().size());
   for (const std::string& id : ids)

@@ -1213,6 +1213,56 @@ TEST(FlatEventHeap, RejectsNanTimestamps) {
                std::invalid_argument);
 }
 
+TEST(FlatEventHeap, LanesAndHeapPopLikeTheOracleQueue) {
+  // A seeded mix of absolute schedules, schedule_in on more distinct
+  // delays than there are lanes (zero included), and pops, fed alike to
+  // the typed core and audit::EventQueue.  Times sit on a quarter grid,
+  // so every sum is exact and equal timestamps are reached through a
+  // lane, through the heap and through two lanes at once: only the
+  // (when, seq) order tells such events apart.
+  constexpr std::array<double, 7> kDelays = {0.0,  0.25, 0.5, 0.75,
+                                             1.25, 2.0,  3.0};
+  static_assert(kDelays.size() > FlatEventHeap<int>::kLanes);
+  stats::Rng rng(26);
+  FlatEventHeap<int> heap;
+  audit::EventQueue oracle;
+  std::vector<int> fired;
+  int next = 0;
+  std::size_t pops = 0;
+  const auto pop_both = [&] {
+    const int got = heap.pop();
+    ASSERT_TRUE(oracle.run_one());
+    ASSERT_EQ(got, fired.back()) << "pop " << pops;
+    ASSERT_EQ(heap.now(), oracle.now()) << "pop " << pops;
+    ++pops;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const double u = rng.uniform();
+    const auto record = [&fired, payload = next] { fired.push_back(payload); };
+    if (u < 0.45) {
+      if (heap.empty()) continue;
+      pop_both();
+      if (HasFatalFailure()) return;
+    } else if (u < 0.6) {
+      const double when =
+          heap.now() + 0.25 * static_cast<double>(rng.uniform_int(0, 12));
+      heap.schedule(when, next++);
+      oracle.schedule(when, record);
+    } else {
+      const double delay = kDelays[rng.next_below(kDelays.size())];
+      heap.schedule_in(delay, next++);
+      oracle.schedule_in(delay, record);
+    }
+    ASSERT_EQ(heap.pending(), oracle.pending());
+  }
+  while (!heap.empty()) {
+    pop_both();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(oracle.run_one());
+  EXPECT_GT(pops, 10000u);
+}
+
 TEST(FlatEventHeap, ResetKeepsCapacity) {
   FlatEventHeap<int> h;
   h.reserve(1024);
