@@ -81,6 +81,12 @@ routing::RouteResult ParxEngine::compute(const topo::Topology& topo,
 
   std::vector<double> weight(static_cast<std::size_t>(topo.num_channels()),
                              1.0);
+  // The temporary graphs I* of rules R1-R4, one admission mask per LID
+  // index; empty masks (no pruning) admit every enabled channel.
+  std::vector<std::vector<char>> prune(static_cast<std::size_t>(lids_per));
+  if (options_.use_link_pruning)
+    for (std::int32_t x = 0; x < lids_per; ++x)
+      prune[static_cast<std::size_t>(x)] = parx_prune_mask(*hx_, x);
   routing::SpfScratch scratch;
   routing::SpfResult tree;
   obs::PhaseClock clock;
@@ -93,12 +99,9 @@ routing::RouteResult ParxEngine::compute(const topo::Topology& topo,
     const topo::SwitchId dest_sw = topo.attach_switch(nd);
 
     for (std::int32_t x = 0; x < lids_per; ++x) {
-      // Create the temporary graph I* by removing links per rules R1-R4.
-      routing::ChannelFilter filter;
-      if (options_.use_link_pruning) filter = parx_prune_filter(*hx_, x);
       const routing::Lid dlid = lids.lid(nd, x);
-
-      routing::spf_to(topo, dest_sw, weight, filter, scratch, tree);
+      routing::spf_to(topo, dest_sw, weight,
+                      prune[static_cast<std::size_t>(x)], scratch, tree);
       res.unreachable_entries +=
           routing::apply_tree_to_tables(topo, tree, nd, dlid, res.tables);
       if (timings_ != nullptr) spf_seconds += clock.lap();

@@ -46,7 +46,7 @@ class ParxEngine final : public routing::RoutingEngine {
       override;
 
   /// Attaches a phase-timer sink (not owned; nullptr detaches): compute()
-  /// accumulates "spf_trees" (the per-column pruned Dijkstra plus its LFT
+  /// accumulates "spf_trees" (the per-column pruned SPF sweep plus its LFT
   /// column), "parx_load" (the edge-weight update) and assign_vls's
   /// "vl_path_extraction" and "vl_placement".  The same contract as
   /// DfssspEngine::set_timings: observational only.

@@ -62,14 +62,17 @@ Half removed_half_for_lid_index(std::int32_t x) {
   }
 }
 
-routing::ChannelFilter parx_prune_filter(const topo::HyperX& hx,
-                                         std::int32_t x) {
+std::vector<char> parx_prune_mask(const topo::HyperX& hx, std::int32_t x) {
   const Half half = removed_half_for_lid_index(x);
-  return [&hx, half](topo::ChannelId ch) {
-    const topo::Channel& c = hx.topo().channel(ch);
-    if (!c.src.is_switch() || !c.dst.is_switch()) return true;
-    return !(in_half(hx, c.src.index, half) && in_half(hx, c.dst.index, half));
-  };
+  const topo::Topology& topo = hx.topo();
+  std::vector<char> admit(static_cast<std::size_t>(topo.num_channels()), 1);
+  for (topo::ChannelId ch = 0; ch < topo.num_channels(); ++ch) {
+    const topo::Channel& c = topo.channel(ch);
+    if (c.src.is_switch() && c.dst.is_switch() &&
+        in_half(hx, c.src.index, half) && in_half(hx, c.dst.index, half))
+      admit[static_cast<std::size_t>(ch)] = 0;
+  }
+  return admit;
 }
 
 routing::LidSpace make_parx_lid_space(const topo::HyperX& hx) {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "routing/lid_space.hpp"
-#include "routing/spf.hpp"
 #include "topo/hyperx.hpp"
 
 namespace hxsim::core {
@@ -58,10 +57,11 @@ void validate_parx_topology(const topo::HyperX& hx);
 /// Rule R(x+1): the half whose internal links are pruned when routing LIDx.
 [[nodiscard]] Half removed_half_for_lid_index(std::int32_t x);
 
-/// Channel filter enforcing the rule for LID index x: rejects
-/// switch-to-switch channels whose both endpoints lie in the removed half.
-[[nodiscard]] routing::ChannelFilter parx_prune_filter(const topo::HyperX& hx,
-                                                       std::int32_t x);
+/// Admission mask (one entry per channel, for routing::spf_to) enforcing
+/// the rule for LID index x: 0 for switch-to-switch channels whose both
+/// endpoints lie in the removed half, 1 for every other channel.
+[[nodiscard]] std::vector<char> parx_prune_mask(const topo::HyperX& hx,
+                                                std::int32_t x);
 
 /// The paper's PARX LID layout: LMC = 2, quadrant-grouped, stride 1000.
 [[nodiscard]] routing::LidSpace make_parx_lid_space(const topo::HyperX& hx);

@@ -87,7 +87,7 @@ class ThreadPool {
   std::exception_ptr error_;  // first body exception (guarded by mutex_)
 };
 
-/// One default-constructed T per pool worker.  Engines keep Dijkstra /
+/// One default-constructed T per pool worker.  Engines keep SPF /
 /// solver scratch here so hot loops stop reallocating; slots are handed
 /// out by the worker id parallel_for provides, so no locking is needed.
 template <typename T>

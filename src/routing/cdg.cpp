@@ -131,6 +131,7 @@ VlLayering::VlLayering(std::int32_t num_channels, std::int32_t max_layers) {
   layers_.reserve(static_cast<std::size_t>(max_layers));
   for (std::int32_t i = 0; i < max_layers; ++i)
     layers_.emplace_back(num_channels);
+  refused_.resize(static_cast<std::size_t>(max_layers));
 }
 
 std::int32_t VlLayering::place_path(
@@ -142,13 +143,21 @@ std::int32_t VlLayering::place_path(
   }
   for (std::int32_t layer = 0; layer < max_layers(); ++layer) {
     IncrementalDag& dag = layers_[static_cast<std::size_t>(layer)];
+    auto& refused = refused_[static_cast<std::size_t>(layer)];
     added_.clear();
     bool ok = true;
     for (std::size_t i = 0; i + 1 < channel_path.size(); ++i) {
       const std::int32_t a = channel_path[i];
       const std::int32_t b = channel_path[i + 1];
-      if (dag.has_edge(a, b)) continue;
+      if (dag.has_edge(a, b)) continue;  // also range-checks a and b
+      const std::uint64_t key = static_cast<std::uint64_t>(a) << 32 |
+                                static_cast<std::uint32_t>(b);
+      if (refused.contains(key)) {
+        ok = false;
+        break;
+      }
       if (!dag.add_edge(a, b)) {
+        if (added_.empty()) refused.insert(key);
         ok = false;
         break;
       }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,13 +23,12 @@ namespace hxsim::routing {
 
 /// Built for lane placement, where every insertion is a trial: VlLayering
 /// tries a path's dependencies on each lane in turn, so a path that lands
-/// on lane k was first rejected by lanes 0..k-1.  Rejections are common,
-/// so they are cheap -- the forward search stops at the first node that
-/// proves the cycle -- and the search scratch (stack, both visit lists,
-/// the reorder pool) lives in the object: once warm, add_edge allocates
-/// only to grow an adjacency list.  Edges are found by scanning the
-/// tail's out-list; a CDG node's out-degree is bounded by the switch
-/// radix.
+/// on lane k was first rejected by lanes 0..k-1.  A rejection is cheap --
+/// the forward search stops at the first node that proves the cycle --
+/// and the search scratch (stack, both visit lists, the reorder pool)
+/// lives in the object: once warm, add_edge allocates only to grow an
+/// adjacency list.  Edges are found by scanning the tail's out-list; a CDG
+/// node's out-degree is bounded by the switch radix.
 class IncrementalDag {
  public:
   explicit IncrementalDag(std::int32_t num_nodes);
@@ -77,6 +77,14 @@ class IncrementalDag {
 };
 
 /// Greedy assignment of paths (channel sequences) to virtual lanes.
+///
+/// Most paths that land on lane k > 0 are refused by lanes 0..k-1 on a
+/// dependency some earlier path was already refused on, so each lane
+/// remembers its refusals and answers a repeated one without a search.
+/// Only a refusal made while no trial dependency of the current path is
+/// pending on the lane is remembered: its cycle then runs through
+/// committed dependencies alone, and a lane's committed dependencies only
+/// grow, so the refusal stands for the layering's lifetime.
 class VlLayering {
  public:
   VlLayering(std::int32_t num_channels, std::int32_t max_layers);
@@ -99,6 +107,8 @@ class VlLayering {
   /// Dependencies a trial placement added, rolled back if a later one
   /// closes a cycle; reused across calls.
   std::vector<std::pair<std::int32_t, std::int32_t>> added_;
+  /// Per layer, the standing refusals a -> b, keyed a << 32 | b.
+  std::vector<std::unordered_set<std::uint64_t>> refused_;
 };
 
 /// Batch acyclicity test over dependency edges (pairs u -> v).

@@ -50,7 +50,7 @@ class RoutingEngine {
 };
 
 /// Fills LFT entries for every switch from a destination-rooted SPF tree.
-/// Shared by the Dijkstra-based engines.  Returns the number of switches
+/// Shared by the SPF-based engines.  Returns the number of switches
 /// with no route to the destination.
 std::int64_t apply_tree_to_tables(const topo::Topology& topo,
                                   const struct SpfResult& tree,

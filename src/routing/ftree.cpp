@@ -10,7 +10,7 @@ namespace hxsim::routing {
 namespace {
 
 /// Per-worker state: the per-destination weight vector (reset after each
-/// destination via the touched list) plus Dijkstra scratch.
+/// destination via the touched list) plus SPF scratch.
 struct FtreeScratch {
   std::vector<double> weight;
   std::vector<topo::ChannelId> touched;
@@ -101,7 +101,7 @@ RouteResult FtreeEngine::compute(const topo::Topology& topo,
         const LidSpace::Owner owner = lids.owner(dlid);
         set_dest_weights(*tree_, dlid, root_digit0_bound, sc);
         updown_spf_to(topo, topo.attach_switch(owner.node), rank, sc.weight,
-                      {}, sc.spf, sc.tree);
+                      sc.spf, sc.tree);
         unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
             topo, sc.tree, owner.node, dlid, res.tables);
         clear_dest_weights(sc);

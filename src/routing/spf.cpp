@@ -1,12 +1,11 @@
 #include "routing/spf.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace hxsim::routing {
 
 namespace {
 
-using detail::HeapEntry;
 using detail::PathCost;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -21,94 +20,80 @@ double weight_of(std::span<const double> w, topo::ChannelId ch) {
   return w.empty() ? 1.0 : w[static_cast<std::size_t>(ch)];
 }
 
-bool admitted(const topo::Topology& topo, const ChannelFilter& filter,
+bool admitted(const topo::Topology& topo, std::span<const char> admit,
               topo::ChannelId ch) {
   if (!topo.channel(ch).enabled) return false;
-  return !filter || filter(ch);
+  return admit.empty() || admit[static_cast<std::size_t>(ch)] != 0;
 }
 
-// Min-heap on cost only; equal-cost pop order is unspecified, which is safe
-// because the relaxation below resolves ties by channel id, making the
-// final tree independent of pop order (every switch relaxes its neighbours
-// at its final cost at least once).
-struct HeapLater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return b.cost < a.cost;
+/// Offers channel r (weight w, reaching a switch at hop `hops` - 1) to a
+/// node whose cost and parent are `cost`/`parent`.  Returns true when
+/// this is the node's first offer at `hops`, i.e. it joins the next layer.
+/// A node settled at fewer hops ignores the offer; among offers at equal
+/// hops the least (weight, channel id) wins.
+bool offer(PathCost& cost, topo::ChannelId& parent, std::int32_t hops,
+           double w, topo::ChannelId r) {
+  if (cost.hops > hops) {
+    cost = PathCost{hops, w};
+    parent = r;
+    return true;
   }
-};
-
-void heap_push(std::vector<HeapEntry>& heap, HeapEntry e) {
-  heap.push_back(e);
-  std::push_heap(heap.begin(), heap.end(), HeapLater{});
-}
-
-HeapEntry heap_pop(std::vector<HeapEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), HeapLater{});
-  const HeapEntry e = heap.back();
-  heap.pop_back();
-  return e;
+  if (cost.hops == hops &&
+      (w < cost.weight || (w == cost.weight && r < parent))) {
+    cost.weight = w;
+    parent = r;
+  }
+  return false;
 }
 
 }  // namespace
 
 void spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
             std::span<const double> channel_weight,
-            const ChannelFilter& filter, SpfScratch& scratch, SpfResult& out) {
+            std::span<const char> admit, SpfScratch& scratch, SpfResult& out) {
   const auto n = static_cast<std::size_t>(topo.num_switches());
   auto& cost = scratch.cost0;
-  auto& heap = scratch.heap;
+  auto& layer = scratch.layer;
+  auto& next = scratch.next_layer;
   cost.assign(n, kUnreached);
-  heap.clear();
   out.out_channel.assign(n, topo::kInvalidChannel);
   out.dist.assign(n, kInf);
 
   cost[static_cast<std::size_t>(dest_sw)] = PathCost{0, 0.0};
-  heap_push(heap, HeapEntry{PathCost{0, 0.0}, 0, dest_sw});
-
-  while (!heap.empty()) {
-    const auto [c, state, u] = heap_pop(heap);
-    (void)state;
-    if (cost[static_cast<std::size_t>(u)] < c) continue;  // stale
-    // Relax the *reverse* of each out-channel of u: the forward channel
-    // v -> u extends v's path toward the destination.
-    for (topo::ChannelId out_ch : topo.switch_out(u)) {
-      const topo::Channel& oc = topo.channel(out_ch);
-      if (!oc.dst.is_switch()) continue;
-      const topo::ChannelId r = oc.reverse;  // v -> u
-      if (!admitted(topo, filter, r)) continue;
-      const auto v = static_cast<std::size_t>(oc.dst.index);
-      const PathCost nc{c.hops + 1, c.weight + weight_of(channel_weight, r)};
-      if (nc < cost[v] ||
-          (nc == cost[v] && out.out_channel[v] != topo::kInvalidChannel &&
-           r < out.out_channel[v])) {
-        const bool improved = nc < cost[v];
-        cost[v] = nc;
-        out.out_channel[v] = r;
-        if (improved) heap_push(heap, HeapEntry{nc, 0, oc.dst.index});
+  layer.assign(1, dest_sw);
+  for (std::int32_t hops = 1; !layer.empty(); ++hops) {
+    next.clear();
+    for (const topo::SwitchId u : layer) {
+      const double base = cost[static_cast<std::size_t>(u)].weight;
+      // Offer the *reverse* of each out-channel of u: the forward channel
+      // v -> u extends v's path toward the destination.
+      for (const topo::ChannelId out_ch : topo.switch_out(u)) {
+        const topo::Channel& oc = topo.channel(out_ch);
+        if (!oc.dst.is_switch()) continue;
+        const auto v = static_cast<std::size_t>(oc.dst.index);
+        if (cost[v].hops < hops) continue;  // settled nearer the root
+        const topo::ChannelId r = oc.reverse;  // v -> u
+        if (!admitted(topo, admit, r)) continue;
+        if (offer(cost[v], out.out_channel[v], hops,
+                  base + weight_of(channel_weight, r), r))
+          next.push_back(oc.dst.index);
       }
     }
+    std::swap(layer, next);
   }
   for (std::size_t v = 0; v < n; ++v)
-    if (!(cost[v] == kUnreached)) out.dist[v] = static_cast<double>(cost[v].hops);
-}
-
-SpfResult spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
-                 std::span<const double> channel_weight,
-                 const ChannelFilter& filter) {
-  SpfScratch scratch;
-  SpfResult res;
-  spf_to(topo, dest_sw, channel_weight, filter, scratch, res);
-  return res;
+    if (cost[v].hops != kUnreached.hops)
+      out.dist[v] = static_cast<double>(cost[v].hops);
 }
 
 void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
                    std::span<const std::int32_t> rank,
                    std::span<const double> channel_weight,
-                   const ChannelFilter& filter, SpfScratch& scratch,
-                   SpfResult& out) {
+                   SpfScratch& scratch, SpfResult& out) {
   const auto n = static_cast<std::size_t>(topo.num_switches());
   // State 0: still inside the forward-down segment (walking backward from
-  // the destination); state 1: inside the forward-up segment.
+  // the destination); state 1: inside the forward-up segment.  A layer
+  // entry is 2 * switch + state.
   std::vector<PathCost>* cost[2] = {&scratch.cost0, &scratch.cost1};
   std::vector<topo::ChannelId>* parent[2] = {&scratch.parent0,
                                              &scratch.parent1};
@@ -116,8 +101,8 @@ void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
     cost[s]->assign(n, kUnreached);
     parent[s]->assign(n, topo::kInvalidChannel);
   }
-  auto& heap = scratch.heap;
-  heap.clear();
+  auto& layer = scratch.layer;
+  auto& next = scratch.next_layer;
 
   // Forward hop v->u is "up" iff it moves toward the roots.
   auto forward_is_up = [&](topo::SwitchId v, topo::SwitchId u) {
@@ -128,38 +113,33 @@ void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
   };
 
   (*cost[0])[static_cast<std::size_t>(dest_sw)] = PathCost{0, 0.0};
-  heap_push(heap, HeapEntry{PathCost{0, 0.0}, 0, dest_sw});
-
-  while (!heap.empty()) {
-    const auto [c, state, u] = heap_pop(heap);
-    if ((*cost[state])[static_cast<std::size_t>(u)] < c) continue;
-    for (topo::ChannelId out_ch : topo.switch_out(u)) {
-      const topo::Channel& oc = topo.channel(out_ch);
-      if (!oc.dst.is_switch()) continue;
-      const topo::ChannelId r = oc.reverse;  // forward channel v -> u
-      if (!admitted(topo, filter, r)) continue;
-      const topo::SwitchId v = oc.dst.index;
-      const bool up_hop = forward_is_up(v, u);
-      std::int8_t next_state;
-      if (up_hop) {
-        next_state = 1;  // entering (or continuing) the forward-up segment
-      } else {
-        if (state != 0) continue;  // a down hop after up hops is illegal
-        next_state = 0;
-      }
-      const auto vi = static_cast<std::size_t>(v);
-      const PathCost nc{c.hops + 1, c.weight + weight_of(channel_weight, r)};
-      auto& dvec = *cost[next_state];
-      auto& pvec = *parent[next_state];
-      if (nc < dvec[vi] ||
-          (nc == dvec[vi] && pvec[vi] != topo::kInvalidChannel &&
-           r < pvec[vi])) {
-        const bool improved = nc < dvec[vi];
-        dvec[vi] = nc;
-        pvec[vi] = r;
-        if (improved) heap_push(heap, HeapEntry{nc, next_state, v});
+  layer.assign(1, 2 * dest_sw);
+  for (std::int32_t hops = 1; !layer.empty(); ++hops) {
+    next.clear();
+    for (const std::int32_t entry : layer) {
+      const topo::SwitchId u = entry / 2;
+      const int state = entry % 2;
+      const double base = (*cost[state])[static_cast<std::size_t>(u)].weight;
+      for (const topo::ChannelId out_ch : topo.switch_out(u)) {
+        const topo::Channel& oc = topo.channel(out_ch);
+        if (!oc.dst.is_switch()) continue;
+        const topo::SwitchId v = oc.dst.index;
+        int next_state = 1;  // entering (or continuing) the forward-up segment
+        if (!forward_is_up(v, u)) {
+          if (state != 0) continue;  // a down hop after up hops is illegal
+          next_state = 0;
+        }
+        const auto vi = static_cast<std::size_t>(v);
+        PathCost& cv = (*cost[next_state])[vi];
+        if (cv.hops < hops) continue;  // settled nearer the root
+        const topo::ChannelId r = oc.reverse;  // forward channel v -> u
+        if (!topo.channel(r).enabled) continue;
+        if (offer(cv, (*parent[next_state])[vi], hops,
+                  base + weight_of(channel_weight, r), r))
+          next.push_back(2 * v + next_state);
       }
     }
+    std::swap(layer, next);
   }
 
   out.out_channel.assign(n, topo::kInvalidChannel);
@@ -176,21 +156,11 @@ void updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
     // fabrics) a potential deadlock cycle.  Prefixing an up hop to *any*
     // stored path is always legal, so state-1 switches may reference
     // either kind of successor.
-    const std::int8_t best = !((*cost[0])[v] == kUnreached) ? 0 : 1;
-    if ((*cost[best])[v] == kUnreached) continue;
+    const int best = (*cost[0])[v].hops != kUnreached.hops ? 0 : 1;
+    if ((*cost[best])[v].hops == kUnreached.hops) continue;
     out.dist[v] = static_cast<double>((*cost[best])[v].hops);
     out.out_channel[v] = (*parent[best])[v];
   }
-}
-
-SpfResult updown_spf_to(const topo::Topology& topo, topo::SwitchId dest_sw,
-                        std::span<const std::int32_t> rank,
-                        std::span<const double> channel_weight,
-                        const ChannelFilter& filter) {
-  SpfScratch scratch;
-  SpfResult res;
-  updown_spf_to(topo, dest_sw, rank, channel_weight, filter, scratch, res);
-  return res;
 }
 
 }  // namespace hxsim::routing

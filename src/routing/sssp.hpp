@@ -43,7 +43,7 @@ class SsspEngine : public RoutingEngine {
 
   /// Attaches a phase-timer sink (not owned; may be nullptr to detach).
   /// compute() then accumulates wall time under "spf_trees" (parallel
-  /// Dijkstra batches) and "table_merge" (serial table + weight merge).
+  /// SPF batches) and "table_merge" (serial table + weight merge).
   /// Purely observational: the RouteResult is identical either way.
   void set_timings(obs::PhaseTimings* timings) noexcept {
     timings_ = timings;

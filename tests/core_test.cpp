@@ -101,18 +101,20 @@ TEST(Quadrant, ValidationRejectsOddDimensions) {
 
 TEST(Quadrant, PruneFilterRemovesOnlyIntraHalfLinks) {
   const HyperX hx(topo::small_hyperx_params());
-  const auto filter = parx_prune_filter(hx, 0);  // R1: left half
+  const std::vector<char> admit = parx_prune_mask(hx, 0);  // R1: left half
+  ASSERT_EQ(admit.size(), static_cast<std::size_t>(hx.topo().num_channels()));
   std::int32_t removed = 0;
   std::int32_t kept = 0;
   for (ChannelId ch = 0; ch < hx.topo().num_channels(); ++ch) {
+    const bool admitted = admit[static_cast<std::size_t>(ch)] != 0;
     if (!hx.topo().is_switch_channel(ch)) {
-      EXPECT_TRUE(filter(ch));  // terminal links never pruned
+      EXPECT_TRUE(admitted);  // terminal links never pruned
       continue;
     }
     const topo::Channel& c = hx.topo().channel(ch);
     const bool both_left = in_half(hx, c.src.index, Half::kLeft) &&
                            in_half(hx, c.dst.index, Half::kLeft);
-    EXPECT_EQ(filter(ch), !both_left);
+    EXPECT_EQ(admitted, !both_left);
     (both_left ? removed : kept) += 1;
   }
   // 4x4 left half = 2x4 sub-lattice: dim0 cables 1*4=4, dim1 cables

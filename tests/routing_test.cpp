@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -240,9 +241,29 @@ TEST(Forwarding, SelfSendIsTrivial) {
 
 // --- SPF ---------------------------------------------------------------------
 
+/// spf_to() on fresh scratch.
+SpfResult spf(const Topology& t, SwitchId dest,
+              std::span<const double> weight = {},
+              std::span<const char> admit = {}) {
+  SpfScratch scratch;
+  SpfResult tree;
+  spf_to(t, dest, weight, admit, scratch, tree);
+  return tree;
+}
+
+/// updown_spf_to() on fresh scratch.
+SpfResult updown_spf(const Topology& t, SwitchId dest,
+                     std::span<const std::int32_t> rank,
+                     std::span<const double> weight = {}) {
+  SpfScratch scratch;
+  SpfResult tree;
+  updown_spf_to(t, dest, rank, weight, scratch, tree);
+  return tree;
+}
+
 TEST(Spf, UnweightedDistancesMatchBfs) {
   const HyperX hx(topo::small_hyperx_params());
-  const SpfResult tree = spf_to(hx.topo(), 0);
+  const SpfResult tree = spf(hx.topo(), 0);
   for (SwitchId sw = 0; sw < hx.topo().num_switches(); ++sw)
     EXPECT_DOUBLE_EQ(tree.dist[static_cast<std::size_t>(sw)],
                      static_cast<double>(bfs_hops(hx.topo(), sw, 0)));
@@ -259,8 +280,9 @@ TEST(Spf, RespectsChannelFilter) {
   (void)unused1;
   // Forbid the direct a->c channel: a must route via b.
   const ChannelId ac = ab + 4;  // channels: ab, ba, bc, cb, ac, ca
-  const SpfResult tree =
-      spf_to(t, c, {}, [ac](ChannelId ch) { return ch != ac; });
+  std::vector<char> admit(static_cast<std::size_t>(t.num_channels()), 1);
+  admit[static_cast<std::size_t>(ac)] = 0;
+  const SpfResult tree = spf(t, c, {}, admit);
   EXPECT_DOUBLE_EQ(tree.dist[0], 2.0);
   const topo::Channel& first = t.channel(tree.out_channel[0]);
   EXPECT_EQ(first.dst.index, b);
@@ -280,7 +302,7 @@ TEST(Spf, HopCountDominatesWeights) {
   (void)unused;
   std::vector<double> w(static_cast<std::size_t>(t.num_channels()), 1.0);
   w[static_cast<std::size_t>(ac)] = 1000.0;  // direct is heavily loaded
-  const SpfResult tree = spf_to(t, c, w);
+  const SpfResult tree = spf(t, c, w);
   EXPECT_DOUBLE_EQ(tree.dist[0], 1.0);  // still direct
   EXPECT_EQ(tree.out_channel[0], ac);
 }
@@ -302,7 +324,7 @@ TEST(Spf, WeightsBreakTiesAmongMinimalPaths) {
   (void)unused4;
   std::vector<double> w(static_cast<std::size_t>(t.num_channels()), 1.0);
   w[static_cast<std::size_t>(ab)] = 5.0;  // load the b branch
-  const SpfResult tree = spf_to(t, d, w);
+  const SpfResult tree = spf(t, d, w);
   EXPECT_DOUBLE_EQ(tree.dist[0], 2.0);
   EXPECT_EQ(tree.out_channel[0], ac);
   (void)bd;
@@ -313,9 +335,221 @@ TEST(Spf, UnreachableIsInfinite) {
   Topology t("unreach");
   t.add_switch();
   t.add_switch();  // no links
-  const SpfResult tree = spf_to(t, 0);
+  const SpfResult tree = spf(t, 0);
   EXPECT_TRUE(std::isinf(tree.dist[1]));
   EXPECT_FALSE(tree.reachable(1));
+}
+
+// The heap-Dijkstra SPF cores the hop-layered sweeps replaced, kept as the
+// reference the sweeps must reproduce switch for switch: the same
+// relaxation and tie rule, with the (hops, weight) order spelled out in
+// less()/same() and the admission test reading a mask.
+namespace heap_reference {
+
+using detail::PathCost;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr PathCost kUnreached{std::numeric_limits<std::int32_t>::max(), kInf};
+
+bool less(const PathCost& a, const PathCost& b) {
+  if (a.hops != b.hops) return a.hops < b.hops;
+  return a.weight < b.weight;
+}
+bool same(const PathCost& a, const PathCost& b) {
+  return a.hops == b.hops && a.weight == b.weight;
+}
+
+struct HeapEntry {
+  PathCost cost;
+  std::int8_t state = 0;
+  SwitchId sw = 0;
+};
+
+struct HeapLater {
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    return less(b.cost, a.cost);
+  }
+};
+
+void heap_push(std::vector<HeapEntry>& heap, HeapEntry e) {
+  heap.push_back(e);
+  std::push_heap(heap.begin(), heap.end(), HeapLater{});
+}
+
+HeapEntry heap_pop(std::vector<HeapEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), HeapLater{});
+  const HeapEntry e = heap.back();
+  heap.pop_back();
+  return e;
+}
+
+double weight_of(std::span<const double> w, ChannelId ch) {
+  return w.empty() ? 1.0 : w[static_cast<std::size_t>(ch)];
+}
+
+bool admitted(const Topology& topo, std::span<const char> admit,
+              ChannelId ch) {
+  if (!topo.channel(ch).enabled) return false;
+  return admit.empty() || admit[static_cast<std::size_t>(ch)] != 0;
+}
+
+SpfResult spf_to(const Topology& topo, SwitchId dest_sw,
+                 std::span<const double> channel_weight,
+                 std::span<const char> admit) {
+  const auto n = static_cast<std::size_t>(topo.num_switches());
+  std::vector<PathCost> cost(n, kUnreached);
+  std::vector<HeapEntry> heap;
+  SpfResult out;
+  out.out_channel.assign(n, topo::kInvalidChannel);
+  out.dist.assign(n, kInf);
+
+  cost[static_cast<std::size_t>(dest_sw)] = PathCost{0, 0.0};
+  heap_push(heap, HeapEntry{PathCost{0, 0.0}, 0, dest_sw});
+  while (!heap.empty()) {
+    const auto [c, state, u] = heap_pop(heap);
+    (void)state;
+    if (less(cost[static_cast<std::size_t>(u)], c)) continue;  // stale
+    for (ChannelId out_ch : topo.switch_out(u)) {
+      const topo::Channel& oc = topo.channel(out_ch);
+      if (!oc.dst.is_switch()) continue;
+      const ChannelId r = oc.reverse;  // v -> u
+      if (!admitted(topo, admit, r)) continue;
+      const auto v = static_cast<std::size_t>(oc.dst.index);
+      const PathCost nc{c.hops + 1, c.weight + weight_of(channel_weight, r)};
+      if (less(nc, cost[v]) ||
+          (same(nc, cost[v]) && out.out_channel[v] != topo::kInvalidChannel &&
+           r < out.out_channel[v])) {
+        const bool improved = less(nc, cost[v]);
+        cost[v] = nc;
+        out.out_channel[v] = r;
+        if (improved) heap_push(heap, HeapEntry{nc, 0, oc.dst.index});
+      }
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v)
+    if (!same(cost[v], kUnreached))
+      out.dist[v] = static_cast<double>(cost[v].hops);
+  return out;
+}
+
+SpfResult updown_spf_to(const Topology& topo, SwitchId dest_sw,
+                        std::span<const std::int32_t> rank,
+                        std::span<const double> channel_weight) {
+  const auto n = static_cast<std::size_t>(topo.num_switches());
+  std::vector<PathCost> cost[2] = {std::vector<PathCost>(n, kUnreached),
+                                   std::vector<PathCost>(n, kUnreached)};
+  std::vector<ChannelId> parent[2] = {
+      std::vector<ChannelId>(n, topo::kInvalidChannel),
+      std::vector<ChannelId>(n, topo::kInvalidChannel)};
+  std::vector<HeapEntry> heap;
+
+  auto forward_is_up = [&](SwitchId v, SwitchId u) {
+    const auto rv = rank[static_cast<std::size_t>(v)];
+    const auto ru = rank[static_cast<std::size_t>(u)];
+    if (ru != rv) return ru < rv;
+    return u < v;
+  };
+
+  cost[0][static_cast<std::size_t>(dest_sw)] = PathCost{0, 0.0};
+  heap_push(heap, HeapEntry{PathCost{0, 0.0}, 0, dest_sw});
+  while (!heap.empty()) {
+    const auto [c, state, u] = heap_pop(heap);
+    if (less(cost[state][static_cast<std::size_t>(u)], c)) continue;
+    for (ChannelId out_ch : topo.switch_out(u)) {
+      const topo::Channel& oc = topo.channel(out_ch);
+      if (!oc.dst.is_switch()) continue;
+      const ChannelId r = oc.reverse;  // forward channel v -> u
+      if (!admitted(topo, {}, r)) continue;
+      const SwitchId v = oc.dst.index;
+      std::int8_t next_state;
+      if (forward_is_up(v, u)) {
+        next_state = 1;
+      } else {
+        if (state != 0) continue;
+        next_state = 0;
+      }
+      const auto vi = static_cast<std::size_t>(v);
+      const PathCost nc{c.hops + 1, c.weight + weight_of(channel_weight, r)};
+      auto& dvec = cost[next_state];
+      auto& pvec = parent[next_state];
+      if (less(nc, dvec[vi]) ||
+          (same(nc, dvec[vi]) && pvec[vi] != topo::kInvalidChannel &&
+           r < pvec[vi])) {
+        const bool improved = less(nc, dvec[vi]);
+        dvec[vi] = nc;
+        pvec[vi] = r;
+        if (improved) heap_push(heap, HeapEntry{nc, next_state, v});
+      }
+    }
+  }
+
+  SpfResult out;
+  out.out_channel.assign(n, topo::kInvalidChannel);
+  out.dist.assign(n, kInf);
+  out.dist[static_cast<std::size_t>(dest_sw)] = 0.0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (static_cast<SwitchId>(v) == dest_sw) continue;
+    const std::int8_t best = !same(cost[0][v], kUnreached) ? 0 : 1;
+    if (same(cost[best][v], kUnreached)) continue;
+    out.dist[v] = static_cast<double>(cost[best][v].hops);
+    out.out_channel[v] = parent[best][v];
+  }
+  return out;
+}
+
+}  // namespace heap_reference
+
+TEST(Spf, LayeredSweepsMatchHeapDijkstra) {
+  // Faulted small HyperX and fat-tree fabrics (some cut apart), channel
+  // weights from {1, 2, 3} so equal-weight ties are common, a random
+  // admission mask for spf_to and random ranks for updown_spf_to: both
+  // sweeps must pick the reference's out-channel and hop count at every
+  // switch, for every destination.
+  SpfScratch scratch;
+  SpfResult got;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    stats::Rng rng(seed);
+    const bool hyperx = seed % 2 == 1;
+    std::optional<HyperX> hx;
+    std::optional<FatTree> ft;
+    if (hyperx) {
+      hx.emplace(topo::random_hyperx_params(rng, 36, 72));
+    } else {
+      ft.emplace(topo::random_fat_tree_params(rng, 40, 64));
+    }
+    Topology& t = hyperx ? hx->topo() : ft->topo();
+    const bool keep_connected = seed % 4 < 2;
+    topo::inject_link_faults(t, 1 + static_cast<std::int32_t>(seed % 5), seed,
+                             keep_connected);
+
+    const auto channels = static_cast<std::size_t>(t.num_channels());
+    std::vector<double> weight(channels);
+    std::vector<char> admit(channels);
+    for (std::size_t ch = 0; ch < channels; ++ch) {
+      weight[ch] = static_cast<double>(rng.uniform_int(1, 3));
+      admit[ch] = rng.uniform() < 0.85 ? 1 : 0;
+    }
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(t.num_switches()));
+    for (auto& r : rank) r = static_cast<std::int32_t>(rng.uniform_int(0, 3));
+
+    for (SwitchId dest = 0; dest < t.num_switches(); ++dest) {
+      const SpfResult want =
+          heap_reference::spf_to(t, dest, weight, admit);
+      spf_to(t, dest, weight, admit, scratch, got);
+      ASSERT_EQ(got.out_channel, want.out_channel)
+          << "spf_to seed " << seed << " dest " << dest;
+      ASSERT_EQ(got.dist, want.dist)
+          << "spf_to seed " << seed << " dest " << dest;
+
+      const SpfResult want_ud =
+          heap_reference::updown_spf_to(t, dest, rank, weight);
+      updown_spf_to(t, dest, rank, weight, scratch, got);
+      ASSERT_EQ(got.out_channel, want_ud.out_channel)
+          << "updown_spf_to seed " << seed << " dest " << dest;
+      ASSERT_EQ(got.dist, want_ud.dist)
+          << "updown_spf_to seed " << seed << " dest " << dest;
+    }
+  }
 }
 
 TEST(UpdownSpf, ForbidsDownThenUp) {
@@ -332,7 +566,7 @@ TEST(UpdownSpf, ForbidsDownThenUp) {
   t.connect(a, v);
   t.connect(b, v);
   const std::vector<std::int32_t> rank{0, 1, 1, 2};
-  const SpfResult tree = updown_spf_to(t, b, rank);
+  const SpfResult tree = updown_spf(t, b, rank);
   ASSERT_TRUE(tree.reachable(a));
   EXPECT_EQ(t.channel(tree.out_channel[static_cast<std::size_t>(a)]).dst.index,
             r);
@@ -368,7 +602,7 @@ TEST(UpdownSpf, DownCapableSwitchesStoreTheDownPath) {
   // would prefer a -> m -> d (up, down).  Consistency demands a -> d.
   std::vector<double> w(static_cast<std::size_t>(t.num_channels()), 1.0);
   w[static_cast<std::size_t>(ad)] = 100.0;
-  const SpfResult tree = updown_spf_to(t, d, rank, w);
+  const SpfResult tree = updown_spf(t, d, rank, w);
   ASSERT_TRUE(tree.reachable(a));
   EXPECT_EQ(tree.out_channel[static_cast<std::size_t>(a)], ad);
 }
@@ -682,6 +916,16 @@ TEST(VlLayering, SplitsCyclicPathsAcrossLayers) {
   // Edge 2->0 closes the cycle on layer 0; must land on layer 1.
   EXPECT_EQ(layering.place_path(std::vector<std::int32_t>{2, 0}), 1);
   EXPECT_EQ(layering.layers_used(), 2);
+}
+
+TEST(VlLayering, RemembersOnlyRefusalsOfCommittedDependencies) {
+  VlLayering layering(3, 2);
+  EXPECT_EQ(layering.place_path(std::vector<std::int32_t>{2, 0}), 0);
+  // Lane 0 refuses 1->2 only because of this path's own trial edge 0->1
+  // (1->2->0->1), so that refusal must not be remembered ...
+  EXPECT_EQ(layering.place_path(std::vector<std::int32_t>{0, 1, 2}), 1);
+  // ... and 1->2 alone fits lane 0, which holds just 2->0.
+  EXPECT_EQ(layering.place_path(std::vector<std::int32_t>{1, 2}), 0);
 }
 
 TEST(VlLayering, ReturnsMinusOneWhenBudgetExceeded) {
