@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <optional>
 
 #include "experiments/experiments.hpp"
@@ -14,6 +15,34 @@ const workloads::PaperSystem& shared_system(bool small_scale) {
     slot.emplace(opts);
   }
   return *slot;
+}
+
+std::vector<Demand> uniform_demands(std::int32_t nodes) {
+  std::vector<Demand> demands;
+  demands.reserve(static_cast<std::size_t>(nodes) *
+                  static_cast<std::size_t>(nodes - 1));
+  const double w = 1.0 / static_cast<double>(nodes - 1);
+  for (topo::NodeId i = 0; i < nodes; ++i)
+    for (topo::NodeId j = 0; j < nodes; ++j)
+      if (i != j) demands.push_back(Demand{i, j, w});
+  return demands;
+}
+
+double saturation_throughput(const mpi::Cluster& cluster,
+                             std::span<const Demand> demands,
+                             std::uint64_t seed) {
+  std::vector<double> load(
+      static_cast<std::size_t>(cluster.topo().num_channels()), 0.0);
+  stats::Rng rng(seed);
+  for (const Demand& d : demands) {
+    const auto msg = cluster.route_message(d.src, d.dst, 1 << 20, rng);
+    if (!msg) continue;
+    for (topo::ChannelId ch : msg->path)
+      load[static_cast<std::size_t>(ch)] += d.weight;
+  }
+  double worst = 0.0;
+  for (double l : load) worst = std::max(worst, l);
+  return worst > 0.0 ? std::min(1.0, 1.0 / worst) : 1.0;
 }
 
 void register_all_experiments(report::Registry& registry) {

@@ -3,7 +3,7 @@
 //
 //  - Engine phases, single thread: the reference, indexed and adaptive
 //    cores take turns pass by pass over a phase's flow sets, through
-//    solve_active on caller scratch (mpi::RoundRunner's path), and each
+//    FlowSim::solve on caller scratch (mpi::RoundRunner's path), and each
 //    keeps its fastest warm pass -- light sets solve in well under a millisecond,
 //    where a burst of host noise would otherwise land on whichever core
 //    happened to be running.  The congested phases (several permutations
@@ -162,15 +162,12 @@ std::vector<EngineTiming> time_engines(
     solvers.emplace_back(topo, sim::LinkModel{}, engine);
   std::vector<sim::FlowSim::SolveScratch> scratch(engines.size());
   std::vector<EngineTiming> t(engines.size());
-  std::vector<std::vector<char>> active(sets.size());
   std::int64_t freezes = 0;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    active[i].assign(sets[i].size(), 1);
-    freezes += static_cast<std::int64_t>(sets[i].size());
-  }
+  for (const std::vector<sim::Flow>& set : sets)
+    freezes += static_cast<std::int64_t>(set.size());
   const auto pass = [&](std::size_t e) {
     for (std::size_t i = 0; i < sets.size(); ++i)
-      solvers[e].solve_active(sets[i], active[i], t[e].rates[i], scratch[e]);
+      solvers[e].solve(sets[i], t[e].rates[i], scratch[e]);
   };
   for (std::size_t e = 0; e < engines.size(); ++e) {
     t[e].rates.resize(sets.size());

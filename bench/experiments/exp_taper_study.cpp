@@ -12,25 +12,6 @@ namespace hxsim::bench {
 
 namespace {
 
-double uniform_saturation(const mpi::Cluster& cluster, std::uint64_t seed) {
-  const std::int32_t n = cluster.num_nodes();
-  std::vector<double> load(
-      static_cast<std::size_t>(cluster.topo().num_channels()), 0.0);
-  stats::Rng rng(seed);
-  const double w = 1.0 / static_cast<double>(n - 1);
-  for (topo::NodeId i = 0; i < n; ++i)
-    for (topo::NodeId j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const auto msg = cluster.route_message(i, j, 1 << 20, rng);
-      if (!msg) continue;
-      for (topo::ChannelId ch : msg->path)
-        load[static_cast<std::size_t>(ch)] += w;
-    }
-  double worst = 0.0;
-  for (double l : load) worst = std::max(worst, l);
-  return worst > 0.0 ? std::min(1.0, 1.0 / worst) : 1.0;
-}
-
 report::ResultSet run(const report::Options& options) {
   report::ResultSet rs;
 
@@ -50,7 +31,8 @@ report::ResultSet run(const report::Options& options) {
     // Leaf-stage cables = populated-leaf uplinks (arity/taper each).
     const std::int64_t leaf_cables =
         static_cast<std::int64_t>(p.populated_leaves) * (p.arity / taper);
-    const double alpha = uniform_saturation(cluster, options.seed);
+    const double alpha = saturation_throughput(
+        cluster, uniform_demands(cluster.num_nodes()), options.seed);
     std::string expect;
     if (taper == 1)
       expect = "full bisection: ~1.0";

@@ -2,7 +2,6 @@
 // ("the various flies"), all at 672 nodes; hardware cost, routed path
 // lengths, deadlock-freedom cost (VLs), and throughput under the uniform
 // and adversarial-shift matrices.
-#include <algorithm>
 #include <memory>
 
 #include "experiments/experiments.hpp"
@@ -25,35 +24,13 @@ struct Plane {
   std::unique_ptr<mpi::Cluster> cluster;
 };
 
-double saturation(const mpi::Cluster& cluster, bool adversarial,
-                  std::uint64_t seed) {
-  const std::int32_t n = cluster.num_nodes();
-  std::vector<double> load(
-      static_cast<std::size_t>(cluster.topo().num_channels()), 0.0);
-  stats::Rng rng(seed);
-  if (!adversarial) {
-    const double w = 1.0 / static_cast<double>(n - 1);
-    for (topo::NodeId i = 0; i < n; ++i)
-      for (topo::NodeId j = 0; j < n; ++j) {
-        if (i == j) continue;
-        auto msg = cluster.route_message(i, j, 1 << 20, rng);
-        if (!msg) continue;
-        for (topo::ChannelId ch : msg->path)
-          load[static_cast<std::size_t>(ch)] += w;
-      }
-  } else {
-    // Worst-ish case for direct topologies: pair node i with the node
-    // "half the machine away" (same linear shift for every plane).
-    for (topo::NodeId i = 0; i < n; ++i) {
-      auto msg = cluster.route_message(i, (i + n / 2) % n, 1 << 20, rng);
-      if (!msg) continue;
-      for (topo::ChannelId ch : msg->path)
-        load[static_cast<std::size_t>(ch)] += 1.0;
-    }
-  }
-  double worst = 0.0;
-  for (double l : load) worst = std::max(worst, l);
-  return worst > 0.0 ? std::min(1.0, 1.0 / worst) : 1.0;
+/// The worst-ish case for direct topologies: node i sends to the node
+/// "half the machine away" (the same linear shift on every plane).
+std::vector<Demand> half_shift_demands(std::int32_t n) {
+  std::vector<Demand> demands;
+  for (topo::NodeId i = 0; i < n; ++i)
+    demands.push_back(Demand{i, (i + n / 2) % n, 1.0});
+  return demands;
 }
 
 stats::Summary hops(const mpi::Cluster& cluster, std::uint64_t seed) {
@@ -107,8 +84,11 @@ report::ResultSet run(const report::Options& options) {
                           "VLs", "uniform alpha", "shift alpha"});
   for (const Plane& plane : planes) {
     const stats::Summary h = hops(*plane.cluster, options.seed);
-    const double uniform = saturation(*plane.cluster, false, options.seed);
-    const double shift = saturation(*plane.cluster, true, options.seed);
+    const std::int32_t n = plane.cluster->num_nodes();
+    const double uniform =
+        saturation_throughput(*plane.cluster, uniform_demands(n), options.seed);
+    const double shift = saturation_throughput(
+        *plane.cluster, half_shift_demands(n), options.seed);
     out.add_row({plane.name, std::to_string(plane.topology->num_switches()),
                  std::to_string(plane.topology->num_switch_links()),
                  stats::format_fixed(h.median, 0) + "/" +

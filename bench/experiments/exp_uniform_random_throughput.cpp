@@ -2,7 +2,6 @@
 // Measures the design claims ("a HyperX with only 50% bisection can still
 // provide ~100% throughput for uniform random traffic; worst-case traffic
 // only achieves ~50%") on the un-degraded planes.
-#include <algorithm>
 #include <vector>
 
 #include "core/quadrant.hpp"
@@ -14,30 +13,6 @@
 namespace hxsim::bench {
 
 namespace {
-
-struct Demand {
-  topo::NodeId src;
-  topo::NodeId dst;
-  double weight;  // fraction of the source's unit injection
-};
-
-/// alpha = min over channels of capacity / load (capacity == 1 unit).
-double saturation_throughput(const mpi::Cluster& cluster,
-                             const std::vector<Demand>& demands,
-                             std::uint64_t seed) {
-  std::vector<double> load(
-      static_cast<std::size_t>(cluster.topo().num_channels()), 0.0);
-  stats::Rng rng(seed);
-  for (const Demand& d : demands) {
-    auto msg = cluster.route_message(d.src, d.dst, 1 << 20, rng);
-    if (!msg) continue;
-    for (topo::ChannelId ch : msg->path)
-      load[static_cast<std::size_t>(ch)] += d.weight;
-  }
-  double worst = 0.0;
-  for (double l : load) worst = std::max(worst, l);
-  return worst > 0.0 ? std::min(1.0, 1.0 / worst) : 1.0;
-}
 
 /// Complementary metric: mean max-min fair rate (fraction of injection
 /// bandwidth) -- less pessimistic than the worst-channel alpha, because
@@ -73,15 +48,6 @@ report::ResultSet run(const report::Options& options) {
   const auto& hx = system.hyperx();
   stats::Rng rng(options.seed);
 
-  auto uniform = [&] {
-    std::vector<Demand> demands;
-    demands.reserve(static_cast<std::size_t>(n) * (n - 1));
-    const double w = 1.0 / static_cast<double>(n - 1);
-    for (topo::NodeId i = 0; i < n; ++i)
-      for (topo::NodeId j = 0; j < n; ++j)
-        if (i != j) demands.push_back(Demand{i, j, w});
-    return demands;
-  };
   auto permutation = [&] {
     std::vector<Demand> demands;
     const auto perm = rng.permutation(n);
@@ -119,7 +85,7 @@ report::ResultSet run(const report::Options& options) {
     const char* expect;
   };
   std::vector<Row> rows;
-  rows.push_back({"uniform (design point)", "uniform", uniform(),
+  rows.push_back({"uniform (design point)", "uniform", uniform_demands(n),
                   "HyperX ~1.0 despite 57% bisection"});
   rows.push_back({"random permutation", "perm", permutation(),
                   "mean high; worst channel collides [30]"});

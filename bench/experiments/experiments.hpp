@@ -14,6 +14,8 @@
 // so a run fails even without the claims check.
 #pragma once
 
+#include <span>
+
 #include "bench_common.hpp"
 #include "report/experiment.hpp"
 
@@ -23,6 +25,25 @@ namespace hxsim::bench {
 /// the process (building the 972-switch tree's routings costs seconds;
 /// the pipeline would otherwise pay it 10+ times).
 [[nodiscard]] const workloads::PaperSystem& shared_system(bool small_scale);
+
+/// A traffic-matrix entry: src sends `weight` of its unit injection to dst.
+struct Demand {
+  topo::NodeId src;
+  topo::NodeId dst;
+  double weight;
+};
+
+/// Uniform traffic over `nodes` nodes: every ordered pair of distinct
+/// nodes, in (src, dst) order, at weight 1 / (nodes - 1).
+[[nodiscard]] std::vector<Demand> uniform_demands(std::int32_t nodes);
+
+/// Saturation throughput alpha = min(1, 1 / max channel load), channel
+/// capacity being one unit: routes the demands in order
+/// (route_message(src, dst, 1 MiB) drawing from Rng(seed)), adds each
+/// weight to every channel of its path and skips unroutable demands.
+[[nodiscard]] double saturation_throughput(const mpi::Cluster& cluster,
+                                           std::span<const Demand> demands,
+                                           std::uint64_t seed);
 
 // One factory per experiment, defined in exp_<id>.cpp.
 report::Experiment fig1_mpigraph_experiment();

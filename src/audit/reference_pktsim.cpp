@@ -355,7 +355,6 @@ class ReferenceEngine {
     RefPacket& p = packets_[static_cast<std::size_t>(pkt)];
     ++result_.packets_dropped;
     ++result_.dropped_by_cause[static_cast<std::size_t>(cause)];
-    if (trace_ != nullptr) trace_->on_drop(cause);
     if (p.held != topo::kInvalidChannel) {
       RefChannelState& hst = channels_[static_cast<std::size_t>(p.held)];
       if (hst.downstream_is_switch) {
@@ -377,13 +376,11 @@ class ReferenceEngine {
     if (retries_left_[m] == 0) {
       result_.message_status[m] = PktMessageStatus::kAbandoned;
       ++result_.messages_abandoned;
-      if (trace_ != nullptr) trace_->on_abandon();
       return;
     }
     --retries_left_[m];
     const std::int32_t attempt = ++attempt_[m];
     ++result_.retries;
-    if (trace_ != nullptr) trace_->on_retry();
     const double delay =
         backoff_delay(online_->retry, attempt, retry_rng_.uniform());
     events_.schedule_in(delay, [this, m] { retry(m); });

@@ -140,10 +140,6 @@ class Transport {
   /// threads: exec::default_threads() at construction.
   Transport(const Cluster& cluster, Placement placement, std::uint64_t seed);
 
-  [[nodiscard]] const Placement& placement() const noexcept {
-    return placement_;
-  }
-
   /// Executes the schedule; returns total time [s].
   /// Throws std::runtime_error if any message is unroutable and
   /// std::out_of_range if a message names a rank outside the placement.

@@ -25,7 +25,6 @@ RoundRunner::Slot& RoundRunner::next(std::size_t index, std::size_t messages) {
     slot.ends.resize(messages);
   }
   slot.rates.resize(messages);
-  if (active_.size() < messages) active_.resize(messages, 1);
   return slot;
 }
 
@@ -75,10 +74,8 @@ void RoundRunner::run_stripe(std::size_t stripe, std::size_t stripes) {
     Slot& slot = slot_at(block_begin_ + i);
     walk_round(slot);
     if (slot.reuse) continue;
-    solver_.solve_active(
-        std::span<const sim::Flow>(slot.flows.data(), slot.size),
-        std::span<const char>(active_.data(), slot.size), slot.rates,
-        scratch);
+    solver_.solve(std::span<const sim::Flow>(slot.flows.data(), slot.size),
+                  slot.rates, scratch);
   }
 }
 

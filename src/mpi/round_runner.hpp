@@ -8,7 +8,7 @@
 // -- endpoints and the drawn LID index of every message (draw) -- and
 // pushes it.  Every kBlockRounds rounds, and at flush, the runner's pool
 // walks the block's rounds (Cluster::walk_path) and solves them (one
-// FlowSim::solve_active per round), striped over one scratch per thread,
+// FlowSim::solve per round), striped over one scratch per thread,
 // each task writing only its own rounds' slots.  Then the caller reads
 // each round's rates, in round order, on the calling thread.  A round that
 // walks exactly the previous round's paths (same endpoints, drawn LIDs and
@@ -156,8 +156,6 @@ class RoundRunner {
   std::size_t block_size_ = 0;
   std::size_t max_path_ = 0;  // path buffers are reserved to this length
   std::int64_t reused_rounds_ = 0;
-
-  std::vector<char> active_;  // all 1, as long as the largest round
   std::vector<sim::FlowSim::SolveScratch> scratch_;  // one per thread
 };
 

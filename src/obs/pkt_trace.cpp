@@ -15,9 +15,6 @@ std::string_view to_string(PktDropCause cause) noexcept {
 void PktTrace::reset(std::int32_t num_channels, std::int32_t num_vls) {
   num_channels_ = num_channels;
   num_vls_ = num_vls;
-  drops_.fill(0);
-  retries_ = 0;
-  abandoned_ = 0;
   const std::size_t n = static_cast<std::size_t>(num_channels) *
                         static_cast<std::size_t>(num_vls);
   counters_.assign(n, ChannelVlCounters{});

@@ -29,7 +29,6 @@
 //                      the exhausted buffers.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -127,20 +126,6 @@ class PktTrace {
     counters_[index(ch, vl)].final_credits = credits;
   }
 
-  // --- online-fault hooks (sim/online.hpp); scalar, not per-channel ------
-
-  void on_drop(PktDropCause cause) {
-    ++drops_[static_cast<std::size_t>(cause)];
-  }
-  void on_retry() { ++retries_; }
-  void on_abandon() { ++abandoned_; }
-
-  [[nodiscard]] std::int64_t drops(PktDropCause cause) const noexcept {
-    return drops_[static_cast<std::size_t>(cause)];
-  }
-  [[nodiscard]] std::int64_t retries() const noexcept { return retries_; }
-  [[nodiscard]] std::int64_t abandoned() const noexcept { return abandoned_; }
-
   /// Closes every open stall window and depth integral at `end_time`.
   void finalize(double end_time);
 
@@ -156,9 +141,6 @@ class PktTrace {
 
   std::int32_t num_channels_ = 0;
   std::int32_t num_vls_ = 0;
-  std::array<std::int64_t, kNumPktDropCauses> drops_{};
-  std::int64_t retries_ = 0;
-  std::int64_t abandoned_ = 0;
   std::vector<ChannelVlCounters> counters_;
   // Transient accounting state, parallel to counters_.
   std::vector<double> blocked_since_;  // -1: no open stall window

@@ -49,7 +49,7 @@ std::vector<std::int32_t> UpDownEngine::compute_ranks(
 
 RouteResult UpDownEngine::compute(const topo::Topology& topo,
                                   const LidSpace& lids) {
-  ranks_ = compute_ranks(topo);
+  const std::vector<std::int32_t> ranks = compute_ranks(topo);
 
   RouteResult res;
   res.tables = ForwardingTables(topo.num_switches(), lids.max_lid());
@@ -72,7 +72,7 @@ RouteResult UpDownEngine::compute(const topo::Topology& topo,
         Scratch& sc = arena.local(worker);
         const Lid dlid = all[static_cast<std::size_t>(d)];
         const LidSpace::Owner owner = lids.owner(dlid);
-        updown_spf_to(topo, topo.attach_switch(owner.node), ranks_, {},
+        updown_spf_to(topo, topo.attach_switch(owner.node), ranks, {},
                       sc.spf, sc.tree);
         unreachable[static_cast<std::size_t>(d)] = apply_tree_to_tables(
             topo, sc.tree, owner.node, dlid, res.tables);

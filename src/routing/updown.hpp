@@ -30,18 +30,12 @@ class UpDownEngine final : public RoutingEngine {
   [[nodiscard]] RouteResult compute(const topo::Topology& topo,
                                     const LidSpace& lids) override;
 
-  /// BFS ranks used by the last compute() (exposed for tests).
-  [[nodiscard]] const std::vector<std::int32_t>& ranks() const noexcept {
-    return ranks_;
-  }
-
  private:
   [[nodiscard]] std::vector<std::int32_t> compute_ranks(
       const topo::Topology& topo) const;
 
   topo::SwitchId root_;
   std::int32_t threads_;
-  std::vector<std::int32_t> ranks_;
 };
 
 }  // namespace hxsim::routing

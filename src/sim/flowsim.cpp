@@ -52,18 +52,23 @@ void FlowSim::set_capacity(topo::ChannelId ch, double bytes_per_s) {
   capacity_.at(static_cast<std::size_t>(ch)) = bytes_per_s;
 }
 
-void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
-                    std::span<double> rate, SolveScratch& scratch,
-                    obs::FlowSolveRecord* record) const {
+void FlowSim::solve(std::span<const Flow> flows, std::span<double> rate,
+                    SolveScratch& scratch, obs::FlowSolveRecord* record) const {
+  if (rate.size() != flows.size())
+    throw std::invalid_argument("FlowSim::solve: " +
+                                std::to_string(rate.size()) + " rates for " +
+                                std::to_string(flows.size()) + " flows");
+  validate(flows);
+
   // Progressive filling: all unfrozen flows share one common rate level
   // that rises until some channel saturates; flows crossing a saturated
   // channel freeze at the level, and the level keeps rising for the rest.
   //
-  // Only channels actually crossed by an active flow matter, so the state
-  // is kept compact (full-fabric channel vectors would dominate the cost
-  // on large fat-trees).  The full-width local_of map persists in the
-  // scratch and is un-dirtied via the used list on the way out, so reusing
-  // a scratch keeps every solve allocation-free after warm-up.
+  // Only channels actually crossed by a flow matter, so the state is kept
+  // compact (full-fabric channel vectors would dominate the cost on large
+  // fat-trees).  The full-width local_of map persists in the scratch and
+  // is un-dirtied via the used list on the way out, so reusing a scratch
+  // keeps every solve allocation-free after warm-up.
   auto& local_of = scratch.local_of;
   auto& used = scratch.used;
   auto& frozen = scratch.frozen;
@@ -85,7 +90,6 @@ void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
   std::size_t remaining = 0;
   std::size_t total_hops = 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active[f]) continue;
     if (flows[f].channels.empty()) {
       rate[f] = kInf;  // self-send: no network resource consumed
       continue;
@@ -113,24 +117,22 @@ void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
     record->active_flows = static_cast<std::int32_t>(remaining);
     scratch.ever_saturated.assign(nused, 0);
   }
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active[f]) continue;
-    for (topo::ChannelId ch : flows[f].channels)
+  for (const Flow& flow : flows)
+    for (topo::ChannelId ch : flow.channels)
       ++unfrozen_count[static_cast<std::size_t>(
           local_of[static_cast<std::size_t>(ch)])];
-  }
 
   if (engine_ == SolverEngine::kIndexed) {
-    fill_indexed(flows, active, rate, scratch, record, remaining);
+    fill_indexed(flows, rate, scratch, record, remaining);
   } else {
     const std::size_t budget = engine_ == SolverEngine::kReference
                                    ? std::numeric_limits<std::size_t>::max()
                                    : kHandoffRescans * total_hops;
-    remaining = fill_rescan(flows, active, rate, scratch, record, remaining,
+    remaining = fill_rescan(flows, rate, scratch, record, remaining,
                             total_hops, budget);
     if (remaining > 0) {
       ++scratch.handoffs;
-      fill_indexed(flows, active, rate, scratch, record, remaining);
+      fill_indexed(flows, rate, scratch, record, remaining);
     }
   }
 
@@ -139,7 +141,6 @@ void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
 }
 
 std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
-                                 std::span<const char> active,
                                  std::span<double> rate,
                                  SolveScratch& scratch,
                                  obs::FlowSolveRecord* record,
@@ -155,8 +156,8 @@ std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
   const std::size_t nused = used.size();
   saturated.assign(nused, 0);
   // Worklist of channels still carrying unfrozen flows.  Every used
-  // channel starts with unfrozen_count >= 1 (it got into `used` via an
-  // active flow's path); the list is compacted after each level so the
+  // channel starts with unfrozen_count >= 1 (it got into `used` via a
+  // flow's path); the list is compacted after each level so the
   // late, sparse filling rounds scan only the few still-live channels
   // instead of all nused.  Dropped channels are never consulted again:
   // a flow is skipped once frozen, and an *unfrozen* flow's channels all
@@ -186,7 +187,7 @@ std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
       // Mark the survivors explicitly so their rates are never stale
       // values from a previous solve of the same scratch/rate buffer.
       for (std::size_t f = 0; f < flows.size(); ++f) {
-        if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
+        if (frozen[f] || flows[f].channels.empty()) continue;
         frozen[f] = 1;
         rate[f] = 0.0;
       }
@@ -221,7 +222,7 @@ std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
     bool froze_any = false;
     std::int32_t froze_count = 0;
     for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
+      if (frozen[f] || flows[f].channels.empty()) continue;
       bool hit = false;
       for (topo::ChannelId ch : flows[f].channels) {
         if (saturated[static_cast<std::size_t>(
@@ -247,7 +248,7 @@ std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
     if (!froze_any) {
       // Numerical guard: freeze everything at the current level.
       for (std::size_t f = 0; f < flows.size(); ++f) {
-        if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
+        if (frozen[f] || flows[f].channels.empty()) continue;
         frozen[f] = 1;
         ++froze_count;
         rate[f] = level;
@@ -282,7 +283,6 @@ std::size_t FlowSim::fill_rescan(std::span<const Flow> flows,
 }
 
 void FlowSim::fill_indexed(std::span<const Flow> flows,
-                           std::span<const char> active,
                            std::span<double> rate, SolveScratch& scratch,
                            obs::FlowSolveRecord* record,
                            std::size_t remaining) const {
@@ -324,7 +324,7 @@ void FlowSim::fill_indexed(std::span<const Flow> flows,
   auto& ever_saturated = scratch.ever_saturated;
   const std::size_t nused = used.size();
   const auto live = [&](std::size_t f) {
-    return active[f] && !frozen[f] && !flows[f].channels.empty();
+    return !frozen[f] && !flows[f].channels.empty();
   };
 
   // CSR incidence.  flow_ch carries local channel indices in path order
@@ -508,19 +508,11 @@ void FlowSim::fill_indexed(std::span<const Flow> flows,
 }
 
 void FlowSim::validate(std::span<const Flow> flows) const {
-  validate_active(flows, {});
-}
-
-void FlowSim::validate_active(std::span<const Flow> flows,
-                              std::span<const char> active) const {
   // Degraded-fabric guard: a flow routed before fault injection can carry a
   // stale path over a now-disabled cable.  Solving over it would silently
   // grant bandwidth a broken cable cannot carry, so reject the flow set the
-  // same way PktSim rejects invalid static paths at injection.  Inactive
-  // slots are exempt: a campaign parks lost pairs there precisely because
-  // their stale paths are no longer solvable.
+  // same way PktSim rejects invalid static paths at injection.
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (!active.empty() && !active[f]) continue;
     for (const topo::ChannelId ch : flows[f].channels) {
       if (ch < 0 || ch >= topo_->num_channels())
         throw std::invalid_argument("FlowSim: flow " + std::to_string(f) +
@@ -537,25 +529,13 @@ void FlowSim::validate_active(std::span<const Flow> flows,
 
 std::vector<double> FlowSim::fair_rates(std::span<const Flow> flows,
                                         obs::FlowSolveTrace* trace) const {
-  validate(flows);
   // Solve on the engine-owned warm scratch (not a fresh one per call), so
   // sweep loops that call fair_rates in a loop allocate only the returned
   // rate vector once the scratch is sized.
   std::vector<double> rate(flows.size(), 0.0);
-  scratch_.active.assign(flows.size(), 1);
-  solve(flows, scratch_.active, rate, scratch_,
+  solve(flows, rate, scratch_,
         trace != nullptr ? &trace->solves.emplace_back() : nullptr);
   return rate;
-}
-
-void FlowSim::solve_active(std::span<const Flow> flows,
-                           std::span<const char> active,
-                           std::span<double> rate, SolveScratch& scratch,
-                           obs::FlowSolveRecord* record) const {
-  if (active.size() != flows.size() || rate.size() != flows.size())
-    throw std::invalid_argument("FlowSim::solve_active: size mismatch");
-  validate_active(flows, active);
-  solve(flows, active, rate, scratch, record);
 }
 
 std::vector<std::vector<double>> FlowSim::solve_batch(
@@ -568,11 +548,9 @@ std::vector<std::vector<double>> FlowSim::solve_batch(
       [&](std::int64_t s, std::int32_t worker) {
         SolveScratch& scratch = arena.local(worker);
         const std::vector<Flow>& flows = flow_sets[static_cast<std::size_t>(s)];
-        validate(flows);
         auto& rate = rates[static_cast<std::size_t>(s)];
         rate.assign(flows.size(), 0.0);
-        scratch.active.assign(flows.size(), 1);
-        solve(flows, scratch.active, rate, scratch);
+        solve(flows, rate, scratch);
       });
   return rates;
 }

@@ -4,10 +4,12 @@
 // per-link fair share; FlowSim computes the exact max-min allocation by
 // progressive filling.  fair_rates() solves one flow set, solve_batch()
 // many independent sets on worker threads (a fresh pool and scratch per
-// call; the resilience campaign's traffic samples), and solve_active()
-// re-solves a caller's set on a warm, caller-owned scratch
-// (mpi::RoundRunner's rounds -- the transport's, mpiGraph's shifts and
-// eBB's samples).  This is the engine behind the
+// call; the resilience campaign's traffic samples), and solve() solves a
+// caller's set on a warm, caller-owned scratch (mpi::RoundRunner's rounds
+// -- the transport's, mpiGraph's shifts and eBB's samples).  Each call
+// solves every flow of the set it is given: a caller that drops flows
+// (a fault stage's lost pairs) hands over the smaller set.  This is the
+// engine behind the
 // bandwidth-dominated experiments (Figure 1 heatmaps, eBB, large-message
 // collectives): congestion arises purely from routed paths sharing
 // channels, which is the effect the paper studies.  The event_queue.hpp
@@ -64,11 +66,9 @@ class FlowSim {
 
   [[nodiscard]] const LinkModel& link() const noexcept { return link_; }
 
-  [[nodiscard]] SolverEngine engine() const noexcept { return engine_; }
-
   /// Reusable progressive-filling state.  One per worker thread; passing
   /// the same scratch to repeated solves removes every per-call heap
-  /// allocation: a warm solve through solve_active performs ZERO heap
+  /// allocation: a warm solve through solve() performs ZERO heap
   /// allocations on every core, and on both sides of the adaptive handoff
   /// (enforced by tests/flowsim_alloc_test.cpp with a counting global
   /// operator new).
@@ -88,7 +88,6 @@ class FlowSim {
     /// actually traces, but persistent so traced solves stay
     /// allocation-free too).
     std::vector<char> ever_saturated;
-    std::vector<char> active;  // used by the batch driver
     /// Adaptive solves on this scratch that crossed from rescan rounds to
     /// the indexed loop (diagnostics and tests).
     std::int64_t handoffs = 0;
@@ -128,7 +127,7 @@ class FlowSim {
   /// so sweep loops stop re-warming per call; these convenience entry
   /// points therefore must not run concurrently on one FlowSim --
   /// concurrent callers go through solve_batch (per-worker scratch) or
-  /// solve_active (caller-owned scratch).
+  /// solve (caller-owned scratch).
   [[nodiscard]] std::vector<double> fair_rates(
       std::span<const Flow> flows,
       obs::FlowSolveTrace* trace = nullptr) const;
@@ -136,7 +135,7 @@ class FlowSim {
   /// fair_rates() for many *independent* flow sets, solved concurrently
   /// on `threads` workers (0: exec::default_threads()) with per-worker
   /// scratch; pool and scratch are built per call, so repeated batches
-  /// belong on solve_active with warm scratch (mpi::RoundRunner).  Each
+  /// belong on solve() with warm scratch (mpi::RoundRunner).  Each
   /// set's allocation is computed in isolation, exactly as a fair_rates()
   /// loop would, so the output is thread-count-invariant.  solve_batch
   /// does not take a solver trace (a shared sink would race across
@@ -145,17 +144,15 @@ class FlowSim {
       std::span<const std::vector<Flow>> flow_sets,
       std::int32_t threads = 0) const;
 
-  /// fair_rates() restricted to the `active` subset of `flows` (same
-  /// length; rate entries of inactive flows are left untouched and their
-  /// paths are neither validated nor inspected).  Rates over the active
-  /// subset are bit-identical to fair_rates() or solve_batch() on a
-  /// compacted copy that keeps the active flows in order: solving only a
-  /// traffic sample's routable pairs gives the same bits as solving the
-  /// whole sample in place with the lost pairs inactive.  `scratch` is
-  /// caller-owned and reusable across solves.
-  void solve_active(std::span<const Flow> flows, std::span<const char> active,
-                    std::span<double> rate, SolveScratch& scratch,
-                    obs::FlowSolveRecord* record = nullptr) const;
+  /// fair_rates() on a caller-owned, reusable `scratch`, writing the rate
+  /// of flow f to rate[f] (`rate` must be as long as `flows`, else
+  /// std::invalid_argument).  Rates are bit-identical to fair_rates() and
+  /// solve_batch() on the same set.  `record`, when non-null, receives the
+  /// solve's convergence trace.  Throws std::invalid_argument, naming the
+  /// flow, when a flow crosses a disabled or unknown channel.
+  void solve(std::span<const Flow> flows, std::span<double> rate,
+             SolveScratch& scratch,
+             obs::FlowSolveRecord* record = nullptr) const;
 
   /// Utilisation [0, 1] per channel under the steady-state allocation
   /// (diagnostics; same flow-set semantics as fair_rates).
@@ -170,23 +167,11 @@ class FlowSim {
   }
 
  private:
-  /// Degraded-fabric guard shared by the public entry points: throws
-  /// std::invalid_argument (naming the flow index) when a flow crosses a
-  /// disabled or unknown channel -- a stale path routed before fault
-  /// injection must be re-routed, not solved.
+  /// Degraded-fabric guard of solve(): throws std::invalid_argument
+  /// (naming the flow index) when a flow crosses a disabled or unknown
+  /// channel -- a stale path routed before fault injection must be
+  /// re-routed, not solved.
   void validate(std::span<const Flow> flows) const;
-  /// validate() over the active subset only (inactive slots may carry
-  /// stale paths by design; see solve_active).
-  void validate_active(std::span<const Flow> flows,
-                       std::span<const char> active) const;
-
-  /// Max-min over a subset of flows (active[i] selects), writing rates.
-  /// `record`, when non-null, captures the solve's convergence trace.
-  /// Sets up the filling state shared by every core, then runs engine()'s
-  /// rounds; all cores produce bit-identical output.
-  void solve(std::span<const Flow> flows, std::span<const char> active,
-             std::span<double> rate, SolveScratch& scratch,
-             obs::FlowSolveRecord* record = nullptr) const;
 
   /// The seed progressive filler's rounds: each rescans every unfrozen
   /// flow x hop -- O(rounds x flows x path).  `hops` is the flow-hops of
@@ -194,7 +179,6 @@ class FlowSim {
   /// rescanned flow-hops exceed `budget`, or when every flow froze;
   /// returns the number of flows left unfrozen.
   [[nodiscard]] std::size_t fill_rescan(std::span<const Flow> flows,
-                                        std::span<const char> active,
                                         std::span<double> rate,
                                         SolveScratch& scratch,
                                         obs::FlowSolveRecord* record,
@@ -207,9 +191,8 @@ class FlowSim {
   /// keyed lazy min-heap, per round touching only flows incident to newly
   /// saturated channels.  Bit-identical to the rescan rounds; see the .cpp
   /// for the FP-order argument.
-  void fill_indexed(std::span<const Flow> flows, std::span<const char> active,
-                    std::span<double> rate, SolveScratch& scratch,
-                    obs::FlowSolveRecord* record,
+  void fill_indexed(std::span<const Flow> flows, std::span<double> rate,
+                    SolveScratch& scratch, obs::FlowSolveRecord* record,
                     std::size_t remaining) const;
 
   const topo::Topology* topo_;

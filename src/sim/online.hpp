@@ -101,7 +101,6 @@ struct PktOnlineConfig {
   [[nodiscard]] bool active() const noexcept {
     return !faults.empty() || !epochs.empty() || retry.enabled;
   }
-  [[nodiscard]] bool table_routed() const noexcept { return !epochs.empty(); }
 };
 
 /// Converts the schedule's *timed* stages (at_time >= 0) into the engine's

@@ -542,7 +542,6 @@ class TypedEngine {
     PktNode& p = s_.pool[static_cast<std::size_t>(pkt)];
     ++result_.packets_dropped;
     ++result_.dropped_by_cause[static_cast<std::size_t>(cause)];
-    if (trace_ != nullptr) trace_->on_drop(cause);
     if (p.held != topo::kInvalidChannel) {
       if (s_.down_switch[static_cast<std::size_t>(p.held)]) {
         ++s_.credits[idx(p.held, p.held_vl)];
@@ -563,13 +562,11 @@ class TypedEngine {
     if (s_.retries_left[m] == 0) {
       result_.message_status[m] = PktMessageStatus::kAbandoned;
       ++result_.messages_abandoned;
-      if (trace_ != nullptr) trace_->on_abandon();
       return;
     }
     --s_.retries_left[m];
     const std::int32_t attempt = ++s_.attempt[m];
     ++result_.retries;
-    if (trace_ != nullptr) trace_->on_retry();
     const double delay =
         detail::backoff_delay(online_->retry, attempt, retry_rng_.uniform());
     s_.events.schedule_in(

@@ -154,15 +154,9 @@ class ScheduleRevertGuard {
  public:
   ScheduleRevertGuard(Topology& topo, const FaultSchedule& schedule) noexcept
       : topo_(&topo), schedule_(&schedule) {}
-  ~ScheduleRevertGuard() {
-    if (schedule_ != nullptr) schedule_->revert(*topo_);
-  }
+  ~ScheduleRevertGuard() { schedule_->revert(*topo_); }
   ScheduleRevertGuard(const ScheduleRevertGuard&) = delete;
   ScheduleRevertGuard& operator=(const ScheduleRevertGuard&) = delete;
-
-  /// Releases the guard without reverting (the caller takes ownership of
-  /// the faulted state).
-  void dismiss() noexcept { schedule_ = nullptr; }
 
  private:
   Topology* topo_;

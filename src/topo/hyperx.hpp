@@ -57,9 +57,6 @@ class HyperX {
   [[nodiscard]] std::int32_t coord(SwitchId sw, std::int32_t d) const {
     return coords_[static_cast<std::size_t>(sw)][static_cast<std::size_t>(d)];
   }
-  [[nodiscard]] std::span<const std::int32_t> coords(SwitchId sw) const {
-    return coords_[static_cast<std::size_t>(sw)];
-  }
 
   /// Switch at the given coordinate vector (size == num_dims()).
   [[nodiscard]] SwitchId switch_at(std::span<const std::int32_t> coord) const;

@@ -84,7 +84,6 @@ class Topology {
   // --- queries ------------------------------------------------------------
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   [[nodiscard]] std::int32_t num_switches() const noexcept {
     return static_cast<std::int32_t>(switch_out_.size());

@@ -3,7 +3,7 @@
 //
 // The solver contract: after a first (cold) solve sizes the SolveScratch
 // -- CSR incidence arrays, version/dirty marks, the quotient heap -- a
-// warm solve through solve_active performs ZERO heap allocations, traced
+// warm FlowSim::solve performs ZERO heap allocations, traced
 // or untraced alike (the record's vectors are caller-reused), on the
 // forced indexed core and on both sides of the adaptive core's handoff.
 // Asserted with a counting global operator new; also pinned: the warm
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/parx.hpp"
@@ -136,8 +137,6 @@ TEST(FlowSimAllocations, WarmIndexedSolveActiveIsAllocationFree) {
   for (const std::int32_t hops : {2, 3, 4}) chain.add_shift(large_flows, hops);
   ASSERT_GE(large_flows.size(), 3 * small_flows.size());
 
-  const std::vector<char> small_active(small_flows.size(), 1);
-  const std::vector<char> large_active(large_flows.size(), 1);
   std::vector<double> small_rates(small_flows.size());
   std::vector<double> large_rates(large_flows.size());
   FlowSim::SolveScratch scratch;
@@ -151,22 +150,21 @@ TEST(FlowSimAllocations, WarmIndexedSolveActiveIsAllocationFree) {
   };
 
   // Cold solves size the scratch (and the record) for the largest set.
-  sim.solve_active(large_flows, large_active, large_rates, scratch, &record);
+  sim.solve(large_flows, large_rates, scratch, &record);
   reset();
-  sim.solve_active(small_flows, small_active, small_rates, scratch, &record);
+  sim.solve(small_flows, small_rates, scratch, &record);
 
   // Warm solves: ZERO allocations, traced and untraced, at both sizes.
   const long long warm_small = allocs_during([&] {
     reset();
-    sim.solve_active(small_flows, small_active, small_rates, scratch, &record);
+    sim.solve(small_flows, small_rates, scratch, &record);
   });
   const long long warm_large = allocs_during([&] {
     reset();
-    sim.solve_active(large_flows, large_active, large_rates, scratch, &record);
+    sim.solve(large_flows, large_rates, scratch, &record);
   });
-  const long long warm_untraced = allocs_during([&] {
-    sim.solve_active(large_flows, large_active, large_rates, scratch);
-  });
+  const long long warm_untraced =
+      allocs_during([&] { sim.solve(large_flows, large_rates, scratch); });
   EXPECT_EQ(warm_small, 0);
   EXPECT_EQ(warm_large, 0);
   EXPECT_EQ(warm_untraced, 0);
@@ -183,15 +181,24 @@ TEST(FlowSimAllocations, DeactivationStagesStayAllocationFreeWhenWarm) {
 
   std::vector<Flow> flows;
   for (const std::int32_t hops : {1, 2, 3}) chain.add_shift(flows, hops);
-  std::vector<char> active(flows.size(), 1);
+  // Each stage drops another fifth of the flows, the way a fault stage
+  // loses pairs.  The shrinking sets are built before any solve.
+  std::vector<char> dropped(flows.size(), 0);
+  std::vector<std::vector<Flow>> stages;
+  for (std::size_t stage = 0; stage < 4; ++stage) {
+    for (std::size_t i = stage; i < flows.size(); i += 5) dropped[i] = 1;
+    std::vector<Flow>& kept = stages.emplace_back();
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      if (!dropped[i]) kept.push_back(flows[i]);
+  }
   std::vector<double> rates(flows.size());
   FlowSim::SolveScratch scratch;
 
-  sim.solve_active(flows, active, rates, scratch);  // cold
-  for (int stage = 0; stage < 4; ++stage) {
-    for (std::size_t i = stage; i < flows.size(); i += 5) active[i] = 0;
+  sim.solve(flows, rates, scratch);  // cold
+  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+    const std::span<double> kept_rates(rates.data(), stages[stage].size());
     const long long warm = allocs_during(
-        [&] { sim.solve_active(flows, active, rates, scratch); });
+        [&] { sim.solve(stages[stage], kept_rates, scratch); });
     EXPECT_EQ(warm, 0) << "stage " << stage;
   }
 }
@@ -207,13 +214,12 @@ TEST(FlowSimAllocations, WarmScratchTakesMoreDistinctChannelsWithoutAllocating) 
   std::vector<Flow> wide;
   chain.add_shift(wide, 1);
   const std::vector<Flow> narrow(wide.size(), wide.front());
-  const std::vector<char> active(wide.size(), 1);
   std::vector<double> rates(wide.size());
   FlowSim::SolveScratch scratch;
 
-  sim.solve_active(narrow, active, rates, scratch);  // cold
+  sim.solve(narrow, rates, scratch);  // cold
   const long long warm =
-      allocs_during([&] { sim.solve_active(wide, active, rates, scratch); });
+      allocs_during([&] { sim.solve(wide, rates, scratch); });
   EXPECT_EQ(warm, 0);
   EXPECT_EQ(scratch.handoffs, 0) << "left the rescan regime";
 }
@@ -249,8 +255,6 @@ TEST(FlowSimAllocations, WarmAdaptiveSolveIsAllocationFreeAcrossTheHandoff) {
   };
   const std::vector<Flow> light = permutations(1);
   const std::vector<Flow> heavy = permutations(8);
-  const std::vector<char> light_active(light.size(), 1);
-  const std::vector<char> heavy_active(heavy.size(), 1);
   std::vector<double> light_rates(light.size());
   std::vector<double> heavy_rates(heavy.size());
 
@@ -263,23 +267,23 @@ TEST(FlowSimAllocations, WarmAdaptiveSolveIsAllocationFreeAcrossTheHandoff) {
     record.saturated.clear();
   };
   // Cold solves size the scratch and the record.
-  sim.solve_active(heavy, heavy_active, heavy_rates, scratch, &record);
+  sim.solve(heavy, heavy_rates, scratch, &record);
   reset();
-  sim.solve_active(light, light_active, light_rates, scratch, &record);
+  sim.solve(light, light_rates, scratch, &record);
 
   const std::int64_t before = scratch.handoffs;
   const long long warm_light = allocs_during([&] {
     reset();
-    sim.solve_active(light, light_active, light_rates, scratch, &record);
+    sim.solve(light, light_rates, scratch, &record);
   });
   EXPECT_EQ(scratch.handoffs, before) << "the light set handed over";
   const long long warm_heavy = allocs_during([&] {
     reset();
-    sim.solve_active(heavy, heavy_active, heavy_rates, scratch, &record);
+    sim.solve(heavy, heavy_rates, scratch, &record);
   });
   EXPECT_EQ(scratch.handoffs, before + 1) << "the heavy set stayed on rescan";
-  const long long warm_untraced = allocs_during(
-      [&] { sim.solve_active(heavy, heavy_active, heavy_rates, scratch); });
+  const long long warm_untraced =
+      allocs_during([&] { sim.solve(heavy, heavy_rates, scratch); });
   EXPECT_EQ(warm_light, 0);
   EXPECT_EQ(warm_heavy, 0);
   EXPECT_EQ(warm_untraced, 0);

@@ -5,8 +5,9 @@
 // both paper fabrics (small HyperX under DFSSSP, small fat-tree under
 // ftree), three traffic shapes (uniform random permutations, mpiGraph-
 // style shifts, eBB-style bisections), at 1 and 4 solver threads, through
-// the cold fair_rates path and the warm solve_active path (flows
-// deactivated stage by stage).
+// the cold fair_rates path and the warm solve path (a set shrinking stage
+// by stage on one scratch per core).  Comparisons go through the audit's
+// bitwise comparator, audit::check_flowsim_engines_identical.
 // Merged permutations drive the adaptive core across its rescan-to-indexed
 // handoff.  The saturation-epsilon regression scenarios from sim_test.cpp
 // are re-run here on every core and compared bitwise against kReference:
@@ -14,11 +15,12 @@
 // the denormal-level rounds must take the *same* branch in all of them.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
+#include "audit/oracles.hpp"
 #include "obs/flow_trace.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/ftree.hpp"
@@ -35,42 +37,18 @@ using topo::NodeId;
 using topo::SwitchId;
 using topo::Topology;
 
-// --- bitwise comparison helpers -----------------------------------------------
-
-::testing::AssertionResult bits_equal(std::span<const double> reference,
-                                      std::span<const double> other) {
-  if (reference.size() != other.size())
-    return ::testing::AssertionFailure()
-           << "size " << reference.size() << " vs " << other.size();
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (std::memcmp(&reference[i], &other[i], sizeof(double)) != 0) {
-      return ::testing::AssertionFailure()
-             << "element " << i << " diverges: reference "
-             << ::testing::PrintToString(reference[i]) << " vs "
-             << ::testing::PrintToString(other[i]);
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-::testing::AssertionResult records_equal(const obs::FlowSolveRecord& reference,
-                                         const obs::FlowSolveRecord& other) {
-  if (reference.active_flows != other.active_flows)
-    return ::testing::AssertionFailure()
-           << "active_flows " << reference.active_flows << " vs "
-           << other.active_flows;
-  if (auto levels = bits_equal(reference.levels, other.levels); !levels)
-    return ::testing::AssertionFailure() << "levels: " << levels.message();
-  if (reference.freezes_per_level != other.freezes_per_level)
-    return ::testing::AssertionFailure() << "freezes_per_level differ";
-  if (reference.saturated != other.saturated)
-    return ::testing::AssertionFailure() << "saturated set/order differs";
-  for (std::size_t i = 1; i < other.levels.size(); ++i) {
-    if (other.levels[i] < other.levels[i - 1])
-      return ::testing::AssertionFailure()
-             << "levels not monotone at step " << i;
-  }
-  return ::testing::AssertionSuccess();
+/// The audit's bitwise comparator as a gtest assertion: rates and solve
+/// records against the reference core's, and the compared record's levels
+/// ascending.  Empty records compare rates only.
+::testing::AssertionResult identical(
+    std::span<const double> reference_rates, std::span<const double> rates,
+    const obs::FlowSolveRecord& reference_record = {},
+    const obs::FlowSolveRecord& record = {}) {
+  audit::OracleResult check = audit::check_flowsim_engines_identical(
+      reference_rates, rates, reference_record, record);
+  if (check.pass) check = audit::check_flow_levels_monotone(record);
+  if (check.pass) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << check.detail;
 }
 
 // --- paper fabrics ------------------------------------------------------------
@@ -193,9 +171,6 @@ TEST(FlowSimGolden, EnginesBitIdenticalAcrossFabricsTrafficAndThreads) {
     const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
     const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
     const FlowSim adaptive(*f.topo);
-    ASSERT_EQ(reference.engine(), FlowSim::SolverEngine::kReference);
-    ASSERT_EQ(indexed.engine(), FlowSim::SolverEngine::kIndexed);
-    ASSERT_EQ(adaptive.engine(), FlowSim::SolverEngine::kAdaptive);
 
     const std::vector<std::vector<Flow>> sets = traffic_sets(f);
 
@@ -207,9 +182,9 @@ TEST(FlowSimGolden, EnginesBitIdenticalAcrossFabricsTrafficAndThreads) {
       for (const FlowSim* other : {&indexed, &adaptive}) {
         obs::FlowSolveTrace trace;
         const auto rates = other->fair_rates(sets[i], &trace);
-        EXPECT_TRUE(bits_equal(ref_rates, rates)) << f.name << " set " << i;
         ASSERT_EQ(trace.solves.size(), 1u);
-        EXPECT_TRUE(records_equal(ref_trace.solves[0], trace.solves[0]))
+        EXPECT_TRUE(identical(ref_rates, rates, ref_trace.solves[0],
+                              trace.solves[0]))
             << f.name << " set " << i;
       }
     }
@@ -224,57 +199,47 @@ TEST(FlowSimGolden, EnginesBitIdenticalAcrossFabricsTrafficAndThreads) {
       ASSERT_EQ(idx_batch.size(), sets.size());
       ASSERT_EQ(ada_batch.size(), sets.size());
       for (std::size_t i = 0; i < sets.size(); ++i) {
-        EXPECT_TRUE(bits_equal(ref_batch1[i], ref_batch[i]))
+        EXPECT_TRUE(identical(ref_batch1[i], ref_batch[i]))
             << f.name << " set " << i << " threads " << threads
             << " (reference thread-variance)";
-        EXPECT_TRUE(bits_equal(ref_batch1[i], idx_batch[i]))
+        EXPECT_TRUE(identical(ref_batch1[i], idx_batch[i]))
             << f.name << " set " << i << " threads " << threads;
-        EXPECT_TRUE(bits_equal(ref_batch1[i], ada_batch[i]))
+        EXPECT_TRUE(identical(ref_batch1[i], ada_batch[i]))
             << f.name << " set " << i << " threads " << threads;
       }
     }
   }
 }
 
-TEST(FlowSimGolden, SolveActiveWarmStartStagesBitIdentical) {
+TEST(FlowSimGolden, WarmSolveStagesBitIdentical) {
   for (const GoldenFabric& f : paper_fabrics()) {
     const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
     const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
     const FlowSim adaptive(*f.topo);
+    const FlowSim* const cores[] = {&reference, &indexed, &adaptive};
+    FlowSim::SolveScratch scratch[3];  // caller-owned, warm across stages
 
     stats::Rng rng(7);
     const std::vector<Flow> flows = uniform_set(f, rng);
-    const auto n = flows.size();
-    std::vector<char> active(n, 1);
-    std::vector<double> ref_rates(n, -1.0);
-    std::vector<double> idx_rates(n, -1.0);
-    std::vector<double> ada_rates(n, -1.0);
-    FlowSim::SolveScratch ref_scratch;  // caller-owned, warm across stages
-    FlowSim::SolveScratch idx_scratch;
-    FlowSim::SolveScratch ada_scratch;
-
-    // Stage 0: everything active; later stages deactivate survivors the
-    // way a fault campaign would, re-solving in place on warm scratch.
+    std::vector<char> dropped(flows.size(), 0);
+    // Stage 0 solves every flow; each later stage drops another third of
+    // them, the way a fault campaign loses pairs, and solves the rest.
     for (int stage = 0; stage < 4; ++stage) {
-      if (stage > 0) {
-        for (std::size_t i = stage - 1; i < n; i += 3) active[i] = 0;
+      if (stage > 0)
+        for (std::size_t i = stage - 1; i < flows.size(); i += 3)
+          dropped[i] = 1;
+      std::vector<Flow> kept;
+      for (std::size_t i = 0; i < flows.size(); ++i)
+        if (!dropped[i]) kept.push_back(flows[i]);
+      std::vector<double> rates[3];
+      obs::FlowSolveRecord records[3];
+      for (std::size_t c = 0; c < 3; ++c) {
+        rates[c].assign(kept.size(), -1.0);
+        cores[c]->solve(kept, rates[c], scratch[c], &records[c]);
       }
-      obs::FlowSolveRecord ref_record;
-      obs::FlowSolveRecord idx_record;
-      obs::FlowSolveRecord ada_record;
-      reference.solve_active(flows, active, ref_rates, ref_scratch,
-                             &ref_record);
-      indexed.solve_active(flows, active, idx_rates, idx_scratch, &idx_record);
-      adaptive.solve_active(flows, active, ada_rates, ada_scratch,
-                            &ada_record);
-      EXPECT_TRUE(bits_equal(ref_rates, idx_rates))
-          << f.name << " stage " << stage;
-      EXPECT_TRUE(records_equal(ref_record, idx_record))
-          << f.name << " stage " << stage;
-      EXPECT_TRUE(bits_equal(ref_rates, ada_rates))
-          << f.name << " stage " << stage;
-      EXPECT_TRUE(records_equal(ref_record, ada_record))
-          << f.name << " stage " << stage;
+      for (std::size_t c = 1; c < 3; ++c)
+        EXPECT_TRUE(identical(rates[0], rates[c], records[0], records[c]))
+            << f.name << " stage " << stage << " core " << c;
     }
   }
 }
@@ -294,7 +259,6 @@ TEST(FlowSimGolden, AdaptiveHandoffBitIdentical) {
   stats::Rng rng(0x3e7du);
   for (const std::int32_t k : {8, 16}) {
     const std::vector<Flow> flows = merged_permutations_set(f, rng, k);
-    const std::vector<char> active(flows.size(), 1);
     std::vector<double> ref_rates(flows.size());
     std::vector<double> idx_rates(flows.size());
     std::vector<double> ada_rates(flows.size());
@@ -304,18 +268,18 @@ TEST(FlowSimGolden, AdaptiveHandoffBitIdentical) {
     obs::FlowSolveRecord ref_record;
     obs::FlowSolveRecord idx_record;
     obs::FlowSolveRecord ada_record;
-    reference.solve_active(flows, active, ref_rates, ref_scratch, &ref_record);
-    indexed.solve_active(flows, active, idx_rates, idx_scratch, &idx_record);
-    adaptive.solve_active(flows, active, ada_rates, ada_scratch, &ada_record);
+    reference.solve(flows, ref_rates, ref_scratch, &ref_record);
+    indexed.solve(flows, idx_rates, idx_scratch, &idx_record);
+    adaptive.solve(flows, ada_rates, ada_scratch, &ada_record);
     // The adaptive core handed over mid-solve; the forced cores never do.
     EXPECT_EQ(ada_scratch.handoffs, 1) << "k " << k;
     EXPECT_EQ(ref_scratch.handoffs, 0);
     EXPECT_EQ(idx_scratch.handoffs, 0);
     EXPECT_GT(ref_record.num_levels(), 50) << "k " << k;
-    EXPECT_TRUE(bits_equal(ref_rates, idx_rates)) << "k " << k;
-    EXPECT_TRUE(bits_equal(ref_rates, ada_rates)) << "k " << k;
-    EXPECT_TRUE(records_equal(ref_record, idx_record)) << "k " << k;
-    EXPECT_TRUE(records_equal(ref_record, ada_record)) << "k " << k;
+    EXPECT_TRUE(identical(ref_rates, idx_rates, ref_record, idx_record))
+        << "k " << k;
+    EXPECT_TRUE(identical(ref_rates, ada_rates, ref_record, ada_record))
+        << "k " << k;
   }
 }
 
@@ -360,8 +324,8 @@ std::vector<double> solve_every_core(const Dumbbell& d, double bandwidth,
     other.set_capacity(d.ab, cable_capacity);
     obs::FlowSolveTrace trace;
     rates = other.fair_rates(flows, &trace);
-    EXPECT_TRUE(bits_equal(ref_rates, rates));
-    EXPECT_TRUE(records_equal(ref_trace.solves.at(0), trace.solves.at(0)));
+    EXPECT_TRUE(identical(ref_rates, rates, ref_trace.solves.at(0),
+                          trace.solves.at(0)));
   }
   return rates;
 }

@@ -13,6 +13,7 @@
 
 #include "stats/rng.hpp"
 
+#include "audit/oracles.hpp"
 #include "audit/reference_pktsim.hpp"
 #include "routing/forwarding.hpp"
 #include "sim/adaptive.hpp"
@@ -230,33 +231,31 @@ TEST(FlowSim, SaturationEpsilonNonRepresentableSharesStayConsistent) {
   for (NodeId i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(rates[i], 0.1 / 4.0);
 }
 
-// --- FlowSim::solve_active ----------------------------------------------------
+// --- FlowSim::solve -----------------------------------------------------------
 
-TEST(FlowSim, SolveActiveMatchesCompactedFairRates) {
+TEST(FlowSim, WarmSolveMatchesFairRates) {
+  // Two different sets through one caller scratch: the second solve runs
+  // warm, on state the first one left behind.
   const Dumbbell d(4);
   const FlowSim sim(d.topo, LinkModel{});
 
-  std::vector<Flow> flows;
-  for (NodeId i = 0; i < 4; ++i) flows.push_back(d.flow(i, 4 + i, 1));
-  const std::vector<char> active{1, 0, 1, 0};
+  const std::vector<Flow> all{d.flow(0, 4, 1), d.flow(1, 5, 1),
+                              d.flow(2, 6, 1), d.flow(3, 7, 1)};
+  const std::vector<Flow> pair{all[0], all[2]};
 
-  std::vector<double> rates(flows.size(), -7.0);  // sentinel
   FlowSim::SolveScratch scratch;
-  sim.solve_active(flows, active, rates, scratch);
-
-  const std::vector<Flow> compact{flows[0], flows[2]};
-  const auto expect = sim.fair_rates(compact);
-  // Bit-identical to a fresh solve of the compacted set; inactive slots
-  // untouched.
-  EXPECT_EQ(rates[0], expect[0]);
-  EXPECT_EQ(rates[2], expect[1]);
-  EXPECT_EQ(rates[1], -7.0);
-  EXPECT_EQ(rates[3], -7.0);
+  for (const std::vector<Flow>* flows : {&all, &pair}) {
+    std::vector<double> rates(flows->size(), -7.0);  // sentinel
+    sim.solve(*flows, rates, scratch);
+    const audit::OracleResult check = audit::check_flowsim_engines_identical(
+        sim.fair_rates(*flows), rates, {}, {});
+    EXPECT_TRUE(check.pass) << flows->size() << " flows: " << check.detail;
+  }
 }
 
-TEST(FlowSim, SolveActiveIgnoresStalePathsInInactiveSlots) {
-  // The campaign parks lost pairs with their stale pre-fault paths still
-  // in the Flow slot; a disabled channel there must not trip validation.
+TEST(FlowSim, SolveRejectsStalePaths) {
+  // A path routed before fault injection crosses a now-disabled cable: it
+  // must be re-routed, not solved.
   Dumbbell d(2);
   const FlowSim sim(d.topo, LinkModel{});
   std::vector<Flow> flows;
@@ -266,28 +265,17 @@ TEST(FlowSim, SolveActiveIgnoresStalePathsInInactiveSlots) {
 
   std::vector<double> rates(flows.size(), 0.0);
   FlowSim::SolveScratch scratch;
-  const std::vector<char> active{0, 0};
-  EXPECT_NO_THROW(sim.solve_active(flows, active, rates, scratch));
-  // An *active* stale path must still be rejected loudly.
-  const std::vector<char> both{1, 1};
-  EXPECT_THROW(sim.solve_active(flows, both, rates, scratch),
-               std::invalid_argument);
+  EXPECT_THROW(sim.solve(flows, rates, scratch), std::invalid_argument);
   d.topo.enable_link(d.ab);
 }
 
-TEST(FlowSim, SolveActiveRejectsSizeMismatch) {
+TEST(FlowSim, SolveRejectsSizeMismatch) {
   const Dumbbell d(2);
   const FlowSim sim(d.topo, LinkModel{});
-  std::vector<Flow> flows{d.flow(0, 2, 1)};
-  std::vector<double> rates(2, 0.0);
+  const std::vector<Flow> flows{d.flow(0, 2, 1), d.flow(1, 3, 1)};
+  std::vector<double> rates(1, 0.0);
   FlowSim::SolveScratch scratch;
-  const std::vector<char> one{1};
-  const std::vector<char> two{1, 1};
-  EXPECT_THROW(sim.solve_active(flows, one, rates, scratch),
-               std::invalid_argument);
-  rates.resize(1);
-  EXPECT_THROW(sim.solve_active(flows, two, rates, scratch),
-               std::invalid_argument);
+  EXPECT_THROW(sim.solve(flows, rates, scratch), std::invalid_argument);
 }
 
 // --- PktSim --------------------------------------------------------------------
