@@ -156,6 +156,7 @@ class RoundRunner {
   std::size_t block_size_ = 0;
   std::size_t max_path_ = 0;  // path buffers are reserved to this length
   std::int64_t reused_rounds_ = 0;
+
   std::vector<sim::FlowSim::SolveScratch> scratch_;  // one per thread
 };
 
