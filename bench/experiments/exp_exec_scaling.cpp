@@ -14,11 +14,11 @@
 // on the PARX plane, whose bfo LID draws the transport makes serially, at
 // each thread point set through exec::set_default_threads; the round
 // times must equal the 1-thread ones bit for bit, and the row records
-// seconds, speedup and the rounds that reused the previous round's
-// rates.  An "mpigraph_parx" row does the same for one full-machine
-// mpiGraph on that plane, whose heatmap cells must equal the 1-thread
-// cells bit for bit.  The flow solver's batch scaling is timed and
-// identity-checked by flowsim_speedup.
+// seconds, speedup and the rounds that hit the round runner's memo.  An
+// "mpigraph_parx" row does the same for one full-machine mpiGraph on that
+// plane, whose heatmap cells must equal the 1-thread cells bit for bit.
+// The flow solver's batch scaling is timed and identity-checked by
+// flowsim_speedup.
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -119,8 +119,8 @@ void default_threads_sweep(const char* phase,
 
 /// The PARX plane at full machine size through the round runner's
 /// callers: one 128 KiB IMB Alltoall through mpi::Transport (round
-/// times, and the rounds that reused the previous round's rates), and
-/// one mpiGraph (heatmap cells).
+/// times, and the rounds that hit the runner's memo), and one mpiGraph
+/// (heatmap cells).
 void round_runner_sweeps(const report::Options& options,
                          const std::vector<std::int32_t>& points,
                          std::int32_t reps, report::ResultTable& phase_table) {

@@ -152,14 +152,14 @@ double Transport::round_time(const Round& round,
     const RankMsg& rm = round[i];
     const std::int32_t si = src_count_[static_cast<std::size_t>(rm.src_rank)]++;
     const std::int32_t di = dst_count_[static_cast<std::size_t>(rm.dst_rank)]++;
-    const std::size_t hops = slot.flows[i].channels.size();
+    const std::int32_t hops = slot.hops()[i];
     double t = static_cast<double>(std::max(si, di)) *
                    pml.per_message_overhead +
                pml.per_message_overhead +
                static_cast<double>(rm.bytes) * pml.per_byte_overhead;
     t += static_cast<double>(hops) * link.hop_latency;
     if (rm.bytes > 0 && hops > 0)
-      t += static_cast<double>(rm.bytes) / slot.rates[i];
+      t += static_cast<double>(rm.bytes) / slot.rates()[i];
     time = std::max(time, t);
   }
   for (const RankMsg& rm : round) {
@@ -172,10 +172,9 @@ double Transport::round_time(const Round& round,
 std::vector<double> Transport::execute_rounds(const Schedule& schedule) {
   std::vector<double> times(schedule.size(), 0.0);  // empty rounds take 0
   const auto finish = [&](const RoundRunner::Slot& slot) {
-    times[slot.index] = round_time(schedule[slot.index], slot);
+    times[slot.index()] = round_time(schedule[slot.index()], slot);
   };
   const std::int32_t ranks = placement_.num_ranks();
-  runner_.begin();
   for (std::size_t r = 0; r < schedule.size(); ++r) {
     const Round& round = schedule[r];
     if (round.empty()) continue;

@@ -18,13 +18,16 @@
 //
 // The transport range-checks each round and makes its Table-1 draws in
 // message order (draw_lid_index); its RoundRunner (mpi/round_runner.hpp)
-// walks and solves the rounds in blocks on the runner's thread pool, and
-// the transport times each round from its rates, endpoint offsets and hop
-// counts.  Round times are bit-identical to a serial, solve-every-round
-// loop at any thread count.  parallel_for does not nest, so a transport
-// must not run inside a parallel region.  Once the transport has seen its
-// largest rounds, a schedule allocates only the vector of times it
-// returns.
+// takes a round whose walk inputs it has seen before from its memo, walks
+// and solves the others in blocks on the runner's thread pool, and the
+// transport times each round from its rates, endpoint offsets and hop
+// counts.  The runner lives as long as the transport, so its memo serves
+// every schedule the transport runs: one op's schedule at each message
+// size, or each repeat of an application's kernel.  Round times are
+// bit-identical to a serial, solve-every-round loop at any thread count.
+// parallel_for does not nest, so a transport must not run inside a
+// parallel region.  Once the transport has seen its largest rounds, a
+// schedule allocates only the vector of times it returns.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +84,10 @@ class Cluster {
   [[nodiscard]] std::int32_t num_nodes() const noexcept {
     return topo_->num_terminals();
   }
+
+  /// Whether LID selection applies Table 1: bfo with a quadrant-grouped
+  /// LMC=2 LID space.  Only then does a message's size class steer its walk.
+  [[nodiscard]] bool parx_selection() const noexcept { return parx_selection_; }
 
   /// Destination LID for a (src, dst, size) message: Table 1 on bfo with a
   /// quadrant-grouped LMC=2 space, LID0 otherwise.  Falls back across the
@@ -154,9 +161,10 @@ class Transport {
   /// 0.  Must not be called inside an exec::ThreadPool::parallel_for body.
   [[nodiscard]] std::vector<double> execute_rounds(const Schedule& schedule);
 
-  /// Rounds, over the transport's lifetime, whose rates were copied from
-  /// the previous non-empty round of the same schedule (same walks, so
-  /// equal paths) instead of solved.
+  /// Rounds, over the transport's lifetime, that hit its runner's memo:
+  /// they took the rates and hop counts of an earlier round with the same
+  /// walk inputs, from this schedule or an earlier one, and were neither
+  /// walked nor solved.
   [[nodiscard]] std::int64_t reused_rounds() const noexcept {
     return runner_.reused_rounds();
   }

@@ -93,16 +93,6 @@ Schedule gather_binomial(std::int32_t n, std::int64_t bytes,
   return s;
 }
 
-Schedule gather_linear(std::int32_t n, std::int64_t bytes, std::int32_t root) {
-  check_n(n);
-  Schedule s;
-  Round round;
-  for (std::int32_t i = 0; i < n; ++i)
-    if (i != root) round.push_back(RankMsg{i, root, bytes});
-  if (!round.empty()) s.push_back(std::move(round));
-  return s;
-}
-
 Schedule scatter_binomial(std::int32_t n, std::int64_t bytes,
                           std::int32_t root) {
   check_n(n);
@@ -180,18 +170,6 @@ Schedule allreduce_ring(std::int32_t n, std::int64_t bytes) {
   return s;
 }
 
-Schedule allgather_ring(std::int32_t n, std::int64_t bytes) {
-  check_n(n);
-  Schedule s;
-  for (std::int32_t r = 0; r < n - 1; ++r) {
-    Round round;
-    for (std::int32_t i = 0; i < n; ++i)
-      round.push_back(RankMsg{i, (i + 1) % n, bytes});
-    s.push_back(std::move(round));
-  }
-  return s;
-}
-
 Schedule alltoall_pairwise(std::int32_t n, std::int64_t bytes) {
   check_n(n);
   Schedule s;
@@ -200,15 +178,6 @@ Schedule alltoall_pairwise(std::int32_t n, std::int64_t bytes) {
     for (std::int32_t i = 0; i < n; ++i)
       round.push_back(RankMsg{i, (i + r) % n, bytes});
     s.push_back(std::move(round));
-  }
-  return s;
-}
-
-Schedule pingpong(std::int64_t bytes, std::int32_t repeats) {
-  Schedule s;
-  for (std::int32_t r = 0; r < repeats; ++r) {
-    s.push_back(Round{RankMsg{0, 1, bytes}});
-    s.push_back(Round{RankMsg{1, 0, bytes}});
   }
   return s;
 }

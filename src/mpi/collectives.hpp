@@ -34,11 +34,6 @@ namespace hxsim::mpi::collectives {
 [[nodiscard]] Schedule gather_binomial(std::int32_t n, std::int64_t bytes,
                                        std::int32_t root = 0);
 
-/// Linear gather: every rank sends its block to the root in one round
-/// (Open MPI's basic algorithm; an n-to-1 incast).
-[[nodiscard]] Schedule gather_linear(std::int32_t n, std::int64_t bytes,
-                                     std::int32_t root = 0);
-
 /// Binomial scatter from `root` (reverse of gather_binomial).
 [[nodiscard]] Schedule scatter_binomial(std::int32_t n, std::int64_t bytes,
                                         std::int32_t root = 0);
@@ -52,14 +47,8 @@ namespace hxsim::mpi::collectives {
 /// ceil(bytes/n) chunks -- Baidu's DeepBench algorithm.
 [[nodiscard]] Schedule allreduce_ring(std::int32_t n, std::int64_t bytes);
 
-/// Ring allgather: n-1 rounds forwarding `bytes` blocks to (i+1) mod n.
-[[nodiscard]] Schedule allgather_ring(std::int32_t n, std::int64_t bytes);
-
 /// Pairwise-exchange alltoall: n-1 rounds, rank i -> (i + r) mod n.
 [[nodiscard]] Schedule alltoall_pairwise(std::int32_t n, std::int64_t bytes);
-
-/// Two-rank ping-pong (2 rounds x `repeats`).
-[[nodiscard]] Schedule pingpong(std::int64_t bytes, std::int32_t repeats = 1);
 
 /// IMB Multi-PingPong: n/2 concurrent pairs (i, i + n/2).
 [[nodiscard]] Schedule multi_pingpong(std::int32_t n, std::int64_t bytes,

@@ -24,8 +24,8 @@ EbbResult effective_bisection_bandwidth(const mpi::Cluster& cluster,
   result.sample_means.reserve(static_cast<std::size_t>(options.samples));
   const auto mean_of = [&](const mpi::RoundRunner::Slot& slot) {
     double mean = 0.0;
-    for (std::size_t i = 0; i < slot.size; ++i) mean += slot.rates[i];
-    mean /= static_cast<double>(slot.size);
+    for (const double rate : slot.rates()) mean += rate;
+    mean /= static_cast<double>(slot.size());
     result.sample_means.push_back(mean / static_cast<double>(stats::kGiB));
   };
 

@@ -28,8 +28,8 @@ stats::Heatmap mpigraph(const mpi::Cluster& cluster,
   const auto fill = [&](const mpi::RoundRunner::Slot& slot) {
     for (std::size_t i = 0; i < n; ++i) {
       // Streaming bandwidth of the pair == its steady fair share.
-      map.set((i + slot.index) % n, i,
-              slot.rates[i] / static_cast<double>(stats::kGiB));
+      map.set((i + slot.index()) % n, i,
+              slot.rates()[i] / static_cast<double>(stats::kGiB));
     }
   };
   stats::Rng rng(options.seed);

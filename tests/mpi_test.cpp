@@ -153,8 +153,15 @@ TEST_P(CollectiveSizes, AllreduceRingIsComplete) {
 }
 
 TEST_P(CollectiveSizes, AllgatherRingIsComplete) {
+  // The allgather half of allreduce_ring must complete on its own: the
+  // reduce-scatter half already spreads every rank's knowledge, so
+  // AllreduceRingIsComplete cannot tell.
   const std::int32_t n = GetParam();
-  const auto know = propagate(col::allgather_ring(n, 8), n);
+  const Schedule ring = col::allreduce_ring(n, 1024);
+  const Schedule allgather(ring.begin() + static_cast<std::ptrdiff_t>(
+                                              ring.size() / 2),
+                           ring.end());
+  const auto know = propagate(allgather, n);
   for (std::int32_t r = 0; r < n; ++r)
     EXPECT_EQ(know[static_cast<std::size_t>(r)].size(),
               static_cast<std::size_t>(n));
@@ -316,7 +323,8 @@ TEST(Transport, PingPongTimeMatchesModel) {
   Transport transport(cluster,
                       Placement::linear(2, Placement::whole_machine(2)), 1);
   const std::int64_t bytes = 1024;
-  const double t = transport.execute(col::pingpong(bytes));
+  const double t =
+      transport.execute({{RankMsg{0, 1, bytes}}, {RankMsg{1, 0, bytes}}});
   const PmlConfig& pml = cluster.pml();
   const double per_leg =
       pml.per_message_overhead + bytes * pml.per_byte_overhead +
@@ -374,7 +382,9 @@ TEST(Transport, LinearGatherIncastSerialisesOnTheRootLink) {
   Transport transport(cluster,
                       Placement::linear(n, Placement::whole_machine(32)), 1);
   const std::int64_t bytes = 1 << 20;
-  const double t = transport.execute(col::gather_linear(n, bytes));
+  Round incast;
+  for (std::int32_t r = 1; r < n; ++r) incast.push_back(RankMsg{r, 0, bytes});
+  const double t = transport.execute({incast});
   const double serialized =
       static_cast<double>(n - 1) * static_cast<double>(bytes) /
       cluster.link().bandwidth;
@@ -498,8 +508,9 @@ TEST(Transport, RejectsPlacementsOutsideTheFabric) {
 
 TEST(Transport, CountsRoundsThatReuseThePreviousRates) {
   // On ob1 every ring step routes the same pairs over the same paths, so
-  // each step after the first reuses its predecessor's rates -- across
-  // the block boundary too (62 rounds).  Pairwise Alltoall rounds differ.
+  // each step after the first hits the memo -- across the block boundary
+  // too (62 rounds).  Pairwise Alltoall rounds differ from each other, but
+  // the first (i -> i + 1) walks exactly a ring step: one more hit.
   const HyperX hx(topo::small_hyperx_params());
   const Cluster cluster = make_dfsssp_cluster(hx);
   const std::int32_t n = 32;
@@ -508,7 +519,7 @@ TEST(Transport, CountsRoundsThatReuseThePreviousRates) {
   (void)transport.execute(col::allreduce_ring(n, 1 << 20));
   EXPECT_EQ(transport.reused_rounds(), 2 * (n - 1) - 1);
   (void)transport.execute(col::alltoall_pairwise(n, 1 << 20));
-  EXPECT_EQ(transport.reused_rounds(), 2 * (n - 1) - 1);
+  EXPECT_EQ(transport.reused_rounds(), 2 * (n - 1));
 }
 
 // --- the fused LFT walk ----------------------------------------------------------
@@ -667,9 +678,15 @@ class DefaultThreadsGuard {
   std::int32_t saved_ = exec::default_threads();
 };
 
+/// Appends `tail`'s rounds to `head`.
+Schedule concat(Schedule head, const Schedule& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
 TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
   // The seed loop solves every round fresh on the reference core, so it
-  // is also the oracle for the transport's blocks and rate reuse.
+  // is also the oracle for the transport's blocks and memo hits.
   workloads::SystemOptions options;
   options.small_scale = true;
   const workloads::PaperSystem system(options);
@@ -689,11 +706,21 @@ TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
       repeats.push_back(std::move(resized));
     }
   }
-  const std::vector<std::pair<std::string, Schedule>> schedules = {
-      {"allreduce_ring 1 MiB", col::allreduce_ring(n, 1 << 20)},
-      {"alltoall 64 B", col::alltoall_pairwise(n, 64)},
-      {"alltoall 64 KiB", col::alltoall_pairwise(n, 64 << 10)},
-      {"ring repeats", std::move(repeats)}};
+  // A Graph500 level and the next one's Alltoall: each round of the
+  // second Alltoall repeats one 54 rounds earlier, in an earlier block.
+  const Schedule alltoall = col::alltoall_pairwise(n, 32 << 10);
+  const Schedule graph500 = concat(
+      concat(alltoall, col::allreduce_recursive_doubling(n, 8)), alltoall);
+  // Each case runs its schedules in turn on one transport; the seed loop
+  // runs them as one, so the Table-1 draws continue across them.
+  const std::vector<std::pair<std::string, std::vector<Schedule>>> cases = {
+      {"allreduce_ring 1 MiB", {col::allreduce_ring(n, 1 << 20)}},
+      {"alltoall 64 B", {col::alltoall_pairwise(n, 64)}},
+      {"alltoall 64 KiB", {col::alltoall_pairwise(n, 64 << 10)}},
+      {"ring repeats", {std::move(repeats)}},
+      {"graph500 levels", {graph500}},
+      {"alltoall 64 B, then 64 KiB",
+       {col::alltoall_pairwise(n, 64), col::alltoall_pairwise(n, 64 << 10)}}};
   const DefaultThreadsGuard guard;
   for (const std::int32_t threads : {1, 4}) {
     exec::set_default_threads(threads);
@@ -702,11 +729,17 @@ TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
       stats::Rng placement_rng(5);
       const Placement placement =
           Placement::make(config.placement, n, pool, placement_rng);
-      for (const auto& [label, schedule] : schedules) {
+      for (const auto& [label, schedules] : cases) {
+        Schedule all;
+        for (const Schedule& schedule : schedules) all = concat(all, schedule);
         const std::vector<double> want =
-            seed_execute_rounds(*config.cluster, placement, 9, schedule);
+            seed_execute_rounds(*config.cluster, placement, 9, all);
         Transport transport(*config.cluster, placement, 9);
-        const std::vector<double> got = transport.execute_rounds(schedule);
+        std::vector<double> got;
+        for (const Schedule& schedule : schedules) {
+          const std::vector<double> times = transport.execute_rounds(schedule);
+          got.insert(got.end(), times.begin(), times.end());
+        }
         reused += transport.reused_rounds();
         ASSERT_EQ(got.size(), want.size());
         EXPECT_EQ(
@@ -717,6 +750,105 @@ TEST(Transport, ExecuteRoundsBitIdenticalToSeedLoop) {
     }
     EXPECT_GT(reused, 0) << threads << " threads";
   }
+}
+
+TEST(Transport, MemoKeepsItsOlderHalfWhenFull) {
+  // Rounds of kMemoMessages / 16 messages, each an ob1 shift with every
+  // pair repeated: shifts 1..16 fill the memo exactly, and shift 17 then
+  // finds no room.  Each execute_rounds call ends a block.
+  const HyperX hx(topo::small_hyperx_params());
+  const Cluster cluster = make_dfsssp_cluster(hx);
+  const std::int32_t n = hx.topo().num_terminals();
+  const Placement placement =
+      Placement::linear(n, Placement::whole_machine(n));
+  const std::size_t messages = RoundRunner::kMemoMessages / 16;
+  const auto shift = [&](std::int32_t k) {
+    Round round;
+    for (std::size_t j = 0; j < messages; ++j) {
+      const auto src = static_cast<std::int32_t>(j) % n;
+      round.push_back(RankMsg{src, (src + k) % n, 4096});
+    }
+    return round;
+  };
+  Schedule fill;  // 16 misses, each repeated at once: 16 hits
+  for (std::int32_t k = 1; k <= 16; ++k) {
+    fill.push_back(shift(k));
+    fill.push_back(shift(k));
+  }
+  // Hit; miss without room; miss again, although it repeats its
+  // predecessor; hit -- the memo evicts only when the next block begins.
+  const Schedule full{shift(3), shift(17), shift(17), shift(1)};
+  // The eviction dropped shifts 9..16, the newer half, and kept 1..8:
+  // miss, hit, hit, miss.
+  const Schedule halved{shift(16), shift(16), shift(8), shift(17)};
+  const auto self_sends = [&](std::size_t count) {
+    Round round;
+    for (std::size_t j = 0; j < count; ++j) {
+      const auto rank = static_cast<std::int32_t>(j) % n;
+      round.push_back(RankMsg{rank, rank, 8});
+    }
+    return round;
+  };
+  // A round larger than the whole memo is never stored, so its repeat
+  // misses too, and it evicts nothing: both shifts then hit.
+  const Round oversized = self_sends(RoundRunner::kMemoMessages + 1);
+  const Schedule huge{oversized, oversized};
+  const Schedule after{shift(1), shift(16)};
+  // A round of three quarters of the memo finds no room beside shifts
+  // 1..8, 16 and 17: two misses.  The eviction then keeps only shifts
+  // 1..4, not the older half, so it fits: miss, hit, hit, hit, and shift
+  // 5 misses without room.
+  const Round wide = self_sends(RoundRunner::kMemoMessages / 4 * 3);
+  const Schedule too_wide{wide, wide};
+  const Schedule made_room{wide, wide, wide, shift(4), shift(5)};
+  Transport transport(cluster, placement, 1);
+  std::int64_t hits = 0;
+  for (const auto& [schedule, block_hits] :
+       std::vector<std::pair<const Schedule*, std::int64_t>>{
+           {&fill, 16},
+           {&full, 2},
+           {&halved, 2},
+           {&huge, 0},
+           {&after, 2},
+           {&too_wide, 0},
+           {&made_room, 3}}) {
+    const std::vector<double> want =
+        seed_execute_rounds(cluster, placement, 1, *schedule);
+    const std::vector<double> got = transport.execute_rounds(*schedule);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+    hits += block_hits;
+    EXPECT_EQ(transport.reused_rounds(), hits);
+  }
+}
+
+TEST(Transport, FailedBlockLeavesNoMemoEntry) {
+  // Empty tables route nothing but self-sends.  The failing block's
+  // self-send round walks, then its second round throws: neither may
+  // stay in the memo, or a rerun would hit instead of walking.
+  const HyperX hx(topo::small_hyperx_params());
+  routing::LidSpace lids =
+      routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
+  routing::RouteResult empty;
+  empty.tables = routing::ForwardingTables(hx.topo().num_switches(),
+                                           lids.max_lid());
+  const Cluster broken(hx.topo(), lids, std::move(empty), make_ob1());
+  const Placement placement = Placement::linear(4, Placement::whole_machine(4));
+  Transport transport(broken, placement, 1);
+  const Schedule unroutable{{RankMsg{2, 2, 8}}, {RankMsg{0, 1, 8}}};
+  EXPECT_THROW((void)transport.execute(unroutable), std::runtime_error);
+  EXPECT_THROW((void)transport.execute(unroutable), std::runtime_error);
+
+  const Schedule self_sends{{RankMsg{2, 2, 8}},
+                            {RankMsg{3, 3, 8}, RankMsg{2, 2, 8}}};
+  Transport fresh(broken, placement, 1);
+  const std::vector<double> want = fresh.execute_rounds(self_sends);
+  const std::vector<double> got = transport.execute_rounds(self_sends);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(transport.reused_rounds(), fresh.reused_rounds());
 }
 
 // --- profiles -------------------------------------------------------------------
